@@ -7,7 +7,8 @@ JSONL, one document per line:
      "tokens": [str],          # optional, needed by context methods
      "nouns": [str]}           # optional, overrides the stopword heuristic
 
-``position`` is the token index the mention occupies in ``tokens``.
+``position`` is the non-negative token index the mention occupies in
+``tokens``; it defaults to 0.
 Candidate lists are not stored; they are attached by running the
 candidate generator over the loaded documents.
 """
@@ -50,6 +51,8 @@ def load_dataset(path: str) -> list[DocumentTask]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+            if not isinstance(obj, dict):
+                raise FormatError(f"line {lineno}: a document must be a JSON object")
             doc_id = obj.get("doc_id")
             if not isinstance(doc_id, str) or not doc_id:
                 raise FormatError(f"line {lineno}: missing or empty 'doc_id'")
@@ -61,23 +64,26 @@ def load_dataset(path: str) -> list[DocumentTask]:
                 raise FormatError(f"line {lineno}: 'mentions' must be a list")
             mentions = []
             for m in raw_mentions:
+                if not isinstance(m, dict):
+                    raise FormatError(f"line {lineno}: a mention must be a JSON object")
                 surface = m.get("surface")
                 if not isinstance(surface, str) or not surface:
                     raise FormatError(f"line {lineno}: mention without a surface")
                 gold = m.get("gold_qid")
                 if gold is not None and not isinstance(gold, str):
                     raise FormatError(f"line {lineno}: 'gold_qid' must be a string or null")
-                mentions.append(
-                    Mention(surface=surface, gold_qid=gold, position=int(m.get("position", 0)))
-                )
-            docs.append(
-                DocumentTask(
-                    doc_id=doc_id,
-                    mentions=mentions,
-                    tokens=obj.get("tokens"),
-                    nouns=obj.get("nouns"),
-                )
-            )
+                position = m.get("position", 0)
+                if not isinstance(position, int) or isinstance(position, bool) or position < 0:
+                    raise FormatError(f"line {lineno}: 'position' must be a non-negative integer")
+                mentions.append(Mention(surface=surface, gold_qid=gold, position=position))
+            tokens = obj.get("tokens")
+            nouns = obj.get("nouns")
+            for key, words in (("tokens", tokens), ("nouns", nouns)):
+                if words is not None and not (
+                    isinstance(words, list) and all(isinstance(t, str) for t in words)
+                ):
+                    raise FormatError(f"line {lineno}: {key!r} must be a list of strings")
+            docs.append(DocumentTask(doc_id=doc_id, mentions=mentions, tokens=tokens, nouns=nouns))
     return docs
 
 

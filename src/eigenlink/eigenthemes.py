@@ -104,23 +104,23 @@ def learn_subspace(dm: DocumentMatrix, k: int) -> Subspace:
     return truncated_svd(dm.matrix, dm.weights, k)
 
 
-def score_candidate(subspace: Subspace, e: np.ndarray, rescale: bool = True) -> float:
-    """Strength-weighted norm of the candidate's projection coefficients.
+def score_candidate(subspace: Subspace, e: np.ndarray, rescale: bool = True) -> float | np.ndarray:
+    """Strength-weighted norm of a candidate's projection coefficients.
 
-    With rescale=False the plain projection norm is used instead; kept
-    as an untuned variant.
+    ``e`` is one length-d vector, scored as a float, or an (n, d) stack of
+    vectors, scored as an array of n floats. With rescale=False the plain
+    projection norm is used instead; kept as an untuned variant.
     """
     e = np.asarray(e, dtype=np.float64)
-    if e.shape != (subspace.dim,):
+    if e.ndim not in (1, 2) or e.shape[-1] != subspace.dim:
         raise DimensionError(
             f"candidate vector has shape {e.shape}, subspace dimension is {subspace.dim}"
         )
-    if subspace.rank == 0:
-        return 0.0
     coeffs = e @ subspace.basis
     if rescale:
         coeffs = coeffs * subspace.strengths
-    return math.sqrt(float(coeffs @ coeffs))
+    scores = np.sqrt(np.sum(coeffs * coeffs, axis=-1))
+    return float(scores) if e.ndim == 1 else scores
 
 
 def _rank_mention(
@@ -147,14 +147,17 @@ def link_document(
     Mentions whose candidates all lack embeddings fall back to the
     top-degree candidate; mentions with no candidates get no prediction.
     """
-    subspace: Subspace | None
+    subspace: Subspace | None = None
+    score_of: dict[str, float] = {}
     try:
         dm = build_document_matrix(
             task, store, scheme, word_store=word_store, desc_store=desc_store, window=window
         )
         subspace = learn_subspace(dm, k)
+        row_scores = score_candidate(subspace, dm.matrix, rescale)
+        score_of = dict(zip(dm.entity_ids, row_scores.tolist()))
     except EmptyDocumentError:
-        subspace = None
+        pass
 
     mentions: list[MentionLink] = []
     for mention in task.mentions:
@@ -170,15 +173,8 @@ def link_document(
                 )
             )
             continue
-        scores: dict[str, float] = {}
-        any_scored = False
-        for qid in cands:
-            emb = store.get(qid)
-            if emb is None or subspace is None:
-                scores[qid] = -math.inf
-            else:
-                scores[qid] = score_candidate(subspace, unit_normalize(emb), rescale)
-                any_scored = True
+        scores = {qid: score_of.get(qid, -math.inf) for qid in cands}
+        any_scored = any(qid in score_of for qid in cands)
         ranking = _rank_mention(cands, scores)
         mentions.append(
             MentionLink(

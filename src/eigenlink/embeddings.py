@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .errors import DataError, FormatError
+from .errors import DataError, FormatError, IntegrityError
 
 _NORM_EPS = 1e-12
 
@@ -84,6 +84,8 @@ def load_embeddings(path: str) -> EmbeddingStore:
                 raise FormatError(f"line {lineno}: non-numeric value") from exc
             if not np.all(np.isfinite(vec)):
                 raise DataError(f"line {lineno}: non-finite value")
+            if parts[0] in store:
+                raise IntegrityError(f"line {lineno}: duplicate identifier {parts[0]!r}")
             store.add(parts[0], vec)
             n_rows += 1
         if n_rows != count:

@@ -30,7 +30,7 @@ class DimensionError(EigenlinkError):
 
 
 class NumericalError(EigenlinkError):
-    """An iterative numerical routine failed to converge."""
+    """A LAPACK decomposition (SVD or symmetric eigendecomposition) failed."""
 
 
 class EmptyDocumentError(EigenlinkError):

@@ -22,6 +22,12 @@ from .errors import FormatError
 
 BUCKETS = ("easy", "hard", "not_found")
 
+# The score-gap bootstrap draws and averages its resamples in blocks of about
+# this many indices, so its memory stays bounded however many mentions are
+# eligible. Blocks consume the generator's stream in the same order as one
+# resamples x n draw, so the CI does not depend on the block size.
+BOOTSTRAP_BLOCK_ELEMENTS = 1 << 20
+
 
 @dataclass
 class MentionOutcome:
@@ -191,8 +197,12 @@ def score_gap(
         return None
     arr = np.asarray(gaps)
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, len(arr), size=(resamples, len(arr)))
-    means = arr[idx].mean(axis=1)
+    block = max(1, BOOTSTRAP_BLOCK_ELEMENTS // len(arr))
+    means = np.empty(resamples)
+    for start in range(0, resamples, block):
+        stop = min(start + block, resamples)
+        idx = rng.integers(0, len(arr), size=(stop - start, len(arr)))
+        means[start:stop] = arr[idx].mean(axis=1)
     lo, hi = np.percentile(means, [2.5, 97.5])
     return ScoreGapReport(
         mean=float(arr.mean()),

@@ -1,29 +1,21 @@
 """Dense numerical kernels.
 
-Symmetric eigendecomposition is done with cyclic Jacobi rotations; the
-truncated SVD of a (weighted) row matrix is obtained through the
-eigendecomposition of its weighted sums-of-squares-and-cross-products
-matrix, so only right singular vectors and singular values are ever
-produced. Right singular vectors computed this way square the condition
-number of the problem; acceptable here because rows are unit-norm and
-the requested rank is small.
+The truncated SVD of a (weighted) row matrix is LAPACK's thin SVD of
+W E; only its right singular vectors and singular values are kept. The
+sums-of-squares-and-cross-products matrix and its eigendecomposition
+are offered as separate kernels but are not on the linking path.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, DimensionError, EmptyDocumentError, NumericalError
 
-# Jacobi stops once the off-diagonal Frobenius norm drops below
-# OFF_TOL_FACTOR * ||A||_F, or fails after MAX_SWEEPS full sweeps.
-OFF_TOL_FACTOR = 1e-12
-MAX_SWEEPS = 100
-
-# Eigenvalues below RANK_TOL_FACTOR * lambda_max are treated as rank deficiency.
+# Singular values with sigma_i^2 <= RANK_TOL_FACTOR * sigma_1^2 are treated
+# as rank deficiency.
 RANK_TOL_FACTOR = 1e-10
 
 
@@ -43,91 +35,32 @@ class Subspace:
         return self.basis.shape[0]
 
 
-def _off_norm(A: np.ndarray) -> float:
-    # Summed directly over the off-diagonal entries; subtracting the
-    # diagonal mass from the total cancels catastrophically near
-    # convergence and would floor the result around ||A||_F * sqrt(eps).
-    off = A.copy()
-    np.fill_diagonal(off, 0.0)
-    return math.sqrt(float(np.sum(off * off)))
-
-
 def symmetric_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi.
+    """Full eigendecomposition of a symmetric matrix (LAPACK).
 
     Returns (eigenvalues descending, eigenvector matrix with matching
     columns). The input must be symmetric to within 1e-10; it is
-    symmetrized before sweeping.
+    symmetrized before decomposing. Equal eigenvalues keep LAPACK's
+    column order, so a zero matrix yields the identity.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise DataError("matrix has non-finite entries")
-    n = A.shape[0]
     scale = float(np.abs(A).max(initial=0.0))
     if float(np.abs(A - A.T).max(initial=0.0)) > 1e-10 * max(1.0, scale):
         raise DataError("matrix is not symmetric within 1e-10")
-    A = (A + A.T) / 2.0
-
-    V = np.eye(n)
-    if n == 1:
-        return A.ravel().copy(), V
-
-    fro = math.sqrt(float(np.sum(A * A)))
-    tol = OFF_TOL_FACTOR * fro
-    # Rotations below this threshold are skipped; even with every
-    # off-diagonal entry at the threshold the off-norm stays below tol/2,
-    # so skipping cannot stall convergence at the tolerance boundary.
-    skip = tol / (2.0 * n)
-
-    converged = _off_norm(A) <= tol
-    sweeps = 0
-    while not converged:
-        if sweeps >= MAX_SWEEPS:
-            raise NumericalError(f"Jacobi did not converge in {MAX_SWEEPS} sweeps")
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= skip:
-                    continue
-                app = A[p, p]
-                aqq = A[q, q]
-                theta = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-
-                # One-pass symmetric update: compute the rotated rows p and q,
-                # then mirror them onto the columns.
-                row_p = c * A[p, :] - s * A[q, :]
-                row_q = s * A[p, :] + c * A[q, :]
-                row_p[p] = c * c * app - 2.0 * c * s * apq + s * s * aqq
-                row_q[q] = s * s * app + 2.0 * c * s * apq + c * c * aqq
-                row_p[q] = 0.0
-                row_q[p] = 0.0
-                A[p, :] = row_p
-                A[q, :] = row_q
-                A[:, p] = row_p
-                A[:, q] = row_q
-
-                v_p = c * V[:, p] - s * V[:, q]
-                V[:, q] = s * V[:, p] + c * V[:, q]
-                V[:, p] = v_p
-        sweeps += 1
-        converged = _off_norm(A) <= tol
-
-    eigenvalues = np.diag(A).copy()
+    try:
+        eigenvalues, V = np.linalg.eigh((A + A.T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     order = np.argsort(-eigenvalues, kind="stable")
     return eigenvalues[order], V[:, order]
 
 
-def weighted_sscp(E: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Weighted sums of squares and cross products: (W E)^T (W E).
-
-    With unit weights this reduces bit-exactly to E^T E since scaling by
-    1.0 leaves rows untouched and the same product routine runs.
-    """
+def _weighted_rows(E: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Validate a row matrix and its row weights and return W E."""
     E = np.asarray(E, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     if E.ndim != 2:
@@ -142,7 +75,16 @@ def weighted_sscp(E: np.ndarray, w: np.ndarray) -> np.ndarray:
         raise DataError("weights have non-finite entries")
     if np.any(w < 0.0):
         raise DataError("weights must be non-negative")
-    WE = w[:, None] * E
+    return w[:, None] * E
+
+
+def weighted_sscp(E: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Weighted sums of squares and cross products: (W E)^T (W E).
+
+    With unit weights this reduces bit-exactly to E^T E since scaling by
+    1.0 leaves rows untouched and the same product routine runs.
+    """
+    WE = _weighted_rows(E, w)
     S = WE.T @ WE
     return (S + S.T) / 2.0
 
@@ -150,26 +92,20 @@ def weighted_sscp(E: np.ndarray, w: np.ndarray) -> np.ndarray:
 def truncated_svd(E: np.ndarray, w: np.ndarray, k: int) -> Subspace:
     """Rank-k right-singular subspace of the weighted row matrix W E.
 
-    The effective rank may come out below the requested k: eigenvalues
-    under RANK_TOL_FACTOR * lambda_max are dropped and negatives from
-    round-off are clamped to zero before the square root.
+    The effective rank may come out below the requested k: singular
+    values with sigma_i^2 <= RANK_TOL_FACTOR * sigma_1^2 are dropped.
     """
-    E = np.asarray(E, dtype=np.float64)
-    if E.ndim != 2:
-        raise DimensionError(f"expected a 2-d row matrix, got shape {E.shape}")
-    n, d = E.shape
-    if n == 0:
+    WE = _weighted_rows(E, w)
+    if WE.shape[0] == 0:
         raise EmptyDocumentError("cannot learn a subspace from zero rows")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-
-    eigenvalues, eigenvectors = symmetric_eigh(weighted_sscp(E, w))
-    lam_max = float(eigenvalues[0])
-    if lam_max <= 0.0:
+    try:
+        _, sigma, vt = np.linalg.svd(WE, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD failed: {exc}") from exc
+    if sigma.size == 0 or sigma[0] <= 0.0:
         effective = 0
     else:
-        effective = int(np.sum(eigenvalues > RANK_TOL_FACTOR * lam_max))
-    effective = min(k, n, d, effective)
-
-    strengths = np.sqrt(np.maximum(eigenvalues[:effective], 0.0))
-    return Subspace(basis=eigenvectors[:, :effective].copy(), strengths=strengths)
+        effective = min(k, int(np.sum((sigma / sigma[0]) ** 2 > RANK_TOL_FACTOR)))
+    return Subspace(basis=vt[:effective].T.copy(), strengths=sigma[:effective].copy())

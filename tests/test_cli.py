@@ -117,6 +117,55 @@ def test_malformed_catalog_exits_3(corpus_dir, tmp_path):
     assert main(args) == 3
 
 
+GOOD_MENTION = {"surface": "x", "gold_qid": None, "position": 0}
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        [1, 2],
+        {"doc_id": "d", "mentions": ["x"]},
+        {"doc_id": "d", "mentions": [{**GOOD_MENTION, "position": "abc"}]},
+        {"doc_id": "d", "mentions": [{**GOOD_MENTION, "position": -3}]},
+        {"doc_id": "d", "mentions": [{**GOOD_MENTION, "position": True}]},
+        {"doc_id": "d", "mentions": [{**GOOD_MENTION, "position": 1.0}]},
+        {"doc_id": "d", "mentions": [GOOD_MENTION], "tokens": "not a list"},
+        {"doc_id": "d", "mentions": [GOOD_MENTION], "nouns": "x"},
+        {"doc_id": "d", "mentions": [GOOD_MENTION], "nouns": ["x", 3]},
+    ],
+    ids=[
+        "document-list",
+        "mention-string",
+        "position-string",
+        "position-negative",
+        "position-bool",
+        "position-float",
+        "tokens-string",
+        "nouns-string",
+        "nouns-non-string-item",
+    ],
+)
+def test_malformed_dataset_exits_3(corpus_dir, tmp_path, capsys, document):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(document) + "\n")
+    args = link_args(corpus_dir, str(tmp_path / "x"))
+    args[args.index("--dataset") + 1] = str(bad)
+    assert main(args) == 3
+    assert capsys.readouterr().err.startswith("error: line 1: ")
+
+
+def test_duplicate_embedding_identifier_exits_3(corpus_dir, tmp_path, capsys):
+    with open(f"{corpus_dir}/embeddings.txt") as fh:
+        header, first, *rest = fh.readlines()
+    count, dim = header.split()
+    bad = tmp_path / "emb.txt"
+    bad.write_text(f"{int(count) + 1} {dim}\n" + first + "".join(rest) + first)
+    args = link_args(corpus_dir, str(tmp_path / "x"))
+    args[args.index("--embeddings") + 1] = str(bad)
+    assert main(args) == 3
+    assert "duplicate identifier" in capsys.readouterr().err
+
+
 def test_invalid_k_exits_4(corpus_dir, tmp_path):
     args = link_args(corpus_dir, str(tmp_path / "x"), extra=("--k", "0"))
     assert main(args) == 4

@@ -187,6 +187,32 @@ def test_score_dimension_mismatch(toy_subspace):
         score_candidate(toy_subspace, np.array([1.0, 0.0]))
 
 
+def test_stacked_scores_equal_per_row_scores():
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        n, d = int(rng.integers(1, 40)), int(rng.integers(2, 64))
+        E = rng.standard_normal((n, d))
+        E /= np.linalg.norm(E, axis=1, keepdims=True)
+        sub = truncated_svd(E, rng.uniform(0, 1, n), k=int(rng.integers(1, 12)))
+        for rescale in (True, False):
+            stacked = score_candidate(sub, E, rescale)
+            rows = np.array([score_candidate(sub, e, rescale) for e in E])
+            assert stacked.shape == (n,)
+            assert np.all(np.abs(stacked - rows) <= 1e-15 * np.maximum(1.0, rows))
+
+
+def test_stacked_scores_rank_zero_subspace():
+    empty = Subspace(basis=np.zeros((3, 0)), strengths=np.zeros(0))
+    assert np.array_equal(score_candidate(empty, np.eye(3)[:2]), np.zeros(2))
+
+
+def test_stacked_score_dimension_mismatch(toy_subspace):
+    with pytest.raises(DimensionError):
+        score_candidate(toy_subspace, np.ones((4, 2)))
+    with pytest.raises(DimensionError):
+        score_candidate(toy_subspace, np.ones((2, 4, 3)))
+
+
 # ---------------------------------------------------------------------------
 # link_document
 

@@ -7,7 +7,7 @@ from eigenlink.embeddings import (
     unit_normalize,
     write_embeddings,
 )
-from eigenlink.errors import DataError, FormatError
+from eigenlink.errors import DataError, FormatError, IntegrityError
 
 
 def test_unit_normalize_345():
@@ -73,6 +73,13 @@ def test_non_finite_rejected(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("1 2\nq1 nan 0\n")
     with pytest.raises(DataError):
+        load_embeddings(str(path))
+
+
+def test_duplicate_identifier_rejected(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_text("2 2\nq1 1 0\nq1 0 1\n")
+    with pytest.raises(IntegrityError, match="line 3: duplicate identifier 'q1'"):
         load_embeddings(str(path))
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from eigenlink.eigenthemes import LinkResult, MentionLink
 from eigenlink.evaluation import (
+    BOOTSTRAP_BLOCK_ELEMENTS,
     MentionOutcome,
     build_outcomes,
     bucket_counts,
@@ -211,6 +212,20 @@ def test_score_gap_deterministic():
     r1 = score_gap(outs, resamples=1000, seed=9)
     r2 = score_gap(outs, resamples=1000, seed=9)
     assert (r1.mean, r1.ci_low, r1.ci_high) == (r2.mean, r2.ci_low, r2.ci_high)
+
+
+def test_score_gap_blocks_match_one_shot_bootstrap():
+    rng = np.random.default_rng(6)
+    n, resamples = 3001, 1000
+    block = BOOTSTRAP_BLOCK_ELEMENTS // n
+    assert 1 < block < resamples and resamples % block != 0
+    outs = [gap_outcome(1.0 + rng.uniform(0, 0.5), 0.5 + rng.uniform(0, 0.2)) for _ in range(n)]
+    report = score_gap(outs, resamples=resamples, seed=4)
+
+    gaps = np.asarray([(o.gold_score - o.nongold_mean) / o.nongold_mean for o in outs])
+    idx = np.random.default_rng(4).integers(0, n, size=(resamples, n))
+    lo, hi = np.percentile(gaps[idx].mean(axis=1), [2.5, 97.5])
+    assert (report.mean, report.ci_low, report.ci_high) == (gaps.mean(), lo, hi)
 
 
 # ---------------------------------------------------------------------------

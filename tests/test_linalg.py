@@ -7,6 +7,7 @@ from eigenlink.errors import (
     DataError,
     DimensionError,
     EmptyDocumentError,
+    NumericalError,
 )
 from eigenlink.linalg import symmetric_eigh, truncated_svd, weighted_sscp
 
@@ -269,3 +270,15 @@ def test_strengths_match_numpy_singular_values():
         sub = truncated_svd(E, w, k=3)
         ref = np.linalg.svd(w[:, None] * E, compute_uv=False)[:3]
         assert np.abs(sub.strengths - ref).max() < 1e-8 * ref[0]
+
+
+def test_lapack_failure_is_numerical_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NumericalError):
+        truncated_svd(np.eye(3), np.ones(3), k=1)
+    with pytest.raises(NumericalError):
+        symmetric_eigh(np.eye(3))
