@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .dataset import DocumentTask
-from .embeddings import EmbeddingStore, unit_normalize
+from .embeddings import EmbeddingStore
 from .eigenthemes import (
     DocumentMatrix,
     LinkResult,
@@ -72,15 +72,13 @@ def degree_baseline(
     return [(qid, float(catalog.records[qid].degree)) for qid in candidates.candidates]
 
 
-def avg_scores(
-    dm: DocumentMatrix,
-    candidates: CandidateList,
-    store: EmbeddingStore,
-) -> dict[str, float]:
-    """Cosine of each candidate against the weighted centroid of the rows.
+def avg_scores(dm: DocumentMatrix) -> np.ndarray:
+    """Cosine of each document-matrix row against the weighted centroid of the rows.
 
-    A (near-)zero centroid gives every candidate score 0, which the
-    ranking tie-break resolves back to degree order.
+    A (near-)zero centroid gives every row score 0, which the ranking
+    tie-break resolves back to degree order. The rows are scored as one
+    stack of (1, d) @ (d, 1) products, a dot product per row, so each
+    score has the bits of scoring that row on its own.
     """
     total = float(np.sum(dm.weights))
     if total <= 0.0:
@@ -88,19 +86,12 @@ def avg_scores(
     else:
         centroid = (dm.weights[:, None] * dm.matrix).sum(axis=0) / total
     cnorm = math.sqrt(float(centroid @ centroid))
-    scores: dict[str, float] = {}
-    for qid in candidates.candidates:
-        emb = store.get(qid)
-        if emb is None:
-            scores[qid] = -math.inf
-            continue
-        if cnorm <= 1e-12:
-            scores[qid] = 0.0
-            continue
-        e = unit_normalize(emb)
-        enorm = math.sqrt(float(e @ e))
-        scores[qid] = float(e @ centroid) / (enorm * cnorm) if enorm > 0.0 else 0.0
-    return scores
+    if cnorm <= 1e-12:
+        return np.zeros(len(dm.entity_ids))
+    rows = dm.matrix[:, None, :]
+    dots = np.matmul(rows, centroid[:, None])[:, 0, 0]
+    enorms = np.sqrt(np.matmul(rows, dm.matrix[:, :, None])[:, 0, 0])
+    return np.divide(dots, enorms * cnorm, out=np.zeros_like(dots), where=enorms > 0.0)
 
 
 def _empty_mention(mention) -> MentionLink:
@@ -166,18 +157,16 @@ def link_document_avg(
         dm = build_document_matrix(
             task, store, scheme, word_store=word_store, desc_store=desc_store, window=window
         )
+        score_of = dict(zip(dm.entity_ids, avg_scores(dm).tolist()))
     except EmptyDocumentError:
-        dm = None
+        score_of = {}
     mentions = []
     for mention in task.mentions:
         cands = mention.candidates.candidates if mention.candidates else []
         if not cands:
             mentions.append(_empty_mention(mention))
             continue
-        if dm is None:
-            scores = {qid: -math.inf for qid in cands}
-        else:
-            scores = avg_scores(dm, mention.candidates, store)
+        scores = {qid: score_of.get(qid, -math.inf) for qid in cands}
         ranking = _rank_mention(cands, scores)
         finite = any(math.isfinite(s) and s != 0.0 for _, s in ranking)
         mentions.append(

@@ -13,7 +13,7 @@ import logging
 import os
 import sys
 
-from .dataset import attach_candidates, load_dataset
+from .dataset import DocumentTask, attach_candidates, load_dataset
 from .embeddings import load_embeddings
 from .errors import (
     ConfigError,
@@ -140,10 +140,16 @@ def _resolve_run_config(args, method: str) -> RunConfig:
     return cfg
 
 
-def _load_context(args, cfg: RunConfig) -> LinkContext:
+def _load_context(args, cfg: RunConfig) -> tuple[LinkContext, list[DocumentTask]]:
+    """Load the inputs and attach candidates to every document.
+
+    Candidates come first so that only their entity embeddings are kept.
+    """
     catalog = load_catalog(args.catalog, edges_path=args.edges)
     index = load_index(args.index) if args.index else build_index(catalog)
-    store = load_embeddings(args.embeddings) if args.embeddings else None
+    docs = [attach_candidates(doc, index, catalog, cfg.T) for doc in load_dataset(args.dataset)]
+    union = {qid for doc in docs for m in doc.mentions for qid in m.candidates.candidates}
+    store = load_embeddings(args.embeddings, union) if args.embeddings else None
     word_store = load_embeddings(args.words) if args.words else None
     desc_store = None
     if args.descriptions:
@@ -159,7 +165,7 @@ def _load_context(args, cfg: RunConfig) -> LinkContext:
         desc_store=desc_store,
     )
     ctx.validate()
-    return ctx
+    return ctx, docs
 
 
 def _echo_config(cfg: RunConfig, args, extra: dict | None = None) -> dict:
@@ -217,8 +223,7 @@ def cmd_build_index(args) -> int:
 
 def cmd_link(args) -> int:
     cfg = _resolve_run_config(args, args.method)
-    ctx = _load_context(args, cfg)
-    docs = load_dataset(args.dataset)
+    ctx, docs = _load_context(args, cfg)
     results = run_documents(docs, ctx, cfg.jobs)
     outcomes = build_outcomes(results)
 
@@ -286,11 +291,7 @@ def cmd_mutilate(args) -> int:
         raise ConfigError(f"repeats must be >= 1, got {args.repeats}")
 
     base_cfg = _resolve_run_config(args, methods[0])
-    ctx = _load_context(args, base_cfg)
-    docs = [
-        attach_candidates(doc, ctx.index, ctx.catalog, base_cfg.T)
-        for doc in load_dataset(args.dataset)
-    ]
+    ctx, docs = _load_context(args, base_cfg)
 
     curves: dict[str, list[float]] = {}
     for method in methods:

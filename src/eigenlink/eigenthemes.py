@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataset import DocumentTask
 from .embeddings import EmbeddingStore, unit_normalize
-from .errors import DimensionError, EmptyDocumentError
+from .errors import DimensionError, EmptyDocumentError, NumericalError
 from .linalg import Subspace, truncated_svd
 from .weighting import WeightScheme, mention_weights
 
@@ -146,6 +146,7 @@ def link_document(
 
     Mentions whose candidates all lack embeddings fall back to the
     top-degree candidate; mentions with no candidates get no prediction.
+    A failed decomposition raises NumericalError naming the document.
     """
     subspace: Subspace | None = None
     score_of: dict[str, float] = {}
@@ -158,6 +159,8 @@ def link_document(
         score_of = dict(zip(dm.entity_ids, row_scores.tolist()))
     except EmptyDocumentError:
         pass
+    except NumericalError as exc:
+        raise NumericalError(f"document {task.doc_id!r}: {exc}") from exc
 
     mentions: list[MentionLink] = []
     for mention in task.mentions:

@@ -1,28 +1,34 @@
 """Fixed-dimension vector stores for entities and words.
 
 File format: UTF-8 text, first line ``N D``, then N lines of
-``identifier v1 ... vD``. Vectors are served as float64 numpy arrays.
+``identifier v1 ... vD``. A store holds its vectors as the float64 rows
+of one dense matrix.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Collection
 
 import numpy as np
 
 from .errors import DataError, FormatError, IntegrityError
 
 _NORM_EPS = 1e-12
+# Text read and parsed at a time; small blocks keep the parser's
+# transient memory far below that of the store.
+_BLOCK_BYTES = 1 << 16
 
 
 class EmbeddingStore:
-    """identifier -> length-d vector, with a single dimension per store."""
+    """identifier -> length-d vector: an (m, d) float64 matrix plus an id -> row map."""
 
     def __init__(self, dim: int):
         if dim < 1:
             raise ValueError(f"dimension must be positive, got {dim}")
         self.dim = dim
-        self._vectors: dict[str, np.ndarray] = {}
+        self._matrix = np.empty((0, dim))
+        self._row: dict[str, int] = {}
 
     def add(self, identifier: str, vector) -> None:
         vec = np.asarray(vector, dtype=np.float64)
@@ -32,19 +38,41 @@ class EmbeddingStore:
             )
         if not np.all(np.isfinite(vec)):
             raise DataError(f"vector for {identifier!r} has non-finite values")
-        self._vectors[identifier] = vec
+        if identifier in self._row:
+            raise IntegrityError(f"duplicate identifier {identifier!r}")
+        self._append([identifier], vec[None, :])
+
+    def _append(self, identifiers: list[str], rows: np.ndarray, reserve: int = 0) -> None:
+        """Append rows for new identifiers.
+
+        When the capacity runs out it doubles, or grows to ``reserve``
+        rows if that is more.
+        """
+        n = len(self._row)
+        end = n + len(identifiers)
+        if end > len(self._matrix):
+            grown = np.empty((max(end, 2 * len(self._matrix), reserve), self.dim))
+            grown[:n] = self._matrix[:n]
+            self._matrix = grown
+        self._matrix[n:end] = rows
+        self._row.update(zip(identifiers, range(n, end)))
 
     def get(self, identifier: str) -> np.ndarray | None:
-        return self._vectors.get(identifier)
+        row = self._row.get(identifier)
+        return None if row is None else self._matrix[row]
 
     def __contains__(self, identifier: str) -> bool:
-        return identifier in self._vectors
+        return identifier in self._row
 
     def __len__(self) -> int:
-        return len(self._vectors)
+        return len(self._row)
 
     def identifiers(self):
-        return self._vectors.keys()
+        return self._row.keys()
+
+    def __getstate__(self) -> dict:
+        # Pickle (as sent to worker processes) only the filled rows.
+        return {**self.__dict__, "_matrix": self._matrix[: len(self._row)]}
 
 
 def unit_normalize(v: np.ndarray) -> np.ndarray:
@@ -56,40 +84,94 @@ def unit_normalize(v: np.ndarray) -> np.ndarray:
     return v / norm
 
 
-def load_embeddings(path: str) -> EmbeddingStore:
-    """Load a text embedding file, validating the declared count and dimension."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise FormatError("embedding header must be 'N D'")
+def _parse_values(rests: list[str]) -> np.ndarray:
+    """Rows of whitespace-separated decimals as an (n, columns) array (numpy's C parser)."""
+    return np.loadtxt(rests, dtype=np.float64, comments=None, ndmin=2)
+
+
+def _check_rows(ids, rests, linenos, dim: int, seen: set[str]) -> np.ndarray:
+    """Validate rows one by one: their values, or an error naming the first bad line."""
+    rows = []
+    for identifier, rest, lineno in zip(ids, rests, linenos):
         try:
-            count, dim = int(header[0]), int(header[1])
+            row = _parse_values([rest]) if rest else np.empty((1, 0))
         except ValueError as exc:
-            raise FormatError("embedding header must hold two integers") from exc
-        if count < 0 or dim < 1:
-            raise FormatError(f"invalid embedding header N={count} D={dim}")
-        store = EmbeddingStore(dim)
-        n_rows = 0
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.split()
-            if not parts:
+            raise FormatError(f"line {lineno}: non-numeric value") from exc
+        if row.shape != (1, dim):
+            raise FormatError(
+                f"line {lineno}: expected identifier plus {dim} values, got {row.size}"
+            )
+        if not np.all(np.isfinite(row)):
+            raise DataError(f"line {lineno}: non-finite value")
+        if identifier in seen:
+            raise IntegrityError(f"line {lineno}: duplicate identifier {identifier!r}")
+        seen.add(identifier)
+        rows.append(row)
+    return np.concatenate(rows)
+
+
+def _parse_block(ids, rests, linenos, dim: int, seen: set[str]) -> np.ndarray:
+    """Values of one block of rows; adds the block's identifiers to ``seen``.
+
+    The whole block is parsed at once; only a block with a bad row is
+    parsed again row by row, to report that row's line.
+    """
+    # numpy skips empty rows, so identifier-only rows go straight to the row check
+    if "" not in rests and len(set(ids)) == len(ids) and seen.isdisjoint(ids):
+        try:
+            values = _parse_values(rests)
+        except ValueError:
+            values = None
+        if values is not None and values.shape == (len(ids), dim) and np.isfinite(values).all():
+            seen.update(ids)
+            return values
+    return _check_rows(ids, rests, linenos, dim, seen)
+
+
+def load_embeddings(path: str, keep: Collection[str] | None = None) -> EmbeddingStore:
+    """Load a text embedding file, keeping only the identifiers in ``keep``.
+
+    Every row is validated (UTF-8, field count, numeric and finite values,
+    unique identifier) and the row count must match the header, but only
+    rows whose identifier is in ``keep`` are stored; without ``keep``
+    every row is. The file is parsed in blocks of about 64 KiB.
+    """
+    with open(path, "rb") as fh:
+        header = fh.readline().split()
+        bad_header = "line 1: embedding header must be 'N D', integers with N >= 0 and D >= 1"
+        try:
+            count, dim = (int(field) for field in header)
+            # D < 1, or too large to address, raises ValueError as well
+            store = EmbeddingStore(dim)
+        except ValueError as exc:
+            raise FormatError(bad_header) from exc
+        if count < 0:
+            raise FormatError(bad_header)
+        seen: set[str] = set()
+        # The kept set, unlike the header, bounds the rows to be stored.
+        reserve = min(count, len(keep)) if keep is not None else 0
+        lineno = 1
+        while lines := fh.readlines(_BLOCK_BYTES):
+            ids, rests, linenos = [], [], []
+            for lineno, raw in enumerate(lines, start=lineno + 1):
+                try:
+                    parts = raw.decode("utf-8").split(None, 1)
+                except UnicodeDecodeError as exc:
+                    raise FormatError(f"line {lineno}: not valid UTF-8") from exc
+                if parts:
+                    ids.append(parts[0])
+                    rests.append(parts[1] if len(parts) == 2 else "")
+                    linenos.append(lineno)
+            if not ids:
                 continue
-            if len(parts) != dim + 1:
-                raise FormatError(
-                    f"line {lineno}: expected identifier plus {dim} values, got {len(parts) - 1}"
-                )
-            try:
-                vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: non-numeric value") from exc
-            if not np.all(np.isfinite(vec)):
-                raise DataError(f"line {lineno}: non-finite value")
-            if parts[0] in store:
-                raise IntegrityError(f"line {lineno}: duplicate identifier {parts[0]!r}")
-            store.add(parts[0], vec)
-            n_rows += 1
-        if n_rows != count:
-            raise FormatError(f"header declares {count} rows but file has {n_rows}")
+            values = _parse_block(ids, rests, linenos, dim, seen)
+            if keep is None:
+                store._append(ids, values)
+            else:
+                kept = [i for i, identifier in enumerate(ids) if identifier in keep]
+                store._append([ids[i] for i in kept], values[kept], reserve)
+        if len(seen) != count:
+            raise FormatError(f"line 1: header declares {count} rows but the file has {len(seen)}")
     return store
 
 

@@ -113,9 +113,13 @@ def test_degree_deterministic():
 
 def test_avg_all_rows_equal_u():
     u = unit([1.0, 2.0, 2.0])
-    dm = DocumentMatrix(entity_ids=["a", "b"], matrix=np.stack([u, u]), weights=np.ones(2))
-    store = make_store(3, {"a": u, "b": u, "p": [1, 0, 0], "q": [0, 0, 1]})
-    scores = avg_scores(dm, cl("p", "q", "a"), store)
+    # p and q carry zero weight, so the centroid is that of the two u rows
+    dm = DocumentMatrix(
+        entity_ids=["a", "b", "p", "q"],
+        matrix=np.stack([u, u, unit([1, 0, 0]), unit([0, 0, 1])]),
+        weights=np.array([1.0, 1.0, 0.0, 0.0]),
+    )
+    scores = dict(zip(dm.entity_ids, avg_scores(dm)))
     assert scores["a"] == pytest.approx(1.0)
     assert scores["p"] == pytest.approx(float(unit([1, 0, 0]) @ u))
     assert scores["q"] == pytest.approx(float(unit([0, 0, 1]) @ u))
@@ -137,11 +141,27 @@ def test_avg_weighted_centroid():
     dm = DocumentMatrix(
         entity_ids=["a", "b"], matrix=np.stack([e1, e2]), weights=np.array([3.0, 1.0])
     )
-    store = make_store(2, {"a": e1, "b": e2})
-    scores = avg_scores(dm, cl("a", "b"), store)
+    scores = dict(zip(dm.entity_ids, avg_scores(dm)))
     centroid = (3 * e1 + e2) / 4
     assert scores["a"] == pytest.approx(float(e1 @ centroid) / np.linalg.norm(centroid))
     assert scores["a"] > scores["b"]
+
+
+def test_avg_scores_match_per_row_cosines_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for n, d in ((1, 24), (17, 64), (80, 300)):
+        matrix = rng.standard_normal((n, d))
+        matrix /= np.linalg.norm(matrix, axis=1)[:, None]
+        matrix[0] = 0.0  # a zero embedding scores 0
+        weights = rng.uniform(0.1, 1.0, n)
+        dm = DocumentMatrix(entity_ids=[f"e{i}" for i in range(n)], matrix=matrix, weights=weights)
+        centroid = (weights[:, None] * matrix).sum(axis=0) / float(np.sum(weights))
+        cnorm = math.sqrt(float(centroid @ centroid))
+        expected = [
+            float(e @ centroid) / (math.sqrt(float(e @ e)) * cnorm) if e.any() else 0.0
+            for e in matrix
+        ]
+        assert avg_scores(dm).tolist() == expected
 
 
 def test_avg_missing_embedding_ranks_last():

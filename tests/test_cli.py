@@ -2,6 +2,7 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 from eigenlink.cli import main
@@ -164,6 +165,33 @@ def test_duplicate_embedding_identifier_exits_3(corpus_dir, tmp_path, capsys):
     args[args.index("--embeddings") + 1] = str(bad)
     assert main(args) == 3
     assert "duplicate identifier" in capsys.readouterr().err
+
+
+def test_malformed_embedding_row_outside_candidates_exits_3(corpus_dir, tmp_path, capsys):
+    with open(f"{corpus_dir}/embeddings.txt") as fh:
+        header, *rows = fh.readlines()
+    count, dim = header.split()
+    bad = tmp_path / "emb.txt"
+    # no mention can propose this identifier, so its row is never kept
+    bad_row = "not-a-candidate " + " ".join(["1.5"] * (int(dim) - 1)) + " oops\n"
+    bad.write_text(f"{int(count) + 1} {dim}\n" + "".join(rows) + bad_row)
+    args = link_args(corpus_dir, str(tmp_path / "x"), method="eigen")
+    args[args.index("--embeddings") + 1] = str(bad)
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: line {len(rows) + 2}: non-numeric value\n"
+
+
+def test_numerical_failure_names_document_and_exits_1(corpus_dir, tmp_path, capsys, monkeypatch):
+    def failing_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    with open(f"{corpus_dir}/dataset.jsonl") as fh:
+        first_doc = json.loads(fh.readline())["doc_id"]
+    assert main(link_args(corpus_dir, str(tmp_path / "x"), method="eigen")) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: document {first_doc!r}: SVD failed: SVD did not converge\n"
 
 
 def test_invalid_k_exits_4(corpus_dir, tmp_path):
