@@ -18,9 +18,9 @@ from .embeddings import EmbeddingStore
 from .eigenthemes import (
     DocumentMatrix,
     LinkResult,
-    MentionLink,
-    _rank_mention,
     build_document_matrix,
+    link_mentions,
+    scores_from,
 )
 from .errors import EmptyDocumentError
 from .index import CandidateList
@@ -94,34 +94,8 @@ def avg_scores(dm: DocumentMatrix) -> np.ndarray:
     return np.divide(dots, enorms * cnorm, out=np.zeros_like(dots), where=enorms > 0.0)
 
 
-def _empty_mention(mention) -> MentionLink:
-    return MentionLink(
-        surface=mention.surface,
-        gold_qid=mention.gold_qid,
-        candidates=[],
-        ranking=[],
-        predicted_qid=None,
-    )
-
-
 def link_document_degree(task: DocumentTask, catalog: EntityCatalog) -> LinkResult:
-    mentions = []
-    for mention in task.mentions:
-        cands = mention.candidates.candidates if mention.candidates else []
-        if not cands:
-            mentions.append(_empty_mention(mention))
-            continue
-        ranking = degree_baseline(mention.candidates, catalog)
-        mentions.append(
-            MentionLink(
-                surface=mention.surface,
-                gold_qid=mention.gold_qid,
-                candidates=cands,
-                ranking=ranking,
-                predicted_qid=ranking[0][0],
-            )
-        )
-    return LinkResult(doc_id=task.doc_id, method="degree", mentions=mentions)
+    return link_mentions(task, "degree", lambda m: degree_baseline(m.candidates, catalog))
 
 
 def link_document_namematch(
@@ -129,20 +103,8 @@ def link_document_namematch(
     catalog: EntityCatalog,
     name_lookup: dict[str, list[str]],
 ) -> LinkResult:
-    mentions = []
-    for mention in task.mentions:
-        cands = mention.candidates.candidates if mention.candidates else []
-        ranking = name_match(mention.surface, catalog, name_lookup)
-        mentions.append(
-            MentionLink(
-                surface=mention.surface,
-                gold_qid=mention.gold_qid,
-                candidates=cands,
-                ranking=ranking,
-                predicted_qid=ranking[0][0] if ranking else None,
-            )
-        )
-    return LinkResult(doc_id=task.doc_id, method="namematch", mentions=mentions)
+    """The pool is the mention's name matches, which need not be among its candidates."""
+    return link_mentions(task, "namematch", lambda m: name_match(m.surface, catalog, name_lookup))
 
 
 def link_document_avg(
@@ -160,26 +122,7 @@ def link_document_avg(
         score_of = dict(zip(dm.entity_ids, avg_scores(dm).tolist()))
     except EmptyDocumentError:
         score_of = {}
-    mentions = []
-    for mention in task.mentions:
-        cands = mention.candidates.candidates if mention.candidates else []
-        if not cands:
-            mentions.append(_empty_mention(mention))
-            continue
-        scores = {qid: score_of.get(qid, -math.inf) for qid in cands}
-        ranking = _rank_mention(cands, scores)
-        finite = any(math.isfinite(s) and s != 0.0 for _, s in ranking)
-        mentions.append(
-            MentionLink(
-                surface=mention.surface,
-                gold_qid=mention.gold_qid,
-                candidates=cands,
-                ranking=ranking,
-                predicted_qid=ranking[0][0],
-                fallback=None if finite else "degree",
-            )
-        )
-    return LinkResult(doc_id=task.doc_id, method="avg", mentions=mentions)
+    return link_mentions(task, "avg", scores_from(score_of))
 
 
 def link_document_context(
@@ -189,38 +132,24 @@ def link_document_context(
     mode: str = "local",
     window: int = 5,
 ) -> LinkResult:
-    """LocalCtxt / GlobalCtxt: description-vs-context cosine ranking."""
+    """LocalCtxt / GlobalCtxt: description-vs-context cosine ranking.
+
+    An empty context scores every candidate 0; a candidate without a
+    usable description scores -inf.
+    """
     tokens = task.tokens or []
+    doc_context = None
     if mode == "global":
-        context = global_context_vector(tokens, word_store, task.nouns)
-    mentions = []
-    for mention in task.mentions:
-        cands = mention.candidates.candidates if mention.candidates else []
-        if not cands:
-            mentions.append(_empty_mention(mention))
-            continue
-        if mode == "local":
-            context = local_context_vector(tokens, mention.position, word_store, window)
+        doc_context = global_context_vector(tokens, word_store, task.nouns)
+
+    def scores_of(mention) -> list[tuple[str, float]]:
+        cands = mention.candidates.candidates
+        context = doc_context if mode == "global" else local_context_vector(
+            tokens, mention.position, word_store, window
+        )
         cos = context_scores(mention.candidates, context, desc_store)
         if cos is None:
-            scores = {qid: 0.0 for qid in cands}
-            fallback = "degree"
-        else:
-            scores = {qid: cos.get(qid, -math.inf) for qid in cands}
-            fallback = None
-        ranking = _rank_mention(cands, scores)
-        mentions.append(
-            MentionLink(
-                surface=mention.surface,
-                gold_qid=mention.gold_qid,
-                candidates=cands,
-                ranking=ranking,
-                predicted_qid=ranking[0][0],
-                fallback=fallback,
-            )
-        )
-    return LinkResult(
-        doc_id=task.doc_id,
-        method="local" if mode == "local" else "global",
-        mentions=mentions,
-    )
+            return [(qid, 0.0) for qid in cands]
+        return [(qid, cos.get(qid, -math.inf)) for qid in cands]
+
+    return link_mentions(task, "global" if mode == "global" else "local", scores_of)

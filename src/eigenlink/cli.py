@@ -8,10 +8,12 @@ failure, 4 configuration contradiction, 1 anything else.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
 import sys
+from typing import get_type_hints
 
 from .dataset import DocumentTask, attach_candidates, load_dataset
 from .embeddings import load_embeddings
@@ -42,33 +44,22 @@ METRICS_FORMAT = "eigenlink-metrics"
 MUTILATION_FORMAT = "eigenlink-mutilation"
 FORMAT_VERSION = 1
 
-RUN_DEFAULTS = {
-    "method": "eigen",
-    "T": 20,
-    "k": 10,
-    "delta": 1.0,
-    "weighting": "degree_rr",
-    "window": 5,
-    "seed": 0,
-    "jobs": os.cpu_count() or 1,
-}
+# --config-file keys and their types: every RunConfig field but the method.
+_FILE_TYPES = {name: kind for name, kind in get_type_hints(RunConfig).items() if name != "method"}
 
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() not in _BOOLS:
+        raise ValueError(raw)
+    return _BOOLS[raw.lower()]
+
+
+# synth --config parsers by SynthConfig field type; `int | None` parses as int.
 _SYNTH_FIELD_PARSERS = {
-    "seed": int,
-    "d": int,
-    "rank": int,
-    "subclusters": int,
-    "docs": int,
-    "mentions_per_doc": int,
-    "candidates_per_mention": int,
-    "noise_amplitude": float,
-    "easy_fraction": float,
-    "miss_fraction": float,
-    "distractors_per_doc": int,
-    "vocab_size": int,
-    "doc_length": int,
-    "word_dim": int,
-    "adversarial": lambda s: s.lower() in ("1", "true", "yes"),
+    name: {bool: _parse_bool, float: float}.get(kind, int)
+    for name, kind in get_type_hints(SynthConfig).items()
 }
 
 
@@ -98,45 +89,43 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", required=True, help="output directory")
 
 
+def _read_config_file(path: str) -> dict:
+    """The file's JSON object, each value checked against its RunConfig field type."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            file_cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"config file is not valid JSON: {exc.msg}") from exc
+    if not isinstance(file_cfg, dict):
+        raise FormatError("config file must hold a JSON object")
+    unknown = set(file_cfg) - set(_FILE_TYPES)
+    if unknown:
+        raise ConfigError(f"unknown config-file keys: {sorted(unknown)}")
+    for key, value in file_cfg.items():
+        kind = _FILE_TYPES[key]
+        if kind is float and type(value) is int:
+            file_cfg[key] = float(value)
+        elif type(value) is not kind:
+            raise ConfigError(
+                f"config-file key {key!r} must be {kind.__name__}, got {json.dumps(value)}"
+            )
+    return file_cfg
+
+
 def _resolve_run_config(args, method: str) -> RunConfig:
-    file_cfg: dict = {}
-    if args.config_file:
-        with open(args.config_file, "r", encoding="utf-8") as fh:
-            try:
-                file_cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"config file is not valid JSON: {exc.msg}") from exc
-        if not isinstance(file_cfg, dict):
-            raise FormatError("config file must hold a JSON object")
-        unknown = set(file_cfg) - set(RUN_DEFAULTS) - {"rescale"}
-        if unknown:
-            raise ConfigError(f"unknown config-file keys: {sorted(unknown)}")
+    """Flags win over the config file, which wins over RunConfig's defaults.
 
-    def pick(name: str):
-        value = getattr(args, name, None)
-        if value is not None:
-            return value
-        if name in file_cfg:
-            return file_cfg[name]
-        return RUN_DEFAULTS[name]
-
-    if args.unscaled is not None:
-        rescale = False
-    else:
-        rescale = bool(file_cfg.get("rescale", True))
-
-    cfg = RunConfig(
-        method=method,
-        T=pick("T"),
-        k=pick("k"),
-        delta=pick("delta"),
-        weighting=pick("weighting"),
-        window=pick("window"),
-        seed=pick("seed"),
-        jobs=pick("jobs"),
-        rescale=rescale,
-    )
+    The one CLI default of its own is jobs, the CPU count. The inputs the
+    method and weighting need are checked here, before anything is loaded.
+    """
+    values = _read_config_file(args.config_file) if args.config_file else {}
+    flags = {**vars(args), "rescale": False if args.unscaled else None}
+    values.update({name: flags[name] for name in _FILE_TYPES if flags[name] is not None})
+    cfg = RunConfig(**{"jobs": os.cpu_count() or 1, **values, "method": method})
     cfg.validate()
+    if args.descriptions and not args.words:
+        raise ConfigError("--descriptions requires --words")
+    cfg.check_inputs({name for name in ("embeddings", "words", "descriptions") if flags[name]})
     return cfg
 
 
@@ -153,8 +142,6 @@ def _load_context(args, cfg: RunConfig) -> tuple[LinkContext, list[DocumentTask]
     word_store = load_embeddings(args.words) if args.words else None
     desc_store = None
     if args.descriptions:
-        if word_store is None:
-            raise ConfigError("--descriptions requires --words")
         desc_store = build_description_store(load_descriptions(args.descriptions), word_store)
     ctx = LinkContext(
         catalog=catalog,
@@ -164,7 +151,6 @@ def _load_context(args, cfg: RunConfig) -> tuple[LinkContext, list[DocumentTask]
         word_store=word_store,
         desc_store=desc_store,
     )
-    ctx.validate()
     return ctx, docs
 
 
@@ -290,21 +276,13 @@ def cmd_mutilate(args) -> int:
     if args.repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {args.repeats}")
 
-    base_cfg = _resolve_run_config(args, methods[0])
+    cfgs = {method: _resolve_run_config(args, method) for method in methods}
+    base_cfg = cfgs[methods[0]]
     ctx, docs = _load_context(args, base_cfg)
 
     curves: dict[str, list[float]] = {}
-    for method in methods:
-        cfg = _resolve_run_config(args, method)
-        mctx = LinkContext(
-            catalog=ctx.catalog,
-            index=ctx.index,
-            config=cfg,
-            store=ctx.store,
-            word_store=ctx.word_store,
-            desc_store=ctx.desc_store,
-        )
-        mctx.validate()
+    for method, cfg in cfgs.items():
+        mctx = dataclasses.replace(ctx, config=cfg)
 
         def runner(subset, _ctx=mctx, _jobs=cfg.jobs):
             return run_documents(subset, _ctx, _jobs)

@@ -12,14 +12,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .dataset import DocumentTask
+from .dataset import DocumentTask, Mention
 from .embeddings import EmbeddingStore, unit_normalize
 from .errors import DimensionError, EmptyDocumentError, NumericalError
 from .linalg import Subspace, truncated_svd
 from .weighting import WeightScheme, mention_weights
+
+# Methods that score by embeddings: a pool none of whose scores carries
+# signal is ranked by degree alone, and flagged as such.
+EMBEDDING_METHODS = ("eigen", "avg", "local", "global")
 
 
 @dataclass
@@ -123,13 +128,41 @@ def score_candidate(subspace: Subspace, e: np.ndarray, rescale: bool = True) -> 
     return float(scores) if e.ndim == 1 else scores
 
 
-def _rank_mention(
-    candidates: list[str],
-    scores: dict[str, float],
-) -> list[tuple[str, float]]:
-    """Sort score descending; the candidate list's degree order breaks ties."""
-    order = sorted(range(len(candidates)), key=lambda i: (-scores[candidates[i]], i))
-    return [(candidates[i], scores[candidates[i]]) for i in order]
+def link_mentions(
+    task: DocumentTask,
+    method: str,
+    scores_of: Callable[[Mention], list[tuple[str, float]]],
+    effective_k: int | None = None,
+) -> LinkResult:
+    """Rank each mention's scored pool: score descending, pool order breaking ties.
+
+    ``scores_of(mention)`` gives the mention's pool as (qid, score) pairs in
+    degree order. An empty pool gives no prediction. For an embedding method,
+    a pool without any finite, non-zero score keeps its degree order and is
+    reported as a degree fallback.
+    """
+    mentions: list[MentionLink] = []
+    for mention in task.mentions:
+        ranking = sorted(scores_of(mention), key=lambda pair: -pair[1])
+        void = not any(math.isfinite(s) and s != 0.0 for _, s in ranking)
+        mentions.append(
+            MentionLink(
+                surface=mention.surface,
+                gold_qid=mention.gold_qid,
+                candidates=mention.candidates.candidates if mention.candidates else [],
+                ranking=ranking,
+                predicted_qid=ranking[0][0] if ranking else None,
+                fallback="degree" if ranking and void and method in EMBEDDING_METHODS else None,
+            )
+        )
+    return LinkResult(task.doc_id, method, mentions, effective_k)
+
+
+def scores_from(score_of: dict[str, float]) -> Callable[[Mention], list[tuple[str, float]]]:
+    """Pool scores from one per-document dict; candidates missing from it get -inf."""
+    return lambda mention: [
+        (qid, score_of.get(qid, -math.inf)) for qid in mention.candidates.candidates
+    ]
 
 
 def link_document(
@@ -148,7 +181,7 @@ def link_document(
     top-degree candidate; mentions with no candidates get no prediction.
     A failed decomposition raises NumericalError naming the document.
     """
-    subspace: Subspace | None = None
+    effective_k: int | None = None
     score_of: dict[str, float] = {}
     try:
         dm = build_document_matrix(
@@ -157,41 +190,9 @@ def link_document(
         subspace = learn_subspace(dm, k)
         row_scores = score_candidate(subspace, dm.matrix, rescale)
         score_of = dict(zip(dm.entity_ids, row_scores.tolist()))
+        effective_k = subspace.rank
     except EmptyDocumentError:
         pass
     except NumericalError as exc:
         raise NumericalError(f"document {task.doc_id!r}: {exc}") from exc
-
-    mentions: list[MentionLink] = []
-    for mention in task.mentions:
-        cands = mention.candidates.candidates if mention.candidates else []
-        if not cands:
-            mentions.append(
-                MentionLink(
-                    surface=mention.surface,
-                    gold_qid=mention.gold_qid,
-                    candidates=[],
-                    ranking=[],
-                    predicted_qid=None,
-                )
-            )
-            continue
-        scores = {qid: score_of.get(qid, -math.inf) for qid in cands}
-        any_scored = any(qid in score_of for qid in cands)
-        ranking = _rank_mention(cands, scores)
-        mentions.append(
-            MentionLink(
-                surface=mention.surface,
-                gold_qid=mention.gold_qid,
-                candidates=cands,
-                ranking=ranking,
-                predicted_qid=ranking[0][0],
-                fallback=None if any_scored else "degree",
-            )
-        )
-    return LinkResult(
-        doc_id=task.doc_id,
-        method="eigen",
-        mentions=mentions,
-        effective_k=subspace.rank if subspace is not None else None,
-    )
+    return link_mentions(task, "eigen", scores_from(score_of), effective_k)

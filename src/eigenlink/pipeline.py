@@ -54,6 +54,24 @@ class RunConfig:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
         WeightScheme(kind=self.weighting, delta=self.delta)
 
+    def check_inputs(self, provided: set[str]) -> None:
+        """Raise ConfigError unless ``provided`` names every input file the run reads.
+
+        The names are "embeddings", "words" and "descriptions"; the method
+        and the weighting alone decide which of them are needed.
+        """
+        if self.method in ("eigen", "avg") and "embeddings" not in provided:
+            raise ConfigError(f"method {self.method!r} needs entity embeddings")
+        needs_text = self.method in CONTEXT_METHODS or self.weighting in (
+            "local_ctxt_rr",
+            "global_ctxt_rr",
+        )
+        if needs_text and not {"words", "descriptions"} <= provided:
+            raise ConfigError(
+                "context-based methods and weightings need word embeddings "
+                "and entity descriptions"
+            )
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -72,18 +90,8 @@ class LinkContext:
 
     def validate(self) -> None:
         self.config.validate()
-        method = self.config.method
-        if method in ("eigen", "avg") and self.store is None:
-            raise ConfigError(f"method {method!r} needs entity embeddings")
-        needs_text = method in CONTEXT_METHODS or self.config.weighting in (
-            "local_ctxt_rr",
-            "global_ctxt_rr",
-        )
-        if needs_text and (self.word_store is None or self.desc_store is None):
-            raise ConfigError(
-                "context-based methods and weightings need word embeddings "
-                "and entity descriptions"
-            )
+        stores = dict(embeddings=self.store, words=self.word_store, descriptions=self.desc_store)
+        self.config.check_inputs({name for name, store in stores.items() if store is not None})
 
     def prepared(self) -> "LinkContext":
         if self.config.method == "namematch" and self.name_lookup is None:

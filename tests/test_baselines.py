@@ -99,6 +99,13 @@ def test_degree_empty_list_no_prediction():
     assert result.mentions[0].predicted_qid is None
 
 
+def test_degree_zero_degrees_is_not_a_fallback():
+    catalog = make_catalog([("q1", "x", [], 0), ("q2", "x", [], 0)])
+    result = link_document_degree(task("d", [mention("m", None, ["q1", "q2"])]), catalog)
+    assert result.mentions[0].predicted_qid == "q1"
+    assert result.mentions[0].fallback is None
+
+
 def test_degree_deterministic():
     catalog = make_catalog([(f"q{i}", "x", [], i) for i in range(10)])
     t = task("d", [mention("m", None, [f"q{i}" for i in range(9, -1, -1)])])
@@ -232,3 +239,14 @@ def test_global_ctxt_empty_context_falls_back(ctx_stores):
     result = link_document_context(t, word_store, desc_store, mode="global")
     assert result.mentions[0].fallback == "degree"
     assert result.mentions[0].predicted_qid == "c1"
+
+
+def test_context_candidates_without_descriptions_fall_back_to_degree(ctx_stores):
+    word_store, desc_store = ctx_stores
+    t = task("d", [mention("m", None, ["c4", "c5"], position=1)])
+    t.tokens = ["x", "m", "y"]  # a usable context, but no candidate has a description
+    for mode in ("local", "global"):
+        result = link_document_context(t, word_store, desc_store, mode=mode, window=1)
+        assert result.mentions[0].predicted_qid == "c4"
+        assert [s for _, s in result.mentions[0].ranking] == [-math.inf, -math.inf]
+        assert result.mentions[0].fallback == "degree"

@@ -207,6 +207,31 @@ def test_unknown_synth_key_exits_4(tmp_path):
     assert main(["synth", "--config", "bananas=3", "--out", str(tmp_path / "x")]) == 4
 
 
+@pytest.mark.parametrize("spelling,code", [("maybe", 4), ("2", 4), ("YES", 0), ("No", 0)])
+def test_synth_boolean_spellings(tmp_path, capsys, spelling, code):
+    out = str(tmp_path / "x")
+    cfg = f"docs=1,mentions_per_doc=2,candidates_per_mention=3,adversarial={spelling}"
+    assert main(["synth", "--config", cfg, "--out", out]) == code
+    if code:
+        assert capsys.readouterr().err == f"error: bad value for 'adversarial': {spelling!r}\n"
+    else:
+        with open(f"{out}/manifest.json") as fh:
+            adversarial = json.load(fh)["config"]["adversarial"]
+        assert adversarial is (spelling.lower() == "yes")
+
+
+@pytest.mark.parametrize("command,words", [("link", False), ("link", True), ("mutilate", False)])
+def test_missing_text_inputs_exit_4_before_loading(corpus_dir, tmp_path, capsys, command, words):
+    # the dataset does not exist, so reaching any loader would exit 2
+    extra = ("--words", f"{corpus_dir}/words.txt") if words else ()
+    args = link_args(corpus_dir, str(tmp_path / "x"), method="local", extra=extra)
+    args[args.index("--dataset") + 1] = str(tmp_path / "nope.jsonl")
+    if command == "mutilate":
+        args[:3] = ["mutilate", "--methods", "eigen,local"]
+    assert main(args) == 4
+    assert capsys.readouterr().err.startswith("error: context-based methods")
+
+
 def test_context_method_runs_with_words(corpus_dir, tmp_path):
     out = str(tmp_path / "ctx")
     args = link_args(
@@ -279,12 +304,35 @@ def test_config_file_with_flag_override(corpus_dir, tmp_path):
     assert metrics["config"]["seed"] == 11  # flag wins
 
 
-def test_config_file_unknown_key_exits_4(corpus_dir, tmp_path):
+@pytest.mark.parametrize(
+    "file_cfg",
+    [
+        {"bogus": 1},
+        {"k": "10"},
+        {"T": 2.5},
+        {"k": True},
+        {"rescale": "false"},
+        {"method": "avg"},
+    ],
+    ids=["bogus", "k-string", "T-float", "k-bool", "rescale-string", "method"],
+)
+def test_config_file_unknown_key_exits_4(corpus_dir, tmp_path, capsys, file_cfg):
     cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps({"bogus": 1}))
+    cfg_path.write_text(json.dumps(file_cfg))
     out = str(tmp_path / "x")
     args = link_args(corpus_dir, out, extra=("--config-file", str(cfg_path)))
     assert main(args) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_config_file_int_widens_to_float_field(corpus_dir, tmp_path):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"delta": 2}))
+    out = str(tmp_path / "cfg")
+    assert main(link_args(corpus_dir, out, extra=("--config-file", str(cfg_path)))) == 0
+    with open(f"{out}/metrics.json") as fh:
+        assert '"delta": 2.0,' in fh.read()
 
 
 def test_mutilate_degree_collapses_to_zero(corpus_dir, tmp_path):

@@ -11,11 +11,12 @@ from eigenlink.eigenthemes import (
     link_document,
     score_candidate,
 )
-from eigenlink.embeddings import EmbeddingStore
+from eigenlink.embeddings import EmbeddingStore, load_embeddings
 from eigenlink.errors import DimensionError, EmptyDocumentError
 from eigenlink.index import CandidateList
 from eigenlink.linalg import Subspace, truncated_svd
-from eigenlink.weighting import WeightScheme
+from eigenlink.pipeline import METHODS, LinkContext, RunConfig, link_one
+from eigenlink.weighting import WeightScheme, build_description_store, load_descriptions
 from tests.conftest import make_store
 
 NONE = WeightScheme("none")
@@ -399,3 +400,31 @@ def test_degree_weighted_run_still_beats_degree_baseline(default_corpus):
         weighted.precision_at_1["overall"] > degree.precision_at_1["overall"]
     )
     assert weighted.precision_at_1["hard"] > 0.0
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_shared_ranking_loop_contract(small_corpus, method):
+    word_store = load_embeddings(f"{small_corpus.dir}/words.txt")
+    desc_store = build_description_store(
+        load_descriptions(f"{small_corpus.dir}/descriptions.jsonl"), word_store
+    )
+    ctx = LinkContext(
+        catalog=small_corpus.catalog,
+        index=small_corpus.index,
+        config=RunConfig(method=method),
+        store=small_corpus.store,
+        word_store=word_store,
+        desc_store=desc_store,
+    ).prepared()
+    for doc in small_corpus.docs:
+        for ml in link_one(doc, ctx).mentions:
+            if ml.ranking:
+                assert ml.predicted_qid == ml.ranking[0][0]
+            else:
+                assert ml.predicted_qid is None
+            scores = [s for _, s in ml.ranking]
+            assert scores == sorted(scores, reverse=True)
+            if method != "namematch":
+                assert sorted(q for q, _ in ml.ranking) == sorted(ml.candidates)
+            if method in ("degree", "namematch"):
+                assert ml.fallback is None
