@@ -32,7 +32,7 @@ from .evaluation import (
     score_gap,
     write_predictions,
 )
-from .index import build_index, load_index, save_index
+from .index import build_index, load_index, save_index, tokenize
 from .kg import load_catalog
 from .pipeline import METHODS, LinkContext, RunConfig, run_documents
 from .synth import SynthConfig, generate
@@ -132,17 +132,22 @@ def _resolve_run_config(args, method: str) -> RunConfig:
 def _load_context(args, cfg: RunConfig) -> tuple[LinkContext, list[DocumentTask]]:
     """Load the inputs and attach candidates to every document.
 
-    Candidates come first so that only their entity embeddings are kept.
+    The index holds only the dataset's mention tokens, and candidates
+    come before the stores so that only their entity embeddings and
+    descriptions are kept.
     """
     catalog = load_catalog(args.catalog, edges_path=args.edges)
-    index = load_index(args.index) if args.index else build_index(catalog)
-    docs = [attach_candidates(doc, index, catalog, cfg.T) for doc in load_dataset(args.dataset)]
+    docs = load_dataset(args.dataset)
+    tokens = {tok for doc in docs for m in doc.mentions for tok in tokenize(m.surface)}
+    index = load_index(args.index, tokens) if args.index else build_index(catalog, tokens)
+    docs = [attach_candidates(doc, index, catalog, cfg.T) for doc in docs]
     union = {qid for doc in docs for m in doc.mentions for qid in m.candidates.candidates}
     store = load_embeddings(args.embeddings, union) if args.embeddings else None
     word_store = load_embeddings(args.words) if args.words else None
     desc_store = None
     if args.descriptions:
-        desc_store = build_description_store(load_descriptions(args.descriptions), word_store)
+        descriptions = load_descriptions(args.descriptions)
+        desc_store = build_description_store(descriptions, word_store, union)
     ctx = LinkContext(
         catalog=catalog,
         index=index,

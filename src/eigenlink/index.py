@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Collection
 from dataclasses import dataclass
 
-from .errors import FormatError
+from .errors import FormatError, IntegrityError
 from .kg import EntityCatalog
 
 INDEX_FORMAT = "eigenlink-index"
@@ -53,15 +54,22 @@ class CandidateList:
         return qid in self.candidates
 
 
-def build_index(catalog: EntityCatalog) -> InvertedIndex:
-    """Index every token of every entity's name and aliases."""
-    postings: dict[str, set[str]] = {}
+def build_index(catalog: EntityCatalog, tokens: Collection[str] | None = None) -> InvertedIndex:
+    """Index every token of every entity's name and aliases.
+
+    With ``tokens`` given, only those tokens get posting lists; candidate
+    generation for mentions made of them is unchanged.
+    """
+    keep = None if tokens is None else set(tokens)
+    postings: dict[str, list[str]] = {}
     for rec in catalog:
-        tokens: set[str] = set(tokenize(rec.name))
+        found: set[str] = set(tokenize(rec.name))
         for alias in rec.aliases:
-            tokens.update(tokenize(alias))
-        for tok in tokens:
-            postings.setdefault(tok, set()).add(rec.qid)
+            found.update(tokenize(alias))
+        if keep is not None:
+            found &= keep
+        for tok in found:
+            postings.setdefault(tok, []).append(rec.qid)
     return InvertedIndex(postings={tok: sorted(qids) for tok, qids in postings.items()})
 
 
@@ -149,30 +157,52 @@ def save_index(index: InvertedIndex, path: str) -> None:
             fh.write(json.dumps({"t": tok, "q": index.postings[tok]}, ensure_ascii=False) + "\n")
 
 
-def load_index(path: str) -> InvertedIndex:
-    with open(path, "r", encoding="utf-8") as fh:
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"index header is not valid JSON: {exc.msg}") from exc
+def load_index(path: str, tokens: Collection[str] | None = None) -> InvertedIndex:
+    """Read an index file, keeping only the postings of ``tokens`` when given.
+
+    Every line is validated whether or not its token is kept: a JSON
+    object with a non-empty string ``t`` seen once in the file and a list
+    of strings ``q``. Errors name the file line.
+    """
+    keep = None if tokens is None else set(tokens)
+    with open(path, "rb") as fh:
+        header = _json_line(fh.readline(), 1)
+        if not isinstance(header, dict):
+            raise FormatError("line 1: index header must be a JSON object")
         if header.get("format") != INDEX_FORMAT:
-            raise FormatError(f"not an index file (format={header.get('format')!r})")
+            raise FormatError(f"line 1: not an index file (format={header.get('format')!r})")
         if header.get("version") != INDEX_VERSION:
-            raise FormatError(f"unsupported index version {header.get('version')!r}")
+            raise FormatError(f"line 1: unsupported index version {header.get('version')!r}")
         postings: dict[str, list[str]] = {}
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
+        seen: set[str] = set()
+        for lineno, raw in enumerate(fh, start=2):
+            if not raw.strip():
                 continue
-            try:
-                obj = json.loads(line)
-                postings[obj["t"]] = list(obj["q"])
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise FormatError(f"line {lineno}: bad posting entry") from exc
+            obj = _json_line(raw, lineno)
+            if not isinstance(obj, dict):
+                raise FormatError(f"line {lineno}: a posting must be a JSON object")
+            tok, qids = obj.get("t"), obj.get("q")
+            if not isinstance(tok, str) or not tok:
+                raise FormatError(f"line {lineno}: 't' must be a non-empty string")
+            if not isinstance(qids, list) or not all(isinstance(q, str) for q in qids):
+                raise FormatError(f"line {lineno}: 'q' must be a list of strings")
+            if tok in seen:
+                raise IntegrityError(f"line {lineno}: repeated token {tok!r}")
+            seen.add(tok)
+            if keep is None or tok in keep:
+                postings[tok] = qids
         declared = header.get("vocabulary_size")
-        if declared is not None and declared != len(postings):
+        if declared is not None and declared != len(seen):
             raise FormatError(
-                f"header declares {declared} tokens but file has {len(postings)}"
+                f"line 1: header declares {declared} tokens but the file has {len(seen)}"
             )
     return InvertedIndex(postings=postings)
+
+
+def _json_line(raw: bytes, lineno: int):
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"line {lineno}: not valid UTF-8") from exc
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"line {lineno}: invalid JSON ({exc.msg})") from exc

@@ -78,7 +78,11 @@ class RunConfig:
 
 @dataclass
 class LinkContext:
-    """Everything a worker needs to link one document."""
+    """Everything a worker needs to link one document.
+
+    ``index`` may cover only the dataset's mention tokens (as the CLI
+    builds it), so documents linked with it must come from that dataset.
+    """
 
     catalog: EntityCatalog
     index: InvertedIndex

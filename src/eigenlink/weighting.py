@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Collection
 from dataclasses import dataclass
 
 import numpy as np
 
 from .embeddings import EmbeddingStore
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, IntegrityError
 from .index import CandidateList, tokenize
 
 WEIGHT_KINDS = ("none", "degree_rr", "local_ctxt_rr", "global_ctxt_rr")
@@ -196,7 +197,7 @@ def mention_weights(
 
 
 def load_descriptions(path: str) -> dict[str, str]:
-    """Read a JSONL file of {"qid": ..., "description": ...} records."""
+    """Read a JSONL file of {"qid": ..., "description": ...} records, each qid once."""
     descriptions: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -207,10 +208,14 @@ def load_descriptions(path: str) -> dict[str, str]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+            if not isinstance(obj, dict):
+                raise FormatError(f"line {lineno}: a description must be a JSON object")
             qid = obj.get("qid")
             desc = obj.get("description")
             if not isinstance(qid, str) or not isinstance(desc, str):
                 raise FormatError(f"line {lineno}: need string 'qid' and 'description'")
+            if qid in descriptions:
+                raise IntegrityError(f"line {lineno}: duplicate qid {qid!r}")
             descriptions[qid] = desc
     return descriptions
 
@@ -218,10 +223,13 @@ def load_descriptions(path: str) -> dict[str, str]:
 def build_description_store(
     descriptions: dict[str, str],
     word_store: EmbeddingStore,
+    keep: Collection[str] | None = None,
 ) -> EmbeddingStore:
-    """Embed each description as the mean of its word vectors."""
+    """Embed each description (only those of ``keep`` when given) as its mean word vector."""
     store = EmbeddingStore(word_store.dim)
     for qid, text in descriptions.items():
+        if keep is not None and qid not in keep:
+            continue
         vec = _mean_vector(tokenize(text), word_store)
         if vec is not None:
             store.add(qid, vec)

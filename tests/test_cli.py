@@ -5,7 +5,10 @@ import os
 import numpy as np
 import pytest
 
-from eigenlink.cli import main
+from eigenlink.cli import _load_context, _resolve_run_config, build_parser, main
+from eigenlink.dataset import load_dataset
+from eigenlink.index import build_index, tokenize
+from eigenlink.kg import load_catalog
 
 CORPUS_CFG = "docs=6,mentions_per_doc=4,candidates_per_mention=5,d=24,rank=2,seed=77"
 
@@ -269,6 +272,66 @@ def test_build_index_then_link_matches_in_memory(corpus_dir, tmp_path):
     args = link_args(corpus_dir, out2, extra=("--index", index_path))
     assert main(args) == 0
     assert read_bytes(f"{out1}/predictions.csv") == read_bytes(f"{out2}/predictions.csv")
+
+
+def write_index(corpus_dir, path):
+    """Run build-index into ``path`` and return the file's lines."""
+    assert main(["build-index", "--catalog", f"{corpus_dir}/catalog.jsonl", "--out", path]) == 0
+    with open(path, encoding="utf-8") as fh:
+        return fh.read().splitlines()
+
+
+@pytest.mark.parametrize("with_index", [False, True], ids=["built", "loaded"])
+def test_link_indexes_only_mention_tokens(corpus_dir, tmp_path, with_index):
+    extra = ()
+    if with_index:
+        write_index(corpus_dir, str(tmp_path / "index.jsonl"))
+        extra = ("--index", str(tmp_path / "index.jsonl"))
+    args = build_parser().parse_args(link_args(corpus_dir, str(tmp_path / "x"), extra=extra))
+    ctx, _ = _load_context(args, _resolve_run_config(args, args.method))
+    catalog_tokens = set(build_index(load_catalog(f"{corpus_dir}/catalog.jsonl")).postings)
+    docs = load_dataset(f"{corpus_dir}/dataset.jsonl")
+    mention_tokens = {tok for doc in docs for m in doc.mentions for tok in tokenize(m.surface)}
+    assert ctx.index.vocabulary_size == len(mention_tokens & catalog_tokens)
+    assert ctx.index.vocabulary_size < len(catalog_tokens)
+
+
+@pytest.mark.parametrize("bad", ["q-string", "repeated-token"])
+def test_malformed_index_posting_outside_mentions_exits_3(corpus_dir, tmp_path, capsys, bad):
+    index_path = str(tmp_path / "index.jsonl")
+    header, *postings = write_index(corpus_dir, index_path)
+    # no mention contains the token "entity", so its posting is never kept
+    at = next(i for i, line in enumerate(postings) if json.loads(line)["t"] == "entity")
+    if bad == "q-string":
+        postings[at] = '{"t": "entity", "q": "Q1"}'
+        message = f"line {at + 2}: 'q' must be a list of strings"
+    else:
+        postings.append(postings[at])
+        header = header.replace(f": {len(postings) - 1}}}", f": {len(postings)}}}")
+        assert header.endswith(f": {len(postings)}}}")  # the count still matches
+        message = f"line {len(postings) + 1}: repeated token 'entity'"
+    with open(index_path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join([header, *postings]) + "\n")
+    args = link_args(corpus_dir, str(tmp_path / "x"), extra=("--index", index_path))
+    assert main(args) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("bad", ["row-list", "repeated-qid"])
+def test_malformed_descriptions_exit_3(corpus_dir, tmp_path, capsys, bad):
+    with open(f"{corpus_dir}/descriptions.jsonl", encoding="utf-8") as fh:
+        rows = fh.readlines()
+    if bad == "row-list":
+        extra_row = "[1]\n"
+        message = f"line {len(rows) + 1}: a description must be a JSON object"
+    else:
+        extra_row = rows[0]
+        message = f"line {len(rows) + 1}: duplicate qid {json.loads(rows[0])['qid']!r}"
+    path = tmp_path / "descriptions.jsonl"
+    path.write_text("".join(rows) + extra_row, encoding="utf-8")
+    text = ("--words", f"{corpus_dir}/words.txt", "--descriptions", str(path))
+    assert main(link_args(corpus_dir, str(tmp_path / "x"), method="local", extra=text)) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_eval_recomputes_link_metrics(corpus_dir, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eigenlink.errors import ConfigError
+from eigenlink.errors import ConfigError, FormatError, IntegrityError
 from eigenlink.index import CandidateList
 from eigenlink.weighting import (
     WeightScheme,
@@ -189,3 +189,26 @@ def test_load_descriptions(tmp_path):
     path = tmp_path / "desc.jsonl"
     path.write_text('{"qid": "Q1", "description": "British author and humorist"}\n')
     assert load_descriptions(str(path)) == {"Q1": "British author and humorist"}
+
+
+def test_description_store_keeps_only_requested(word_store, desc_store):
+    descriptions = {"c1": "a", "c2": "b", "c3": "a b"}
+    kept = build_description_store(descriptions, word_store, keep={"c3", "c1", "absent"})
+    assert sorted(kept.identifiers()) == ["c1", "c3"]
+    for qid in ("c1", "c3"):
+        assert kept.get(qid).tobytes() == desc_store.get(qid).tobytes()
+
+
+@pytest.mark.parametrize(
+    "rows,error,message",
+    [
+        (['{"qid": "Q1", "description": "x"}', "[1]"], FormatError, "line 2: a description must"),
+        (['{"qid": "Q1", "description": "x"}'] * 2, IntegrityError, "line 2: duplicate qid 'Q1'"),
+    ],
+    ids=["row-list", "repeated-qid"],
+)
+def test_load_descriptions_rejects_bad_rows(tmp_path, rows, error, message):
+    path = tmp_path / "desc.jsonl"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(error, match="^" + message):
+        load_descriptions(str(path))
