@@ -20,7 +20,7 @@ from .index import (
     tokenize,
 )
 from .kg import EntityCatalog, EntityRecord, compute_degrees, load_catalog, write_catalog
-from .linalg import Subspace, symmetric_eigh, truncated_svd, weighted_sscp
+from .linalg import Subspace, truncated_svd, weighted_sscp
 from .pipeline import LinkContext, RunConfig, link_one, run_documents
 from .synth import SynthConfig, generate
 from .weighting import WeightScheme, degree_ranking, mention_weights, reciprocal_rank_weight
@@ -61,7 +61,6 @@ __all__ = [
     "reciprocal_rank_weight",
     "run_documents",
     "score_candidate",
-    "symmetric_eigh",
     "tokenize",
     "truncated_svd",
     "unit_normalize",

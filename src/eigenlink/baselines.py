@@ -20,17 +20,12 @@ from .eigenthemes import (
     LinkResult,
     build_document_matrix,
     link_mentions,
-    scores_from,
+    pools_from,
 )
 from .errors import EmptyDocumentError
 from .index import CandidateList
 from .kg import EntityCatalog
-from .weighting import (
-    WeightScheme,
-    context_scores,
-    global_context_vector,
-    local_context_vector,
-)
+from .weighting import WeightScheme, context_scores, document_contexts
 
 
 def build_name_lookup(
@@ -94,17 +89,22 @@ def avg_scores(dm: DocumentMatrix) -> np.ndarray:
     return np.divide(dots, enorms * cnorm, out=np.zeros_like(dots), where=enorms > 0.0)
 
 
-def link_document_degree(task: DocumentTask, catalog: EntityCatalog) -> LinkResult:
-    return link_mentions(task, "degree", lambda m: degree_baseline(m.candidates, catalog))
+def link_document_degree(
+    task: DocumentTask, catalog: EntityCatalog, degree_fallback: bool = False
+) -> LinkResult:
+    pools = (degree_baseline(m.candidates, catalog) for m in task.mentions)
+    return link_mentions(task, "degree", pools, degree_fallback)
 
 
 def link_document_namematch(
     task: DocumentTask,
     catalog: EntityCatalog,
     name_lookup: dict[str, list[str]],
+    degree_fallback: bool = False,
 ) -> LinkResult:
     """The pool is the mention's name matches, which need not be among its candidates."""
-    return link_mentions(task, "namematch", lambda m: name_match(m.surface, catalog, name_lookup))
+    pools = (name_match(m.surface, catalog, name_lookup) for m in task.mentions)
+    return link_mentions(task, "namematch", pools, degree_fallback)
 
 
 def link_document_avg(
@@ -114,6 +114,7 @@ def link_document_avg(
     word_store: EmbeddingStore | None = None,
     desc_store: EmbeddingStore | None = None,
     window: int = 5,
+    degree_fallback: bool = True,
 ) -> LinkResult:
     try:
         dm = build_document_matrix(
@@ -122,7 +123,7 @@ def link_document_avg(
         score_of = dict(zip(dm.entity_ids, avg_scores(dm).tolist()))
     except EmptyDocumentError:
         score_of = {}
-    return link_mentions(task, "avg", scores_from(score_of))
+    return link_mentions(task, "avg", pools_from(task, score_of), degree_fallback)
 
 
 def link_document_context(
@@ -131,25 +132,9 @@ def link_document_context(
     desc_store: EmbeddingStore,
     mode: str = "local",
     window: int = 5,
+    degree_fallback: bool = True,
 ) -> LinkResult:
-    """LocalCtxt / GlobalCtxt: description-vs-context cosine ranking.
-
-    An empty context scores every candidate 0; a candidate without a
-    usable description scores -inf.
-    """
-    tokens = task.tokens or []
-    doc_context = None
-    if mode == "global":
-        doc_context = global_context_vector(tokens, word_store, task.nouns)
-
-    def scores_of(mention) -> list[tuple[str, float]]:
-        cands = mention.candidates.candidates
-        context = doc_context if mode == "global" else local_context_vector(
-            tokens, mention.position, word_store, window
-        )
-        cos = context_scores(mention.candidates, context, desc_store)
-        if cos is None:
-            return [(qid, 0.0) for qid in cands]
-        return [(qid, cos.get(qid, -math.inf)) for qid in cands]
-
-    return link_mentions(task, "global" if mode == "global" else "local", scores_of)
+    """LocalCtxt / GlobalCtxt: description-vs-context cosine ranking (see ``context_scores``)."""
+    contexts = document_contexts(task, mode, word_store, window)
+    pools = (context_scores(m.candidates, c, desc_store) for m, c in zip(task.mentions, contexts))
+    return link_mentions(task, mode, pools, degree_fallback)

@@ -12,19 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Iterable
 
 import numpy as np
 
-from .dataset import DocumentTask, Mention
+from .dataset import DocumentTask
 from .embeddings import EmbeddingStore, unit_normalize
 from .errors import DimensionError, EmptyDocumentError, NumericalError
 from .linalg import Subspace, truncated_svd
-from .weighting import WeightScheme, mention_weights
-
-# Methods that score by embeddings: a pool none of whose scores carries
-# signal is ranked by degree alone, and flagged as such.
-EMBEDDING_METHODS = ("eigen", "avg", "local", "global")
+from .weighting import CONTEXT_KINDS, WeightScheme, document_contexts, mention_weights
 
 
 @dataclass
@@ -70,21 +66,15 @@ def build_document_matrix(
     largest weight it earns anywhere. Entities without embeddings are
     left out entirely; if nothing remains the document is unusable.
     """
+    contexts: list[np.ndarray | None] = [None] * len(task.mentions)
+    if scheme.kind in CONTEXT_KINDS:
+        contexts = document_contexts(task, CONTEXT_KINDS[scheme.kind], word_store, window)
     entity_ids: list[str] = []
     weight_of: dict[str, float] = {}
-    for mention in task.mentions:
+    for mention, context in zip(task.mentions, contexts):
         if mention.candidates is None:
             raise ValueError(f"mention {mention.surface!r} has no candidate list attached")
-        weights = mention_weights(
-            scheme,
-            mention.candidates,
-            mention_position=mention.position,
-            doc_tokens=task.tokens,
-            word_store=word_store,
-            desc_store=desc_store,
-            window=window,
-            nouns=task.nouns,
-        )
+        weights = mention_weights(scheme, mention.candidates, context, desc_store)
         for qid in mention.candidates.candidates:
             if qid not in store:
                 continue
@@ -131,19 +121,20 @@ def score_candidate(subspace: Subspace, e: np.ndarray, rescale: bool = True) -> 
 def link_mentions(
     task: DocumentTask,
     method: str,
-    scores_of: Callable[[Mention], list[tuple[str, float]]],
+    pools: Iterable[list[tuple[str, float]]],
+    degree_fallback: bool,
     effective_k: int | None = None,
 ) -> LinkResult:
     """Rank each mention's scored pool: score descending, pool order breaking ties.
 
-    ``scores_of(mention)`` gives the mention's pool as (qid, score) pairs in
-    degree order. An empty pool gives no prediction. For an embedding method,
-    a pool without any finite, non-zero score keeps its degree order and is
-    reported as a degree fallback.
+    ``pools`` gives each mention's pool, in mention order, as (qid, score)
+    pairs in degree order. An empty pool gives no prediction. With
+    ``degree_fallback``, a pool without any finite, non-zero score keeps its
+    degree order and is reported as a degree fallback.
     """
     mentions: list[MentionLink] = []
-    for mention in task.mentions:
-        ranking = sorted(scores_of(mention), key=lambda pair: -pair[1])
+    for mention, pool in zip(task.mentions, pools, strict=True):
+        ranking = sorted(pool, key=lambda pair: -pair[1])
         void = not any(math.isfinite(s) and s != 0.0 for _, s in ranking)
         mentions.append(
             MentionLink(
@@ -152,17 +143,20 @@ def link_mentions(
                 candidates=mention.candidates.candidates if mention.candidates else [],
                 ranking=ranking,
                 predicted_qid=ranking[0][0] if ranking else None,
-                fallback="degree" if ranking and void and method in EMBEDDING_METHODS else None,
+                fallback="degree" if ranking and void and degree_fallback else None,
             )
         )
     return LinkResult(task.doc_id, method, mentions, effective_k)
 
 
-def scores_from(score_of: dict[str, float]) -> Callable[[Mention], list[tuple[str, float]]]:
-    """Pool scores from one per-document dict; candidates missing from it get -inf."""
-    return lambda mention: [
-        (qid, score_of.get(qid, -math.inf)) for qid in mention.candidates.candidates
-    ]
+def pools_from(
+    task: DocumentTask, score_of: dict[str, float]
+) -> Iterable[list[tuple[str, float]]]:
+    """Each mention's candidates scored from one per-document dict; missing ones get -inf."""
+    return (
+        [(qid, score_of.get(qid, -math.inf)) for qid in m.candidates.candidates]
+        for m in task.mentions
+    )
 
 
 def link_document(
@@ -174,6 +168,7 @@ def link_document(
     word_store: EmbeddingStore | None = None,
     desc_store: EmbeddingStore | None = None,
     window: int = 5,
+    degree_fallback: bool = True,
 ) -> LinkResult:
     """Learn one subspace for the document and score every mention against it.
 
@@ -195,4 +190,4 @@ def link_document(
         pass
     except NumericalError as exc:
         raise NumericalError(f"document {task.doc_id!r}: {exc}") from exc
-    return link_mentions(task, "eigen", scores_from(score_of), effective_k)
+    return link_mentions(task, "eigen", pools_from(task, score_of), degree_fallback, effective_k)

@@ -22,7 +22,7 @@ class ConfigError(EigenlinkError):
 
 
 class DataError(EigenlinkError):
-    """Numerical input is unusable (non-finite entries, asymmetry)."""
+    """Numerical input is unusable (non-finite entries, negative weights)."""
 
 
 class DimensionError(EigenlinkError):
@@ -30,7 +30,7 @@ class DimensionError(EigenlinkError):
 
 
 class NumericalError(EigenlinkError):
-    """A LAPACK decomposition (SVD or symmetric eigendecomposition) failed."""
+    """A LAPACK decomposition (the thin SVD) failed."""
 
 
 class EmptyDocumentError(EigenlinkError):

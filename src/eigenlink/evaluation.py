@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import DocumentTask
 from .eigenthemes import LinkResult
-from .errors import FormatError
+from .errors import FormatError, IntegrityError
 
 BUCKETS = ("easy", "hard", "not_found")
 
@@ -299,25 +299,51 @@ def write_predictions(outcomes: Iterable[MentionOutcome], path: str) -> None:
             )
 
 
+def _field(value: str, name: str, line: int, parse: Callable, minimum: float) -> float:
+    """``value`` parsed by ``parse`` if finite and >= minimum; else a FormatError."""
+    try:
+        number = parse(value)
+        if math.isfinite(number) and number >= minimum:
+            return number
+    except ValueError:
+        pass
+    raise FormatError(f"line {line}: bad {name} {value!r}")
+
+
 def read_predictions(path: str) -> list[MentionOutcome]:
+    """Read a predictions CSV back; a malformed or repeated row names its CSV line."""
     outcomes: list[MentionOutcome] = []
+    seen: set[tuple[str, int]] = set()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != CSV_HEADER:
             raise FormatError(f"unexpected predictions header: {header}")
         for row in reader:
+            line = reader.line_num
+            if len(row) != len(CSV_HEADER):
+                raise FormatError(
+                    f"line {line}: expected {len(CSV_HEADER)} fields, got {len(row)}"
+                )
             (doc_id, mention_idx, surface, gold, predicted, bucket, rank, score) = row
+            idx = _field(mention_idx, "mention_idx", line, int, 0)
+            rank_of_gold = _field(rank, "rank_of_gold", line, int, 1) if rank else None
+            predicted_score = _field(score, "score", line, float, -math.inf) if score else None
+            if bucket and bucket not in BUCKETS:
+                raise FormatError(f"line {line}: unknown bucket {bucket!r}")
+            if (doc_id, idx) in seen:
+                raise IntegrityError(f"line {line}: repeated mention {doc_id!r} #{idx}")
+            seen.add((doc_id, idx))
             outcomes.append(
                 MentionOutcome(
                     doc_id=doc_id,
-                    mention_idx=int(mention_idx),
+                    mention_idx=idx,
                     surface=surface,
                     gold_qid=gold or None,
                     predicted_qid=predicted or None,
                     bucket=bucket or None,
-                    rank_of_gold=int(rank) if rank else None,
-                    predicted_score=float(score) if score else None,
+                    rank_of_gold=rank_of_gold,
+                    predicted_score=predicted_score,
                 )
             )
     return outcomes

@@ -2,8 +2,9 @@
 
 The truncated SVD of a (weighted) row matrix is LAPACK's thin SVD of
 W E; only its right singular vectors and singular values are kept. The
-sums-of-squares-and-cross-products matrix and its eigendecomposition
-are offered as separate kernels but are not on the linking path.
+weighted sums-of-squares-and-cross-products matrix, whose top
+eigenvectors span the same subspace, is offered as a separate kernel
+but is not on the linking path.
 """
 
 from __future__ import annotations
@@ -33,30 +34,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
-
-
-def symmetric_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a symmetric matrix (LAPACK).
-
-    Returns (eigenvalues descending, eigenvector matrix with matching
-    columns). The input must be symmetric to within 1e-10; it is
-    symmetrized before decomposing. Equal eigenvalues keep LAPACK's
-    column order, so a zero matrix yields the identity.
-    """
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise DataError("matrix has non-finite entries")
-    scale = float(np.abs(A).max(initial=0.0))
-    if float(np.abs(A - A.T).max(initial=0.0)) > 1e-10 * max(1.0, scale):
-        raise DataError("matrix is not symmetric within 1e-10")
-    try:
-        eigenvalues, V = np.linalg.eigh((A + A.T) / 2.0)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    order = np.argsort(-eigenvalues, kind="stable")
-    return eigenvalues[order], V[:, order]
 
 
 def _weighted_rows(E: np.ndarray, w: np.ndarray) -> np.ndarray:

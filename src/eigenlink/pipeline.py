@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from typing import Callable, NamedTuple
 
 from .baselines import (
     build_name_lookup,
@@ -23,10 +24,17 @@ from .embeddings import EmbeddingStore
 from .errors import ConfigError
 from .index import InvertedIndex
 from .kg import EntityCatalog
-from .weighting import WeightScheme
+from .weighting import CONTEXT_KINDS, WeightScheme
 
-METHODS = ("eigen", "avg", "degree", "namematch", "local", "global")
-CONTEXT_METHODS = ("local", "global")
+TEXT_INPUTS = frozenset({"words", "descriptions"})
+
+
+class Method(NamedTuple):
+    """One entry of the method table, ``METHODS``."""
+
+    link: Callable[..., LinkResult]  # calls the linker by its name here, so wrappers see it
+    inputs: frozenset[str]  # the input files the method reads
+    degree_fallback: bool  # report a pool whose scores carry no signal as ranked by degree
 
 
 @dataclass
@@ -52,21 +60,24 @@ class RunConfig:
             raise ConfigError(f"window must be >= 1, got {self.window}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
-        WeightScheme(kind=self.weighting, delta=self.delta)
+        self.scheme()
+
+    def scheme(self) -> WeightScheme:
+        return WeightScheme(kind=self.weighting, delta=self.delta)
 
     def check_inputs(self, provided: set[str]) -> None:
         """Raise ConfigError unless ``provided`` names every input file the run reads.
 
-        The names are "embeddings", "words" and "descriptions"; the method
-        and the weighting alone decide which of them are needed.
+        Those are the method's table entry's inputs, plus "words" and
+        "descriptions" for a context weighting.
         """
-        if self.method in ("eigen", "avg") and "embeddings" not in provided:
+        needed = METHODS[self.method].inputs
+        if self.weighting in CONTEXT_KINDS:
+            needed = needed | TEXT_INPUTS
+        missing = needed - provided
+        if "embeddings" in missing:
             raise ConfigError(f"method {self.method!r} needs entity embeddings")
-        needs_text = self.method in CONTEXT_METHODS or self.weighting in (
-            "local_ctxt_rr",
-            "global_ctxt_rr",
-        )
-        if needs_text and not {"words", "descriptions"} <= provided:
+        if missing:
             raise ConfigError(
                 "context-based methods and weightings need word embeddings "
                 "and entity descriptions"
@@ -103,45 +114,47 @@ class LinkContext:
         return self
 
 
+def _texts(ctx: LinkContext) -> dict:
+    return dict(word_store=ctx.word_store, desc_store=ctx.desc_store, window=ctx.config.window)
+
+
+def _link_eigen(doc: DocumentTask, ctx: LinkContext, **flags) -> LinkResult:
+    cfg = ctx.config
+    return link_document(doc, ctx.store, cfg.scheme(), cfg.k, cfg.rescale, **_texts(ctx), **flags)
+
+
+def _link_avg(doc: DocumentTask, ctx: LinkContext, **flags) -> LinkResult:
+    return link_document_avg(doc, ctx.store, ctx.config.scheme(), **_texts(ctx), **flags)
+
+
+def _link_degree(doc: DocumentTask, ctx: LinkContext, **flags) -> LinkResult:
+    return link_document_degree(doc, ctx.catalog, **flags)
+
+
+def _link_namematch(doc: DocumentTask, ctx: LinkContext, **flags) -> LinkResult:
+    return link_document_namematch(doc, ctx.catalog, ctx.name_lookup or {}, **flags)
+
+
+def _link_context(doc: DocumentTask, ctx: LinkContext, **flags) -> LinkResult:
+    return link_document_context(doc, mode=ctx.config.method, **_texts(ctx), **flags)
+
+
+METHODS: dict[str, Method] = {
+    "eigen": Method(_link_eigen, frozenset({"embeddings"}), degree_fallback=True),
+    "avg": Method(_link_avg, frozenset({"embeddings"}), degree_fallback=True),
+    "degree": Method(_link_degree, frozenset(), degree_fallback=False),
+    "namematch": Method(_link_namematch, frozenset(), degree_fallback=False),
+    "local": Method(_link_context, TEXT_INPUTS, degree_fallback=True),
+    "global": Method(_link_context, TEXT_INPUTS, degree_fallback=True),
+}
+
+
 def link_one(doc: DocumentTask, ctx: LinkContext) -> LinkResult:
     """Attach candidates if needed and run the configured method."""
     if any(m.candidates is None for m in doc.mentions):
         doc = attach_candidates(doc, ctx.index, ctx.catalog, ctx.config.T)
-    cfg = ctx.config
-    scheme = WeightScheme(kind=cfg.weighting, delta=cfg.delta)
-    if cfg.method == "eigen":
-        return link_document(
-            doc,
-            ctx.store,
-            scheme,
-            k=cfg.k,
-            rescale=cfg.rescale,
-            word_store=ctx.word_store,
-            desc_store=ctx.desc_store,
-            window=cfg.window,
-        )
-    if cfg.method == "avg":
-        return link_document_avg(
-            doc,
-            ctx.store,
-            scheme,
-            word_store=ctx.word_store,
-            desc_store=ctx.desc_store,
-            window=cfg.window,
-        )
-    if cfg.method == "degree":
-        return link_document_degree(doc, ctx.catalog)
-    if cfg.method == "namematch":
-        return link_document_namematch(doc, ctx.catalog, ctx.name_lookup or {})
-    if cfg.method in CONTEXT_METHODS:
-        return link_document_context(
-            doc,
-            ctx.word_store,
-            ctx.desc_store,
-            mode=cfg.method,
-            window=cfg.window,
-        )
-    raise ConfigError(f"unknown method {cfg.method!r}")
+    method = METHODS[ctx.config.method]
+    return method.link(doc, ctx, degree_fallback=method.degree_fallback)
 
 
 _WORKER_CTX: LinkContext | None = None

@@ -15,11 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import DocumentTask
 from .embeddings import EmbeddingStore
 from .errors import ConfigError, FormatError, IntegrityError
 from .index import CandidateList, tokenize
 
 WEIGHT_KINDS = ("none", "degree_rr", "local_ctxt_rr", "global_ctxt_rr")
+
+# The context mode each context weighting ranks by.
+CONTEXT_KINDS = {"local_ctxt_rr": "local", "global_ctxt_rr": "global"}
 
 # Function-word list standing in for a POS tagger when picking "noun-ish"
 # tokens for the global context. Documents may carry an explicit noun list
@@ -96,103 +100,90 @@ def global_context_vector(
     return _mean_vector(picked, word_store)
 
 
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na = math.sqrt(float(a @ a))
-    nb = math.sqrt(float(b @ b))
-    if na <= 1e-12 or nb <= 1e-12:
-        return 0.0
-    return float(a @ b) / (na * nb)
-
-
 def context_scores(
     candidates: CandidateList,
     context: np.ndarray | None,
     desc_store: EmbeddingStore,
-) -> dict[str, float] | None:
-    """Cosine of each candidate's description embedding against the context.
+) -> list[tuple[str, float]]:
+    """(qid, cosine of its description embedding against the context), in candidate order.
 
-    Candidates without a usable description get no entry. Returns None
-    when the context itself is empty, meaning "no signal at all".
+    An empty context scores every candidate 0; a candidate without a
+    usable description scores -inf.
     """
-    if context is None or math.sqrt(float(context @ context)) <= 1e-12:
-        return None
-    scores: dict[str, float] = {}
+    cnorm = 0.0 if context is None else math.sqrt(float(context @ context))
+    if cnorm <= 1e-12:
+        return [(qid, 0.0) for qid in candidates.candidates]
+    scores: list[tuple[str, float]] = []
     for qid in candidates.candidates:
         desc = desc_store.get(qid)
-        if desc is None or math.sqrt(float(desc @ desc)) <= 1e-12:
-            continue
-        scores[qid] = _cosine(desc, context)
+        dnorm = 0.0 if desc is None else math.sqrt(float(desc @ desc))
+        cosine = float(desc @ context) / (dnorm * cnorm) if dnorm > 1e-12 else -math.inf
+        scores.append((qid, cosine))
     return scores
+
+
+def document_contexts(
+    task: DocumentTask,
+    mode: str,
+    word_store: EmbeddingStore | None,
+    window: int = 5,
+) -> list[np.ndarray | None]:
+    """Each mention's context vector, in mention order.
+
+    "local" takes the tokens within +-window of each mention's position;
+    "global" takes the document's noun-ish tokens, computed once and shared
+    by every mention. A document without ``tokens`` is a ConfigError.
+    """
+    if task.tokens is None:
+        raise ConfigError(
+            f"document {task.doc_id!r} has no 'tokens' field, which context methods "
+            "and weightings need"
+        )
+    if word_store is None:
+        raise ConfigError("context methods and weightings need word embeddings")
+    if mode == "global":
+        return [global_context_vector(task.tokens, word_store, task.nouns)] * len(task.mentions)
+    if mode == "local":
+        return [
+            local_context_vector(task.tokens, m.position, word_store, window)
+            for m in task.mentions
+        ]
+    raise ValueError(f"mode must be 'local' or 'global', got {mode!r}")
 
 
 def context_ranking(
     candidates: CandidateList,
-    mention_position: int,
-    doc_tokens: list[str],
-    word_store: EmbeddingStore,
+    context: np.ndarray | None,
     desc_store: EmbeddingStore,
-    mode: str = "local",
-    window: int = 5,
-    nouns: list[str] | None = None,
 ) -> dict[str, int]:
-    """Rank candidates by descending context cosine.
+    """Rank candidates by descending cosine against the context vector.
 
     Candidates without descriptions come last, keeping their degree
-    order among themselves; an empty context degrades to plain degree
-    ranking.
+    order among themselves; an empty context scores all candidates 0 and
+    so keeps plain degree ranking.
     """
-    if mode == "local":
-        context = local_context_vector(doc_tokens, mention_position, word_store, window)
-    elif mode == "global":
-        context = global_context_vector(doc_tokens, word_store, nouns)
-    else:
-        raise ValueError(f"mode must be 'local' or 'global', got {mode!r}")
-
     scores = context_scores(candidates, context, desc_store)
-    if scores is None:
-        return degree_ranking(candidates)
-
     # Stable sort: cosine descending, original (degree) position breaks ties
     # and orders the description-less tail.
-    order = sorted(
-        range(len(candidates.candidates)),
-        key=lambda i: (-scores.get(candidates.candidates[i], -math.inf), i),
-    )
-    return {candidates.candidates[i]: rank + 1 for rank, i in enumerate(order)}
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i][1], i))
+    return {scores[i][0]: rank + 1 for rank, i in enumerate(order)}
 
 
 def mention_weights(
     scheme: WeightScheme,
     candidates: CandidateList,
-    mention_position: int = 0,
-    doc_tokens: list[str] | None = None,
-    word_store: EmbeddingStore | None = None,
+    context: np.ndarray | None = None,
     desc_store: EmbeddingStore | None = None,
-    window: int = 5,
-    nouns: list[str] | None = None,
 ) -> dict[str, float]:
-    """Weights for one mention's candidates under the active scheme."""
+    """Weights for one mention's candidates; the context kinds rank by its context vector."""
     if scheme.kind == "none":
         return {qid: 1.0 for qid in candidates.candidates}
     if scheme.kind == "degree_rr":
         ranking = degree_ranking(candidates)
+    elif desc_store is None:
+        raise ConfigError(f"weighting kind {scheme.kind!r} needs entity descriptions")
     else:
-        if doc_tokens is None or word_store is None or desc_store is None:
-            raise ConfigError(
-                f"weighting kind {scheme.kind!r} needs document tokens, "
-                "word embeddings and descriptions"
-            )
-        mode = "local" if scheme.kind == "local_ctxt_rr" else "global"
-        ranking = context_ranking(
-            candidates,
-            mention_position,
-            doc_tokens,
-            word_store,
-            desc_store,
-            mode=mode,
-            window=window,
-            nouns=nouns,
-        )
+        ranking = context_ranking(candidates, context, desc_store)
     return {qid: reciprocal_rank_weight(rank, scheme.delta) for qid, rank in ranking.items()}
 
 

@@ -5,10 +5,12 @@ import os
 import numpy as np
 import pytest
 
+from eigenlink import weighting
 from eigenlink.cli import _load_context, _resolve_run_config, build_parser, main
 from eigenlink.dataset import load_dataset
 from eigenlink.index import build_index, tokenize
 from eigenlink.kg import load_catalog
+from eigenlink.pipeline import METHODS
 
 CORPUS_CFG = "docs=6,mentions_per_doc=4,candidates_per_mention=5,d=24,rank=2,seed=77"
 
@@ -96,10 +98,26 @@ def test_link_rerun_byte_identical(corpus_dir, tmp_path):
     assert read_bytes(f"{out1}/metrics.json") == read_bytes(f"{out2}/metrics.json")
 
 
-def test_jobs_count_does_not_change_outputs(corpus_dir, tmp_path):
+def text_args(corpus_dir):
+    words, descriptions = f"{corpus_dir}/words.txt", f"{corpus_dir}/descriptions.jsonl"
+    return ("--words", words, "--descriptions", descriptions)
+
+
+# Every method of the table, and eigen under both context weightings.
+JOBS_CASES = [(method, None) for method in METHODS] + [
+    ("eigen", "local_ctxt_rr"),
+    ("eigen", "global_ctxt_rr"),
+]
+
+
+@pytest.mark.parametrize(
+    "method,kind", JOBS_CASES, ids=[m + (f"-{k}" if k else "") for m, k in JOBS_CASES]
+)
+def test_jobs_count_does_not_change_outputs(corpus_dir, tmp_path, method, kind):
+    extra = text_args(corpus_dir) + (("--weighting", kind) if kind else ())
     out1, out2 = str(tmp_path / "j1"), str(tmp_path / "j2")
-    args1 = link_args(corpus_dir, out1, method="eigen")
-    args2 = link_args(corpus_dir, out2, method="eigen")
+    args1 = link_args(corpus_dir, out1, method=method, extra=extra)
+    args2 = link_args(corpus_dir, out2, method=method, extra=extra)
     args2[args2.index("--jobs") + 1] = "3"
     assert main(args1) == 0
     assert main(args2) == 0
@@ -253,6 +271,51 @@ def test_context_method_runs_with_words(corpus_dir, tmp_path):
         assert json.load(fh)["counts"]["total"] == 24
 
 
+CONTEXT_CASES = [
+    ("local", "degree_rr"),
+    ("global", "degree_rr"),
+    ("eigen", "local_ctxt_rr"),
+    ("eigen", "global_ctxt_rr"),
+]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("method,kind", CONTEXT_CASES)
+def test_context_on_document_without_tokens_exits_4(
+    corpus_dir, tmp_path, capsys, method, kind, jobs
+):
+    with open(f"{corpus_dir}/dataset.jsonl", encoding="utf-8") as fh:
+        docs = [json.loads(line) for line in fh]
+    del docs[1]["tokens"]
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("".join(json.dumps(doc) + "\n" for doc in docs), encoding="utf-8")
+    extra = text_args(corpus_dir) + ("--weighting", kind)
+    args = link_args(corpus_dir, str(tmp_path / "x"), method=method, extra=extra)
+    args[args.index("--dataset") + 1] = str(dataset)
+    args[args.index("--jobs") + 1] = jobs
+    assert main(args) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"document {docs[1]['doc_id']!r} has no 'tokens' field" in err
+
+
+@pytest.mark.parametrize("method,kind", [("global", "degree_rr"), ("eigen", "global_ctxt_rr")])
+def test_global_context_computed_once_per_document(
+    corpus_dir, tmp_path, monkeypatch, method, kind
+):
+    calls = []
+    original = weighting.global_context_vector
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(weighting, "global_context_vector", counting)
+    extra = text_args(corpus_dir) + ("--weighting", kind)
+    assert main(link_args(corpus_dir, str(tmp_path / "x"), method=method, extra=extra)) == 0
+    assert len(calls) == len(load_dataset(f"{corpus_dir}/dataset.jsonl"))
+
+
 def test_build_index_then_link_matches_in_memory(corpus_dir, tmp_path):
     index_path = str(tmp_path / "index.jsonl")
     assert (
@@ -348,6 +411,40 @@ def test_eval_recomputes_link_metrics(corpus_dir, tmp_path):
     assert evaled["precision_at_1"] == linked["precision_at_1"]
     assert evaled["mrr"] == linked["mrr"]
     assert evaled["counts"] == linked["counts"]
+
+
+GOOD_ROW = "d1,0,Foo,Q1,Q1,easy,1,0.5"
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ("d1,1,Foo,Q1,Q1,easy,1", "line 3: expected 8 fields, got 7"),
+        ("d1,one,Foo,Q1,Q1,easy,1,0.5", "line 3: bad mention_idx 'one'"),
+        ("d1,1,Foo,Q1,Q1,easy,1.0,0.5", "line 3: bad rank_of_gold '1.0'"),
+        ("d1,1,Foo,Q1,Q1,easy,0,0.5", "line 3: bad rank_of_gold '0'"),
+        ("d1,1,Foo,Q1,Q1,easy,1,high", "line 3: bad score 'high'"),
+        ("d1,1,Foo,Q1,Q1,easy,1,nan", "line 3: bad score 'nan'"),
+        ("d1,1,Foo,Q1,Q1,medium,1,0.5", "line 3: unknown bucket 'medium'"),
+        (GOOD_ROW, "line 3: repeated mention 'd1' #0"),
+    ],
+    ids=[
+        "short-row",
+        "mention-idx",
+        "rank-not-int",
+        "rank-zero",
+        "score-text",
+        "score-nan",
+        "unknown-bucket",
+        "repeated-mention",
+    ],
+)
+def test_eval_rejects_malformed_prediction_rows(tmp_path, capsys, row, message):
+    path = tmp_path / "predictions.csv"
+    header = "doc_id,mention_idx,surface,gold_qid,predicted_qid,bucket,rank_of_gold,score"
+    path.write_text("\n".join([header, GOOD_ROW, row]) + "\n", encoding="utf-8")
+    assert main(["eval", "--predictions", str(path), "--out", str(tmp_path / "x")]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_config_file_with_flag_override(corpus_dir, tmp_path):

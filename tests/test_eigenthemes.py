@@ -12,7 +12,7 @@ from eigenlink.eigenthemes import (
     score_candidate,
 )
 from eigenlink.embeddings import EmbeddingStore, load_embeddings
-from eigenlink.errors import DimensionError, EmptyDocumentError
+from eigenlink.errors import ConfigError, DimensionError, EmptyDocumentError
 from eigenlink.index import CandidateList
 from eigenlink.linalg import Subspace, truncated_svd
 from eigenlink.pipeline import METHODS, LinkContext, RunConfig, link_one
@@ -428,3 +428,14 @@ def test_shared_ranking_loop_contract(small_corpus, method):
                 assert sorted(q for q, _ in ml.ranking) == sorted(ml.candidates)
             if method in ("degree", "namematch"):
                 assert ml.fallback is None
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_check_inputs_follows_method_table(method):
+    cfg = RunConfig(method=method, weighting="degree_rr")
+    cfg.check_inputs(set(METHODS[method].inputs))
+    if METHODS[method].inputs:
+        with pytest.raises(ConfigError):
+            cfg.check_inputs(set())
+    else:
+        cfg.check_inputs(set())

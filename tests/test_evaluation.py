@@ -313,6 +313,8 @@ def test_predictions_roundtrip(tmp_path):
         outcome("not_found", predicted="x"),
         outcome(None, gold=None, predicted="y"),
     ]
+    for idx, o in enumerate(outs):
+        o.mention_idx = idx  # a repeated (doc_id, mention_idx) is rejected on reading
     outs[0].predicted_score = 1.25
     path = tmp_path / "predictions.csv"
     write_predictions(outs, str(path))

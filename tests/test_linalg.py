@@ -9,7 +9,7 @@ from eigenlink.errors import (
     EmptyDocumentError,
     NumericalError,
 )
-from eigenlink.linalg import symmetric_eigh, truncated_svd, weighted_sscp
+from eigenlink.linalg import truncated_svd, weighted_sscp
 
 # ---------------------------------------------------------------------------
 # Independent oracles
@@ -82,74 +82,6 @@ def random_orthonormal(rng, d, k):
 
 def reconstruction_error(E, basis):
     return float(np.linalg.norm(E - E @ basis @ basis.T))
-
-
-# ---------------------------------------------------------------------------
-# symmetric_eigh
-
-
-def test_diagonal_matrix():
-    lam, V = symmetric_eigh(np.diag([5.0, 2.0, 1.0]))
-    assert lam == pytest.approx([5.0, 2.0, 1.0])
-    assert np.abs(np.abs(V) - np.eye(3)).max() < 1e-12
-
-
-def test_classic_2x2():
-    lam, V = symmetric_eigh(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert lam == pytest.approx([3.0, 1.0])
-    r = 1 / math.sqrt(2)
-    assert abs(abs(V[:, 0] @ [r, r]) - 1.0) < 1e-12
-    assert abs(abs(V[:, 1] @ [r, -r]) - 1.0) < 1e-12
-
-
-def test_random_symmetric_8x8_residuals_and_bisection():
-    rng = np.random.default_rng(42)
-    for _ in range(5):
-        A = rng.standard_normal((8, 8))
-        A = (A + A.T) / 2
-        lam, V = symmetric_eigh(A)
-        fro = np.linalg.norm(A)
-        for i in range(8):
-            assert np.linalg.norm(A @ V[:, i] - lam[i] * V[:, i]) < 1e-8 * fro
-        expected = bisect_eigenvalues(A)
-        assert np.abs(lam - expected).max() < 1e-10 * max(1.0, np.abs(expected).max())
-
-
-def test_eigenvalues_descending_and_vectors_orthonormal():
-    rng = np.random.default_rng(7)
-    A = rng.standard_normal((12, 12))
-    A = A @ A.T
-    lam, V = symmetric_eigh(A)
-    assert all(a >= b - 1e-12 for a, b in zip(lam, lam[1:]))
-    assert np.abs(V.T @ V - np.eye(12)).max() < 1e-10
-
-
-def test_rejects_asymmetric():
-    A = np.array([[1.0, 2.0], [0.0, 1.0]])
-    with pytest.raises(DataError):
-        symmetric_eigh(A)
-
-
-def test_rejects_non_finite():
-    A = np.array([[np.nan, 0.0], [0.0, 1.0]])
-    with pytest.raises(DataError):
-        symmetric_eigh(A)
-
-
-def test_rejects_non_square():
-    with pytest.raises(DimensionError):
-        symmetric_eigh(np.zeros((2, 3)))
-
-
-def test_one_by_one():
-    lam, V = symmetric_eigh(np.array([[4.0]]))
-    assert lam[0] == 4.0 and V[0, 0] == 1.0
-
-
-def test_zero_matrix():
-    lam, V = symmetric_eigh(np.zeros((4, 4)))
-    assert np.array_equal(lam, np.zeros(4))
-    assert np.array_equal(V, np.eye(4))
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +209,5 @@ def test_lapack_failure_is_numerical_error(monkeypatch):
         raise np.linalg.LinAlgError("did not converge")
 
     monkeypatch.setattr(np.linalg, "svd", fail)
-    monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(NumericalError):
         truncated_svd(np.eye(3), np.ones(3), k=1)
-    with pytest.raises(NumericalError):
-        symmetric_eigh(np.eye(3))

@@ -106,45 +106,34 @@ def test_description_store_mean_of_word_vectors(desc_store):
 def test_context_ranking_hand_cosines(word_store, desc_store):
     # context = mean(a, b) = (e1+e2)/2; cosines: c1 = c2 = 1/sqrt(2), c3 = 1.
     tokens = ["a", "MENTION", "b"]
-    ranking = context_ranking(
-        cl("c1", "c2", "c3"), 1, tokens, word_store, desc_store, mode="local", window=1
-    )
+    context = local_context_vector(tokens, 1, word_store, window=1)
+    ranking = context_ranking(cl("c1", "c2", "c3"), context, desc_store)
     assert ranking == {"c3": 1, "c1": 2, "c2": 3}  # tie broken by degree order
 
 
 def test_context_equal_description_ranks_first(word_store, desc_store):
     tokens = ["b", "MENTION", "b"]  # context exactly e2 = c2's description
-    ranking = context_ranking(
-        cl("c1", "c2", "c3"), 1, tokens, word_store, desc_store, mode="local", window=1
-    )
+    context = local_context_vector(tokens, 1, word_store, window=1)
+    ranking = context_ranking(cl("c1", "c2", "c3"), context, desc_store)
     assert ranking["c2"] == 1
 
 
 def test_shared_description_falls_back_to_degree_order(word_store):
     desc = build_description_store({q: "a" for q in ("x", "y", "z")}, word_store)
-    ranking = context_ranking(
-        cl("x", "y", "z"), 1, ["a", "M", "b"], word_store, desc, mode="local", window=1
-    )
+    context = local_context_vector(["a", "M", "b"], 1, word_store, window=1)
+    ranking = context_ranking(cl("x", "y", "z"), context, desc)
     assert ranking == {"x": 1, "y": 2, "z": 3}
 
 
 def test_unknown_context_words_fall_back_to_degree(word_store, desc_store):
-    ranking = context_ranking(
-        cl("c1", "c2"), 1, ["zz", "M", "yy"], word_store, desc_store, mode="local", window=1
-    )
+    context = local_context_vector(["zz", "M", "yy"], 1, word_store, window=1)
+    ranking = context_ranking(cl("c1", "c2"), context, desc_store)
     assert ranking == {"c1": 1, "c2": 2}
 
 
 def test_descriptionless_candidates_rank_last(word_store, desc_store):
-    ranking = context_ranking(
-        cl("nodesc1", "c3", "nodesc2"),
-        1,
-        ["a", "M", "b"],
-        word_store,
-        desc_store,
-        mode="local",
-        window=1,
-    )
+    context = local_context_vector(["a", "M", "b"], 1, word_store, window=1)
+    ranking = context_ranking(cl("nodesc1", "c3", "nodesc2"), context, desc_store)
     assert ranking == {"c3": 1, "nodesc1": 2, "nodesc2": 3}
 
 
@@ -177,9 +166,7 @@ def test_context_scheme_weights(word_store, desc_store):
     weights = mention_weights(
         WeightScheme("local_ctxt_rr", 1.0),
         cl("c1", "c2", "c3"),
-        mention_position=1,
-        doc_tokens=["a", "M", "b"],
-        word_store=word_store,
+        context=local_context_vector(["a", "M", "b"], 1, word_store),
         desc_store=desc_store,
     )
     assert weights == {"c3": 1.0, "c1": 0.5, "c2": pytest.approx(1 / 3)}
