@@ -15,6 +15,7 @@ import os
 import sys
 from typing import get_type_hints
 
+from . import jsonl
 from .dataset import DocumentTask, attach_candidates, load_dataset
 from .embeddings import load_embeddings
 from .errors import (
@@ -91,11 +92,8 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
 
 def _read_config_file(path: str) -> dict:
     """The file's JSON object, each value checked against its RunConfig field type."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            file_cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"config file is not valid JSON: {exc.msg}") from exc
+    with open(path, "rb") as fh:
+        file_cfg = jsonl.parse(fh.read())
     if not isinstance(file_cfg, dict):
         raise FormatError("config file must hold a JSON object")
     unknown = set(file_cfg) - set(_FILE_TYPES)

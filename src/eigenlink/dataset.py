@@ -15,9 +15,9 @@ candidate generator over the loaded documents.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
+from . import jsonl
 from .errors import FormatError
 from .index import CandidateList, InvertedIndex, generate_candidates
 from .kg import EntityCatalog
@@ -42,15 +42,8 @@ class DocumentTask:
 def load_dataset(path: str) -> list[DocumentTask]:
     docs: list[DocumentTask] = []
     seen_ids: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+    with open(path, "rb") as fh:
+        for lineno, obj in jsonl.rows(fh):
             if not isinstance(obj, dict):
                 raise FormatError(f"line {lineno}: a document must be a JSON object")
             doc_id = obj.get("doc_id")
@@ -87,21 +80,15 @@ def load_dataset(path: str) -> list[DocumentTask]:
     return docs
 
 
+def _document_row(doc: DocumentTask) -> dict:
+    keys = ("surface", "gold_qid", "position")
+    mentions = [{key: getattr(m, key) for key in keys} for m in doc.mentions]
+    row = {"doc_id": doc.doc_id, "mentions": mentions, "tokens": doc.tokens, "nouns": doc.nouns}
+    return {key: value for key, value in row.items() if value is not None}
+
+
 def write_dataset(docs: list[DocumentTask], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in docs:
-            obj: dict = {
-                "doc_id": doc.doc_id,
-                "mentions": [
-                    {"surface": m.surface, "gold_qid": m.gold_qid, "position": m.position}
-                    for m in doc.mentions
-                ],
-            }
-            if doc.tokens is not None:
-                obj["tokens"] = doc.tokens
-            if doc.nouns is not None:
-                obj["nouns"] = doc.nouns
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+    jsonl.write_rows(path, map(_document_row, docs))
 
 
 def attach_candidates(

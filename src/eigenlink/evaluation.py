@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import jsonl
 from .dataset import DocumentTask
 from .eigenthemes import LinkResult
 from .errors import FormatError, IntegrityError
@@ -314,36 +315,40 @@ def read_predictions(path: str) -> list[MentionOutcome]:
     """Read a predictions CSV back; a malformed or repeated row names its CSV line."""
     outcomes: list[MentionOutcome] = []
     seen: set[tuple[str, int]] = set()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise FormatError(f"unexpected predictions header: {header}")
-        for row in reader:
-            line = reader.line_num
-            if len(row) != len(CSV_HEADER):
-                raise FormatError(
-                    f"line {line}: expected {len(CSV_HEADER)} fields, got {len(row)}"
+    with open(path, "rb") as fh:
+        # Lines are decoded one at a time, so a bad byte names its line.
+        reader = csv.reader(jsonl.decode(raw, line) for line, raw in enumerate(fh, 1))
+        try:
+            header = next(reader, None)
+            if header != CSV_HEADER:
+                raise FormatError(f"unexpected predictions header: {header}")
+            for row in reader:
+                line = reader.line_num
+                if len(row) != len(CSV_HEADER):
+                    raise FormatError(
+                        f"line {line}: expected {len(CSV_HEADER)} fields, got {len(row)}"
+                    )
+                (doc_id, mention_idx, surface, gold, predicted, bucket, rank, score) = row
+                idx = _field(mention_idx, "mention_idx", line, int, 0)
+                rank_of_gold = _field(rank, "rank_of_gold", line, int, 1) if rank else None
+                predicted_score = _field(score, "score", line, float, -math.inf) if score else None
+                if bucket and bucket not in BUCKETS:
+                    raise FormatError(f"line {line}: unknown bucket {bucket!r}")
+                if (doc_id, idx) in seen:
+                    raise IntegrityError(f"line {line}: repeated mention {doc_id!r} #{idx}")
+                seen.add((doc_id, idx))
+                outcomes.append(
+                    MentionOutcome(
+                        doc_id=doc_id,
+                        mention_idx=idx,
+                        surface=surface,
+                        gold_qid=gold or None,
+                        predicted_qid=predicted or None,
+                        bucket=bucket or None,
+                        rank_of_gold=rank_of_gold,
+                        predicted_score=predicted_score,
+                    )
                 )
-            (doc_id, mention_idx, surface, gold, predicted, bucket, rank, score) = row
-            idx = _field(mention_idx, "mention_idx", line, int, 0)
-            rank_of_gold = _field(rank, "rank_of_gold", line, int, 1) if rank else None
-            predicted_score = _field(score, "score", line, float, -math.inf) if score else None
-            if bucket and bucket not in BUCKETS:
-                raise FormatError(f"line {line}: unknown bucket {bucket!r}")
-            if (doc_id, idx) in seen:
-                raise IntegrityError(f"line {line}: repeated mention {doc_id!r} #{idx}")
-            seen.add((doc_id, idx))
-            outcomes.append(
-                MentionOutcome(
-                    doc_id=doc_id,
-                    mention_idx=idx,
-                    surface=surface,
-                    gold_qid=gold or None,
-                    predicted_qid=predicted or None,
-                    bucket=bucket or None,
-                    rank_of_gold=rank_of_gold,
-                    predicted_score=predicted_score,
-                )
-            )
+        except csv.Error as exc:  # e.g. a field over csv's size limit
+            raise FormatError(f"line {reader.line_num}: {exc}") from exc
     return outcomes

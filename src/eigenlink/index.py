@@ -9,11 +9,12 @@ ties, and truncated to at most T per mention.
 
 from __future__ import annotations
 
-import json
 import re
 from collections.abc import Collection
 from dataclasses import dataclass
+from itertools import chain
 
+from . import jsonl
 from .errors import FormatError, IntegrityError
 from .kg import EntityCatalog
 
@@ -146,15 +147,9 @@ def oracle_recall(
 
 def save_index(index: InvertedIndex, path: str) -> None:
     """Persist the index as JSONL with a format-version header line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        header = {
-            "format": INDEX_FORMAT,
-            "version": INDEX_VERSION,
-            "vocabulary_size": index.vocabulary_size,
-        }
-        fh.write(json.dumps(header) + "\n")
-        for tok in sorted(index.postings):
-            fh.write(json.dumps({"t": tok, "q": index.postings[tok]}, ensure_ascii=False) + "\n")
+    header = dict(format=INDEX_FORMAT, version=INDEX_VERSION, vocabulary_size=len(index.postings))
+    postings = ({"t": tok, "q": index.postings[tok]} for tok in sorted(index.postings))
+    jsonl.write_rows(path, chain([header], postings))
 
 
 def load_index(path: str, tokens: Collection[str] | None = None) -> InvertedIndex:
@@ -166,7 +161,7 @@ def load_index(path: str, tokens: Collection[str] | None = None) -> InvertedInde
     """
     keep = None if tokens is None else set(tokens)
     with open(path, "rb") as fh:
-        header = _json_line(fh.readline(), 1)
+        header = jsonl.parse(fh.readline())
         if not isinstance(header, dict):
             raise FormatError("line 1: index header must be a JSON object")
         if header.get("format") != INDEX_FORMAT:
@@ -175,10 +170,7 @@ def load_index(path: str, tokens: Collection[str] | None = None) -> InvertedInde
             raise FormatError(f"line 1: unsupported index version {header.get('version')!r}")
         postings: dict[str, list[str]] = {}
         seen: set[str] = set()
-        for lineno, raw in enumerate(fh, start=2):
-            if not raw.strip():
-                continue
-            obj = _json_line(raw, lineno)
+        for lineno, obj in jsonl.rows(fh, start=2):
             if not isinstance(obj, dict):
                 raise FormatError(f"line {lineno}: a posting must be a JSON object")
             tok, qids = obj.get("t"), obj.get("q")
@@ -198,11 +190,3 @@ def load_index(path: str, tokens: Collection[str] | None = None) -> InvertedInde
             )
     return InvertedIndex(postings=postings)
 
-
-def _json_line(raw: bytes, lineno: int):
-    try:
-        return json.loads(raw.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"line {lineno}: not valid UTF-8") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"line {lineno}: invalid JSON ({exc.msg})") from exc

@@ -1,0 +1,56 @@
+"""The JSONL format: one JSON value per line of a UTF-8 text file.
+
+Files are split on ``\\n``, so a line ends in ``\\n`` or ``\\r\\n`` and a
+lone ``\\r`` is not a line break; blank lines are skipped. A bad byte, bad
+JSON or nesting past the recursion limit is a FormatError naming the line.
+"""
+
+from __future__ import annotations
+
+import json
+from typing import Any, BinaryIO, Iterable, Iterator
+
+from .errors import FormatError
+
+
+def decode(raw: bytes, lineno: int) -> str:
+    """``raw`` as UTF-8 text; here ``lineno`` is always the file line ``raw`` starts on."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = lineno + raw.count(b"\n", 0, exc.start)
+        raise FormatError(f"line {line}: not valid UTF-8") from exc
+
+
+def loads(text: str, lineno: int) -> Any:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"line {lineno + exc.lineno - 1}: invalid JSON ({exc.msg})") from exc
+    except RecursionError as exc:
+        raise FormatError(f"line {lineno}: JSON nested too deeply") from exc
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise FormatError(f"line {lineno}: number too long") from exc
+
+
+def parse(raw: bytes, lineno: int = 1) -> Any:
+    """The JSON value of ``raw``, a single line or a whole document."""
+    return loads(decode(raw, lineno), lineno)
+
+
+def lines(fh: BinaryIO, start: int = 1) -> Iterator[tuple[int, str]]:
+    """(line number, text with its line ending) of each non-blank line of binary ``fh``."""
+    for lineno, raw in enumerate(fh, start):
+        text = decode(raw, lineno)
+        if not text.isspace():
+            yield lineno, text
+
+
+def rows(fh: BinaryIO, start: int = 1) -> Iterator[tuple[int, Any]]:
+    """(line number, JSON value) of each non-blank line of binary ``fh``."""
+    return ((lineno, loads(text.strip(), lineno)) for lineno, text in lines(fh, start))
+
+
+def write_rows(path: str, values: Iterable[Any]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(value, ensure_ascii=False) + "\n" for value in values)

@@ -9,10 +9,10 @@ edge list, with stored values taking precedence.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Iterator
 
+from . import jsonl
 from .errors import FormatError, IntegrityError
 
 
@@ -38,10 +38,6 @@ class EntityCatalog:
 
     def get(self, qid: str) -> EntityRecord | None:
         return self.records.get(qid)
-
-    def degree(self, qid: str) -> int:
-        rec = self.records.get(qid)
-        return rec.degree if rec is not None else 0
 
     def __iter__(self) -> Iterator[EntityRecord]:
         return iter(self.records.values())
@@ -79,15 +75,8 @@ def load_catalog(path: str, edges_path: str | None = None) -> EntityCatalog:
     """
     records: dict[str, EntityRecord] = {}
     implicit_degree: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+    with open(path, "rb") as fh:
+        for lineno, obj in jsonl.rows(fh):
             rec, explicit = _parse_record(obj, lineno)
             if rec.qid in records:
                 raise IntegrityError(f"line {lineno}: duplicate qid {rec.qid!r}")
@@ -103,26 +92,15 @@ def load_catalog(path: str, edges_path: str | None = None) -> EntityCatalog:
 
 def write_catalog(catalog: EntityCatalog, path: str) -> None:
     """Write a catalog back out as JSONL, one record per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in catalog:
-            obj = {
-                "qid": rec.qid,
-                "name": rec.name,
-                "aliases": rec.aliases,
-                "degree": rec.degree,
-            }
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+    jsonl.write_rows(path, map(asdict, catalog))
 
 
 def load_edges(path: str) -> list[tuple[str, str]]:
     """Read an edge list: one tab-separated qid pair per line."""
     edges: list[tuple[str, str]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
+    with open(path, "rb") as fh:
+        for lineno, line in jsonl.lines(fh):
+            parts = line.rstrip("\r\n").split("\t")
             if len(parts) != 2 or not parts[0] or not parts[1]:
                 raise FormatError(f"line {lineno}: expected two tab-separated qids")
             edges.append((parts[0], parts[1]))

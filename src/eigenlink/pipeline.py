@@ -69,10 +69,11 @@ class RunConfig:
         """Raise ConfigError unless ``provided`` names every input file the run reads.
 
         Those are the method's table entry's inputs, plus "words" and
-        "descriptions" for a context weighting.
+        "descriptions" for a context weighting of a method that reads
+        embeddings, as only those weight a document matrix.
         """
         needed = METHODS[self.method].inputs
-        if self.weighting in CONTEXT_KINDS:
+        if self.weighting in CONTEXT_KINDS and "embeddings" in needed:
             needed = needed | TEXT_INPUTS
         missing = needed - provided
         if "embeddings" in missing:

@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import jsonl
 from .embeddings import EmbeddingStore, write_embeddings
 from .errors import ConfigError
 
@@ -240,17 +241,11 @@ def generate(cfg: SynthConfig, out_dir: str) -> dict:
         "dataset": os.path.join(out_dir, "dataset.jsonl"),
         "manifest": os.path.join(out_dir, "manifest.json"),
     }
-    with open(paths["catalog"], "w", encoding="utf-8") as fh:
-        for row in catalog_rows:
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+    jsonl.write_rows(paths["catalog"], catalog_rows)
     write_embeddings(entity_store, paths["embeddings"])
     write_embeddings(word_store, paths["words"])
-    with open(paths["descriptions"], "w", encoding="utf-8") as fh:
-        for row in descriptions:
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
-    with open(paths["dataset"], "w", encoding="utf-8") as fh:
-        for row in dataset_rows:
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+    jsonl.write_rows(paths["descriptions"], descriptions)
+    jsonl.write_rows(paths["dataset"], dataset_rows)
     manifest = {
         "format": MANIFEST_FORMAT,
         "version": MANIFEST_VERSION,

@@ -8,13 +8,13 @@ coherence between entity descriptions and the mention context.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Collection
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import jsonl
 from .dataset import DocumentTask
 from .embeddings import EmbeddingStore
 from .errors import ConfigError, FormatError, IntegrityError
@@ -190,15 +190,8 @@ def mention_weights(
 def load_descriptions(path: str) -> dict[str, str]:
     """Read a JSONL file of {"qid": ..., "description": ...} records, each qid once."""
     descriptions: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+    with open(path, "rb") as fh:
+        for lineno, obj in jsonl.rows(fh):
             if not isinstance(obj, dict):
                 raise FormatError(f"line {lineno}: a description must be a JSON object")
             qid = obj.get("qid")

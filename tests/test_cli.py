@@ -573,3 +573,76 @@ def test_link_with_edge_list_degrees(tmp_path):
     with open(f"{out}/metrics.json") as fh:
         metrics = json.load(fh)
     assert metrics["precision_at_1"]["overall"] == 1.0  # Q1 outranks Q2 via edges
+
+
+# A bad line in any text input exits 3 with one error line naming it.
+PREDICTIONS_HEADER = b"doc_id,mention_idx,surface,gold_qid,predicted_qid,bucket,rank_of_gold,score"
+BAD_LINES = {
+    "utf8": (b'{"qid": "Q\xff"}', "not valid UTF-8"),
+    "nesting": (b"[" * 100_000, "JSON nested too deeply"),
+    "long-field": (
+        b"d1,1," + b"x" * 131_073 + b",Q1,Q1,easy,1,0.5",
+        "field larger than field limit (131072)",
+    ),
+}
+BAD_LINE_CASES = [
+    ("catalog", "utf8", 2),
+    ("catalog", "nesting", 2),
+    ("dataset", "utf8", 2),
+    ("dataset", "nesting", 2),
+    ("descriptions", "utf8", 2),
+    ("descriptions", "nesting", 2),
+    ("edges", "utf8", 2),
+    ("index", "utf8", 2),
+    ("index", "nesting", 2),
+    ("predictions", "utf8", 2),
+    ("predictions", "long-field", 2),
+    ("config", "utf8", 2),
+    # a document's nesting error names the line the document starts on
+    ("config", "nesting", 1),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,bad,line", BAD_LINE_CASES, ids=[f"{kind}-{bad}" for kind, bad, _ in BAD_LINE_CASES]
+)
+def test_bad_line_in_text_input_exits_3(corpus_dir, tmp_path, capsys, kind, bad, line):
+    path = str(tmp_path / kind)
+    args = link_args(corpus_dir, str(tmp_path / "x"), method="local", extra=text_args(corpus_dir))
+    if kind in ("catalog", "dataset", "descriptions"):
+        lines = read_bytes(args[args.index(f"--{kind}") + 1]).splitlines(keepends=True)
+        args[args.index(f"--{kind}") + 1] = path
+    elif kind == "index":
+        lines = [row.encode() + b"\n" for row in write_index(corpus_dir, path)]
+        args += ["--index", path]
+    elif kind == "edges":
+        lines = [b"Q1\tQ2\n", b"Q2\tQ3\n"]
+        args += ["--edges", path]
+    elif kind == "predictions":
+        lines = [PREDICTIONS_HEADER + b"\r\n", b"d1,0,Foo,Q1,Q1,easy,1,0.5\r\n"]
+        args = ["eval", "--predictions", path, "--out", str(tmp_path / "x")]
+    else:
+        lines = [b'{"k": 4, "T":\n', b"3}\n"]
+        args += ["--config-file", path]
+    bad_line, message = BAD_LINES[bad]
+    with open(path, "wb") as fh:
+        fh.write(b"".join([lines[0], bad_line + b"\n", *lines[1:]]))
+    assert main(args) == 3
+    assert capsys.readouterr().err == f"error: line {line}: {message}\n"
+
+
+def test_context_weighting_is_ignored_by_methods_without_embeddings(corpus_dir, tmp_path):
+    outs = {kind: str(tmp_path / kind) for kind in ("degree_rr", "local_ctxt_rr")}
+    for kind, out in outs.items():
+        args = link_args(corpus_dir, out, extra=("--weighting", kind))
+        args[args.index("--embeddings") : args.index("--embeddings") + 2] = []
+        assert main(args) == 0
+    assert read_bytes(f"{outs['degree_rr']}/predictions.csv") == read_bytes(
+        f"{outs['local_ctxt_rr']}/predictions.csv"
+    )
+
+
+def test_context_weighting_without_words_still_exits_4_for_eigen(corpus_dir, tmp_path, capsys):
+    args = link_args(corpus_dir, str(tmp_path / "x"), method="eigen")
+    assert main(args + ["--weighting", "local_ctxt_rr"]) == 4
+    assert capsys.readouterr().err.startswith("error: context-based methods")

@@ -1,0 +1,172 @@
+"""The shared JSONL reader and writer, and byte-mutation fuzzing of every text loader."""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eigenlink import jsonl
+from eigenlink.cli import _read_config_file
+from eigenlink.dataset import load_dataset
+from eigenlink.errors import EigenlinkError, FormatError
+from eigenlink.evaluation import read_predictions
+from eigenlink.index import load_index
+from eigenlink.kg import load_catalog, load_edges
+from eigenlink.weighting import load_descriptions
+
+
+def read_rows(path):
+    with open(path, "rb") as fh:
+        return list(jsonl.rows(fh))
+
+
+def test_rows_skip_blank_lines_and_number_the_rest(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b'{"a": 1}\n\n  \t\r\n[2]\r\n\x0c\n"x"')
+    assert read_rows(path) == [(1, {"a": 1}), (4, [2]), (6, "x")]
+
+
+def test_lone_cr_is_not_a_line_break(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b'{"a": 1}\r{"b": 2}\n')
+    with pytest.raises(FormatError, match=r"^line 1: invalid JSON \(Extra data\)$"):
+        read_rows(path)
+
+
+@pytest.mark.parametrize(
+    "raw,message",
+    [
+        (b'{"a": 1}\n\xff\n', "line 2: not valid UTF-8"),
+        (b'{"a": 1}\n[1,\n\n', "line 2: invalid JSON (Expecting value)"),
+        (b'{"a": 1}\n' + b"[" * 100_000 + b"\n", "line 2: JSON nested too deeply"),
+        (b'{"a": 1}\n' + b"7" * 5000 + b"\n", "line 2: number too long"),
+    ],
+    ids=["utf8", "json", "nesting", "long-int"],
+)
+def test_bad_line_names_its_line(tmp_path, raw, message):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(raw)
+    with pytest.raises(FormatError) as info:
+        read_rows(path)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "raw,message",
+    [
+        (b'{\n "k": 4,\n "T": \xff\n}', "line 3: not valid UTF-8"),
+        (b'{\n "k": 4,\n "T" 2\n}', "line 3: invalid JSON (Expecting ':' delimiter)"),
+        (b"", "line 1: invalid JSON (Expecting value)"),
+    ],
+    ids=["utf8", "json", "empty"],
+)
+def test_parse_names_the_line_inside_a_document(raw, message):
+    with pytest.raises(FormatError) as info:
+        jsonl.parse(raw)
+    assert str(info.value) == message
+
+
+def test_write_rows_keeps_non_ascii_text(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    jsonl.write_rows(str(path), [{"name": "Zürich", "q": [1, None]}, "x"])
+    assert path.read_bytes() == '{"name": "Zürich", "q": [1, null]}\n"x"\n'.encode()
+    assert read_rows(path) == [(1, {"name": "Zürich", "q": [1, None]}), (2, "x")]
+
+
+def test_crlf_edge_list_parses_like_lf(tmp_path):
+    lf, crlf = tmp_path / "lf.tsv", tmp_path / "crlf.tsv"
+    lf.write_bytes(b"Q1\tQ2\n\nQ2\tQ3\n")
+    crlf.write_bytes(b"Q1\tQ2\r\n\r\nQ2\tQ3\r\n")
+    assert load_edges(str(crlf)) == load_edges(str(lf)) == [("Q1", "Q2"), ("Q2", "Q3")]
+
+
+# Byte-mutation fuzzing: every loader of a text input either returns or
+# raises an EigenlinkError, whatever the bytes.
+
+VALID_FILES = {
+    "catalog": (
+        load_catalog,
+        '{"qid": "Q1", "name": "acme corp", "aliases": ["acme"], "degree": 3}\n'
+        '{"qid": "Q2", "name": "beta labs", "degree": 1}\n',
+    ),
+    "dataset": (
+        load_dataset,
+        '{"doc_id": "d1", "mentions": [{"surface": "acme", "gold_qid": "Q1", "position": 0}],'
+        ' "tokens": ["acme", "news"], "nouns": ["news"]}\n'
+        '{"doc_id": "d2", "mentions": [{"surface": "beta", "gold_qid": null}]}\n',
+    ),
+    "descriptions": (
+        load_descriptions,
+        '{"qid": "Q1", "description": "a maker of things"}\n'
+        '{"qid": "Q2", "description": "zürich labs"}\n',
+    ),
+    "edges": (load_edges, "Q1\tQ2\r\nQ2\tQ3\n"),
+    "index": (
+        load_index,
+        '{"format": "eigenlink-index", "version": 1, "vocabulary_size": 2}\n'
+        '{"t": "acme", "q": ["Q1"]}\n'
+        '{"t": "beta", "q": ["Q2"]}\n',
+    ),
+    "predictions": (
+        read_predictions,
+        "doc_id,mention_idx,surface,gold_qid,predicted_qid,bucket,rank_of_gold,score\r\n"
+        "d1,0,acme,Q1,Q1,easy,1,0.5\r\n"
+        'd1,1,"beta, inc",Q2,Q1,hard,2,0.25\r\n',
+    ),
+    "config": (_read_config_file, '{"k": 4, "delta": 2, "weighting": "none"}\n'),
+}
+
+NESTING = b"[" * 100_000
+
+MUTATION = st.tuples(
+    st.sampled_from(["replace", "insert", "delete", "nest"]),
+    st.integers(0, 10_000),
+    st.sampled_from(list(b' \t\r\n{}[]",:\\0179ae-') + [0x00, 0x80, 0xC3, 0xFF]),
+)
+
+
+def mutate(text: str, mutations) -> bytes:
+    data = bytearray(text.encode("utf-8"))
+    for op, position, byte in mutations:
+        at = position % (len(data) + 1)
+        if op == "nest":
+            data[at:at] = NESTING
+        elif op == "insert":
+            data[at:at] = bytes([byte])
+        elif at < len(data):
+            data[at : at + 1] = b"" if op == "delete" else bytes([byte])
+    return bytes(data)
+
+
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("jsonl_properties")
+
+
+@pytest.mark.parametrize("kind", sorted(VALID_FILES))
+@settings(max_examples=150, deadline=None)
+@given(mutations=st.lists(MUTATION, min_size=1, max_size=4))
+def test_mutated_text_inputs_raise_only_package_errors(scratch_dir, kind, mutations):
+    loader, text = VALID_FILES[kind]
+    path = scratch_dir / kind
+    path.write_bytes(mutate(text, mutations))
+    try:
+        loader(str(path))
+    except EigenlinkError:
+        pass
+
+
+@pytest.mark.parametrize("kind", sorted(VALID_FILES))
+def test_valid_text_inputs_load(tmp_path, kind):
+    loader, text = VALID_FILES[kind]
+    path = tmp_path / kind
+    path.write_bytes(text.encode("utf-8"))
+    assert loader(str(path))
+
+
+def test_config_document_error_names_its_line(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_bytes(json.dumps({"k": 4, "T": 3}, indent=1).encode().replace(b"3", b"\xff"))
+    with pytest.raises(FormatError, match="^line 3: not valid UTF-8$"):
+        _read_config_file(str(path))
