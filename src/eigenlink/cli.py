@@ -1,4 +1,4 @@
-"""Command-line entry points: synth, build-index, link, eval, mutilate.
+"""Command-line entry points: synth, link, eval, mutilate.
 
 Every output artifact embeds the full run configuration, the seed and a
 format version. Exit codes: 0 success, 2 I/O failure, 3 file format
@@ -33,7 +33,7 @@ from .evaluation import (
     score_gap,
     write_predictions,
 )
-from .index import build_index, load_index, save_index, tokenize
+from .index import build_index, tokenize
 from .kg import load_catalog
 from .pipeline import METHODS, LinkContext, RunConfig, run_documents
 from .synth import SynthConfig, generate
@@ -70,7 +70,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--embeddings", help="entity embedding file")
     parser.add_argument("--words", help="word embedding file (context methods)")
     parser.add_argument("--descriptions", help="entity descriptions JSONL (context methods)")
-    parser.add_argument("--index", help="prebuilt index file; built in-memory when absent")
     parser.add_argument("--edges", help="edge list TSV to fill in missing degrees")
     parser.add_argument("--T", type=int, default=None, help="max candidates per mention")
     parser.add_argument("--k", type=int, default=None, help="subspace components")
@@ -137,7 +136,7 @@ def _load_context(args, cfg: RunConfig) -> tuple[LinkContext, list[DocumentTask]
     catalog = load_catalog(args.catalog, edges_path=args.edges)
     docs = load_dataset(args.dataset)
     tokens = {tok for doc in docs for m in doc.mentions for tok in tokenize(m.surface)}
-    index = load_index(args.index, tokens) if args.index else build_index(catalog, tokens)
+    index = build_index(catalog, tokens)
     docs = [attach_candidates(doc, index, catalog, cfg.T) for doc in docs]
     union = {qid for doc in docs for m in doc.mentions for qid in m.candidates.candidates}
     store = load_embeddings(args.embeddings, union) if args.embeddings else None
@@ -162,7 +161,7 @@ def _echo_config(cfg: RunConfig, args, extra: dict | None = None) -> dict:
     # jobs only controls scheduling, never results; leaving it out keeps
     # artifacts byte-identical across parallelism settings.
     echo.pop("jobs", None)
-    for key in ("dataset", "catalog", "embeddings", "words", "descriptions", "index", "edges"):
+    for key in ("dataset", "catalog", "embeddings", "words", "descriptions", "edges"):
         value = getattr(args, key, None)
         if value:
             echo[key] = value
@@ -199,14 +198,6 @@ def cmd_synth(args) -> int:
     manifest = generate(cfg, args.out)
     n_mentions = sum(len(d["mentions"]) for d in manifest["documents"])
     print(f"generated {len(manifest['documents'])} documents, {n_mentions} mentions -> {args.out}")
-    return 0
-
-
-def cmd_build_index(args) -> int:
-    catalog = load_catalog(args.catalog, edges_path=args.edges)
-    index = build_index(catalog)
-    save_index(index, args.out)
-    print(f"indexed {catalog.count} entities, {index.vocabulary_size} tokens -> {args.out}")
     return 0
 
 
@@ -325,12 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_synth.add_argument("--out", required=True, help="output directory")
     p_synth.set_defaults(func=cmd_synth)
-
-    p_index = sub.add_parser("build-index", help="build and persist the inverted index")
-    p_index.add_argument("--catalog", required=True)
-    p_index.add_argument("--edges", help="edge list TSV to fill in missing degrees")
-    p_index.add_argument("--out", required=True, help="index file to write")
-    p_index.set_defaults(func=cmd_build_index)
 
     p_link = sub.add_parser("link", help="link a dataset and write predictions + metrics")
     p_link.add_argument("--method", choices=METHODS, default="eigen")

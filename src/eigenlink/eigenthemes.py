@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .dataset import DocumentTask
-from .embeddings import EmbeddingStore, unit_normalize
+from .embeddings import EmbeddingStore, unit_normalize_rows
 from .errors import DimensionError, EmptyDocumentError, NumericalError
 from .linalg import Subspace, truncated_svd
 from .weighting import CONTEXT_KINDS, WeightScheme, document_contexts, mention_weights
@@ -89,7 +89,7 @@ def build_document_matrix(
         raise EmptyDocumentError(
             f"document {task.doc_id!r} has no candidates with embeddings"
         )
-    rows = np.stack([unit_normalize(store.get(qid)) for qid in entity_ids])
+    rows = unit_normalize_rows(store.rows(entity_ids))
     weights_vec = np.array([weight_of[qid] for qid in entity_ids], dtype=np.float64)
     return DocumentMatrix(entity_ids=entity_ids, matrix=rows, weights=weights_vec)
 

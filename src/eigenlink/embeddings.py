@@ -61,6 +61,10 @@ class EmbeddingStore:
         row = self._row.get(identifier)
         return None if row is None else self._matrix[row]
 
+    def rows(self, identifiers: list[str]) -> np.ndarray:
+        """The vectors of ``identifiers`` as a new (len(identifiers), d) matrix."""
+        return self._matrix[[self._row[identifier] for identifier in identifiers]]
+
     def __contains__(self, identifier: str) -> bool:
         return identifier in self._row
 
@@ -82,6 +86,15 @@ def unit_normalize(v: np.ndarray) -> np.ndarray:
     if norm <= _NORM_EPS:
         return v.copy()
     return v / norm
+
+
+def unit_normalize_rows(m: np.ndarray) -> np.ndarray:
+    """``unit_normalize`` of each row of ``m``, bit for bit, in one pass.
+
+    Each row's squared norm is its own dot product, as in ``unit_normalize``.
+    """
+    norms = np.sqrt(np.matmul(m[:, None, :], m[:, :, None]))[:, 0]
+    return np.divide(m, norms, out=m.copy(), where=norms > _NORM_EPS)
 
 
 def _parse_values(rests: list[str]) -> np.ndarray:

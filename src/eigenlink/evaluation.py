@@ -27,7 +27,7 @@ BUCKETS = ("easy", "hard", "not_found")
 # this many indices, so its memory stays bounded however many mentions are
 # eligible. Blocks consume the generator's stream in the same order as one
 # resamples x n draw, so the CI does not depend on the block size.
-BOOTSTRAP_BLOCK_ELEMENTS = 1 << 20
+BOOTSTRAP_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass
@@ -321,7 +321,7 @@ def read_predictions(path: str) -> list[MentionOutcome]:
         try:
             header = next(reader, None)
             if header != CSV_HEADER:
-                raise FormatError(f"unexpected predictions header: {header}")
+                raise FormatError(f"line 1: unexpected predictions header: {header}")
             for row in reader:
                 line = reader.line_num
                 if len(row) != len(CSV_HEADER):

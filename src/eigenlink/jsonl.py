@@ -2,7 +2,8 @@
 
 Files are split on ``\\n``, so a line ends in ``\\n`` or ``\\r\\n`` and a
 lone ``\\r`` is not a line break; blank lines are skipped. A bad byte, bad
-JSON or nesting past the recursion limit is a FormatError naming the line.
+JSON, a ``\\u`` escape of a lone surrogate (text that UTF-8 cannot hold)
+or nesting past the recursion limit is a FormatError naming the line.
 """
 
 from __future__ import annotations
@@ -24,11 +25,16 @@ def decode(raw: bytes, lineno: int) -> str:
 
 def loads(text: str, lineno: int) -> Any:
     try:
-        return json.loads(text)
+        value = json.loads(text)
+        if "\\u" in text:  # only an escape can make text that UTF-8 cannot hold
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+        return value
     except json.JSONDecodeError as exc:
         raise FormatError(f"line {lineno + exc.lineno - 1}: invalid JSON ({exc.msg})") from exc
     except RecursionError as exc:
         raise FormatError(f"line {lineno}: JSON nested too deeply") from exc
+    except UnicodeEncodeError as exc:
+        raise FormatError(f"line {lineno}: escape of a lone surrogate") from exc
     except ValueError as exc:  # an integer past Python's digit limit
         raise FormatError(f"line {lineno}: number too long") from exc
 

@@ -316,68 +316,14 @@ def test_global_context_computed_once_per_document(
     assert len(calls) == len(load_dataset(f"{corpus_dir}/dataset.jsonl"))
 
 
-def test_build_index_then_link_matches_in_memory(corpus_dir, tmp_path):
-    index_path = str(tmp_path / "index.jsonl")
-    assert (
-        main(
-            [
-                "build-index",
-                "--catalog",
-                f"{corpus_dir}/catalog.jsonl",
-                "--out",
-                index_path,
-            ]
-        )
-        == 0
-    )
-    out1, out2 = str(tmp_path / "mem"), str(tmp_path / "idx")
-    assert main(link_args(corpus_dir, out1)) == 0
-    args = link_args(corpus_dir, out2, extra=("--index", index_path))
-    assert main(args) == 0
-    assert read_bytes(f"{out1}/predictions.csv") == read_bytes(f"{out2}/predictions.csv")
-
-
-def write_index(corpus_dir, path):
-    """Run build-index into ``path`` and return the file's lines."""
-    assert main(["build-index", "--catalog", f"{corpus_dir}/catalog.jsonl", "--out", path]) == 0
-    with open(path, encoding="utf-8") as fh:
-        return fh.read().splitlines()
-
-
-@pytest.mark.parametrize("with_index", [False, True], ids=["built", "loaded"])
-def test_link_indexes_only_mention_tokens(corpus_dir, tmp_path, with_index):
-    extra = ()
-    if with_index:
-        write_index(corpus_dir, str(tmp_path / "index.jsonl"))
-        extra = ("--index", str(tmp_path / "index.jsonl"))
-    args = build_parser().parse_args(link_args(corpus_dir, str(tmp_path / "x"), extra=extra))
+def test_link_indexes_only_mention_tokens(corpus_dir, tmp_path):
+    args = build_parser().parse_args(link_args(corpus_dir, str(tmp_path / "x")))
     ctx, _ = _load_context(args, _resolve_run_config(args, args.method))
     catalog_tokens = set(build_index(load_catalog(f"{corpus_dir}/catalog.jsonl")).postings)
     docs = load_dataset(f"{corpus_dir}/dataset.jsonl")
     mention_tokens = {tok for doc in docs for m in doc.mentions for tok in tokenize(m.surface)}
     assert ctx.index.vocabulary_size == len(mention_tokens & catalog_tokens)
     assert ctx.index.vocabulary_size < len(catalog_tokens)
-
-
-@pytest.mark.parametrize("bad", ["q-string", "repeated-token"])
-def test_malformed_index_posting_outside_mentions_exits_3(corpus_dir, tmp_path, capsys, bad):
-    index_path = str(tmp_path / "index.jsonl")
-    header, *postings = write_index(corpus_dir, index_path)
-    # no mention contains the token "entity", so its posting is never kept
-    at = next(i for i, line in enumerate(postings) if json.loads(line)["t"] == "entity")
-    if bad == "q-string":
-        postings[at] = '{"t": "entity", "q": "Q1"}'
-        message = f"line {at + 2}: 'q' must be a list of strings"
-    else:
-        postings.append(postings[at])
-        header = header.replace(f": {len(postings) - 1}}}", f": {len(postings)}}}")
-        assert header.endswith(f": {len(postings)}}}")  # the count still matches
-        message = f"line {len(postings) + 1}: repeated token 'entity'"
-    with open(index_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join([header, *postings]) + "\n")
-    args = link_args(corpus_dir, str(tmp_path / "x"), extra=("--index", index_path))
-    assert main(args) == 3
-    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("bad", ["row-list", "repeated-qid"])
@@ -445,6 +391,14 @@ def test_eval_rejects_malformed_prediction_rows(tmp_path, capsys, row, message):
     path.write_text("\n".join([header, GOOD_ROW, row]) + "\n", encoding="utf-8")
     assert main(["eval", "--predictions", str(path), "--out", str(tmp_path / "x")]) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_eval_bad_header_names_line_1(tmp_path, capsys):
+    path = tmp_path / "predictions.csv"
+    path.write_text("doc_id,mention_idx\n" + GOOD_ROW + "\n", encoding="utf-8")
+    assert main(["eval", "--predictions", str(path), "--out", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: line 1: unexpected predictions header: ['doc_id', 'mention_idx']\n"
 
 
 def test_config_file_with_flag_override(corpus_dir, tmp_path):
@@ -579,6 +533,7 @@ def test_link_with_edge_list_degrees(tmp_path):
 PREDICTIONS_HEADER = b"doc_id,mention_idx,surface,gold_qid,predicted_qid,bucket,rank_of_gold,score"
 BAD_LINES = {
     "utf8": (b'{"qid": "Q\xff"}', "not valid UTF-8"),
+    "surrogate": (b'{"qid": "Q\\udfff"}', "escape of a lone surrogate"),
     "nesting": (b"[" * 100_000, "JSON nested too deeply"),
     "long-field": (
         b"d1,1," + b"x" * 131_073 + b",Q1,Q1,easy,1,0.5",
@@ -588,13 +543,14 @@ BAD_LINES = {
 BAD_LINE_CASES = [
     ("catalog", "utf8", 2),
     ("catalog", "nesting", 2),
+    ("catalog", "surrogate", 2),
     ("dataset", "utf8", 2),
     ("dataset", "nesting", 2),
+    ("dataset", "surrogate", 2),
     ("descriptions", "utf8", 2),
     ("descriptions", "nesting", 2),
+    ("descriptions", "surrogate", 2),
     ("edges", "utf8", 2),
-    ("index", "utf8", 2),
-    ("index", "nesting", 2),
     ("predictions", "utf8", 2),
     ("predictions", "long-field", 2),
     ("config", "utf8", 2),
@@ -612,9 +568,6 @@ def test_bad_line_in_text_input_exits_3(corpus_dir, tmp_path, capsys, kind, bad,
     if kind in ("catalog", "dataset", "descriptions"):
         lines = read_bytes(args[args.index(f"--{kind}") + 1]).splitlines(keepends=True)
         args[args.index(f"--{kind}") + 1] = path
-    elif kind == "index":
-        lines = [row.encode() + b"\n" for row in write_index(corpus_dir, path)]
-        args += ["--index", path]
     elif kind == "edges":
         lines = [b"Q1\tQ2\n", b"Q2\tQ3\n"]
         args += ["--edges", path]

@@ -11,7 +11,7 @@ from eigenlink.eigenthemes import (
     link_document,
     score_candidate,
 )
-from eigenlink.embeddings import EmbeddingStore, load_embeddings
+from eigenlink.embeddings import EmbeddingStore, load_embeddings, unit_normalize
 from eigenlink.errors import ConfigError, DimensionError, EmptyDocumentError
 from eigenlink.index import CandidateList
 from eigenlink.linalg import Subspace, truncated_svd
@@ -89,6 +89,19 @@ def test_rows_unit_normalized():
     dm = build_document_matrix(task("d", [mention("m", None, ["a", "b"])]), store, NONE)
     assert np.allclose(dm.matrix[0], [0.6, 0.8])
     assert np.array_equal(dm.matrix[1], [0.0, 0.0])  # zero vector kept as zero
+
+
+def test_rows_match_per_row_unit_normalize_bit_for_bit():
+    rng = np.random.default_rng(12)
+    scales = rng.choice([1e-13, 1e-6, 1.0, 1e9], size=(200, 1))
+    vectors = {f"q{i}": row for i, row in enumerate(rng.standard_normal((200, 37)) * scales)}
+    vectors["q7"] = np.zeros(37)
+    store = make_store(37, vectors)
+    dm = build_document_matrix(task("d", [mention("m", None, vectors)]), store, NONE)
+    want = np.stack([unit_normalize(store.get(qid)) for qid in dm.entity_ids])
+    assert dm.entity_ids == list(vectors)
+    assert np.array_equal(dm.matrix, want)
+    assert not dm.matrix[7].any()
 
 
 def test_missing_embeddings_excluded():

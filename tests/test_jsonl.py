@@ -52,6 +52,25 @@ def test_bad_line_names_its_line(tmp_path, raw, message):
     assert str(info.value) == message
 
 
+# é, a surrogate pair and an escaped backslash: escapes UTF-8 can hold
+GOOD_ESCAPES = b'"\\u00e9"\n"\\ud83d\\ude00"\n"\\\\ud800"\n'
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b'"Q\\ud800"', b'{"a\\udc00": 1}', b'["\\ude00\\ud83d"]'],
+    ids=["high", "key", "reversed"],
+)
+def test_lone_surrogate_escape_names_its_line(tmp_path, raw):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(GOOD_ESCAPES)
+    assert read_rows(path) == [(1, "é"), (2, "\U0001f600"), (3, "\\ud800")]
+    path.write_bytes(GOOD_ESCAPES + raw + b"\n")
+    with pytest.raises(FormatError) as info:
+        read_rows(path)
+    assert str(info.value) == "line 4: escape of a lone surrogate"
+
+
 @pytest.mark.parametrize(
     "raw,message",
     [
