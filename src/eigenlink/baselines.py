@@ -36,14 +36,14 @@ def build_name_lookup(
     for rec in catalog:
         names = [rec.name] + (rec.aliases if include_aliases else [])
         for name in names:
-            lookup.setdefault(_normalize_name(name), []).append(rec.qid)
+            lookup.setdefault(normalize_name(name), []).append(rec.qid)
     for key, qids in lookup.items():
         uniq = sorted(set(qids), key=lambda q: (-catalog.records[q].degree, q))
         lookup[key] = uniq
     return lookup
 
 
-def _normalize_name(name: str) -> str:
+def normalize_name(name: str) -> str:
     return " ".join(name.casefold().split())
 
 
@@ -56,7 +56,7 @@ def name_match(
     """Exact-name matches ranked by degree; empty when nothing matches."""
     if name_lookup is None:
         name_lookup = build_name_lookup(catalog, include_aliases)
-    matches = name_lookup.get(_normalize_name(mention), [])
+    matches = name_lookup.get(normalize_name(mention), [])
     return [(qid, float(catalog.records[qid].degree)) for qid in matches]
 
 

@@ -13,9 +13,10 @@ import json
 import logging
 import os
 import sys
-from typing import get_type_hints
+from typing import Callable, get_type_hints
 
 from . import jsonl
+from .baselines import normalize_name
 from .dataset import DocumentTask, attach_candidates, load_dataset
 from .embeddings import load_embeddings
 from .errors import (
@@ -126,16 +127,42 @@ def _resolve_run_config(args, method: str) -> RunConfig:
     return cfg
 
 
+def _mention_reach(docs: list[DocumentTask]) -> tuple[set[str], Callable[[str, list[str]], bool]]:
+    """The dataset's mention tokens, and the rule for the catalog records a mention can reach.
+
+    A record is reachable when one of its name or alias tokens is a
+    mention token, which every candidate's is, or when its normalized
+    name equals a mention's, which every namematch hit's does (including
+    names that have no tokens).
+    """
+    surfaces = {m.surface for doc in docs for m in doc.mentions}
+    tokens = {tok for surface in surfaces for tok in tokenize(surface)}
+    names = {normalize_name(surface) for surface in surfaces}
+
+    def reachable(name: str, aliases: list[str]) -> bool:
+        # Runs once per catalog line, hence a plain loop; kept records
+        # mostly match on a token, so that test comes first.
+        if not tokens.isdisjoint(tokenize(name)):
+            return True
+        for alias in aliases:
+            if not tokens.isdisjoint(tokenize(alias)):
+                return True
+        return normalize_name(name) in names
+
+    return tokens, reachable
+
+
 def _load_context(args, cfg: RunConfig) -> tuple[LinkContext, list[DocumentTask]]:
     """Load the inputs and attach candidates to every document.
 
-    The index holds only the dataset's mention tokens, and candidates
+    The dataset comes first: the catalog keeps only the records its
+    mentions can reach and the index only its mention tokens. Candidates
     come before the stores so that only their entity embeddings and
     descriptions are kept.
     """
-    catalog = load_catalog(args.catalog, edges_path=args.edges)
     docs = load_dataset(args.dataset)
-    tokens = {tok for doc in docs for m in doc.mentions for tok in tokenize(m.surface)}
+    tokens, reachable = _mention_reach(docs)
+    catalog = load_catalog(args.catalog, edges_path=args.edges, keep=reachable)
     index = build_index(catalog, tokens)
     docs = [attach_candidates(doc, index, catalog, cfg.T) for doc in docs]
     union = {qid for doc in docs for m in doc.mentions for qid in m.candidates.candidates}
@@ -267,6 +294,9 @@ def cmd_mutilate(args) -> int:
         raise ConfigError(f"bad fractions list: {args.fractions!r}") from exc
     if not fractions:
         raise ConfigError("need at least one fraction")
+    for fraction in fractions:
+        if not 0.0 <= fraction <= 1.0:
+            raise ConfigError(f"fractions must lie in [0, 1], got {fraction}")
     if args.repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {args.repeats}")
 

@@ -63,8 +63,10 @@ def load_dataset(path: str) -> list[DocumentTask]:
                 if not isinstance(surface, str) or not surface:
                     raise FormatError(f"line {lineno}: mention without a surface")
                 gold = m.get("gold_qid")
-                if gold is not None and not isinstance(gold, str):
-                    raise FormatError(f"line {lineno}: 'gold_qid' must be a string or null")
+                if gold is not None and (not isinstance(gold, str) or not gold):
+                    raise FormatError(
+                        f"line {lineno}: 'gold_qid' must be a non-empty string or null"
+                    )
                 position = m.get("position", 0)
                 if not isinstance(position, int) or isinstance(position, bool) or position < 0:
                     raise FormatError(f"line {lineno}: 'position' must be a non-negative integer")

@@ -10,7 +10,7 @@ edge list, with stored values taking precedence.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import jsonl
 from .errors import FormatError, IntegrityError
@@ -28,7 +28,12 @@ class EntityRecord:
 
 @dataclass
 class EntityCatalog:
-    """Immutable-after-build store of entity records keyed by qid."""
+    """Immutable-after-build store of entity records keyed by qid.
+
+    Loaded with a ``keep`` rule (as the CLI loads it), the catalog holds
+    only the records that rule accepts, such as those a dataset's
+    mentions can reach.
+    """
 
     records: dict[str, EntityRecord]
 
@@ -46,8 +51,8 @@ class EntityCatalog:
         return len(self.records)
 
 
-def _parse_record(obj: dict, lineno: int) -> tuple[EntityRecord, bool]:
-    """Validate one raw JSON object. Returns (record, degree_was_explicit)."""
+def _parse_record(obj: dict, lineno: int) -> tuple[str, str, list[str], int | None]:
+    """Validate one raw JSON object. Returns (qid, name, aliases, degree or None if not stored)."""
     if not isinstance(obj, dict):
         raise FormatError(f"line {lineno}: catalog record must be a JSON object")
     qid = obj.get("qid")
@@ -59,30 +64,41 @@ def _parse_record(obj: dict, lineno: int) -> tuple[EntityRecord, bool]:
     aliases = obj.get("aliases", [])
     if not isinstance(aliases, list) or any(not isinstance(a, str) for a in aliases):
         raise FormatError(f"line {lineno}: 'aliases' must be a list of strings")
-    has_degree = "degree" in obj
-    degree = obj.get("degree", 0)
-    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
+    degree = obj.get("degree")
+    if "degree" in obj and (not isinstance(degree, int) or isinstance(degree, bool) or degree < 0):
         raise FormatError(f"line {lineno}: 'degree' must be a non-negative integer")
-    return EntityRecord(qid=qid, name=name, aliases=list(aliases), degree=degree), has_degree
+    return qid, name, aliases, degree
 
 
-def load_catalog(path: str, edges_path: str | None = None) -> EntityCatalog:
+def load_catalog(
+    path: str,
+    edges_path: str | None = None,
+    keep: Callable[[str, list[str]], bool] | None = None,
+) -> EntityCatalog:
     """Load a JSONL entity catalog.
 
     When ``edges_path`` is given, degrees are computed from the edge list
     and fill in records that do not carry an explicit ``degree`` field;
     explicit values always win.
+
+    When ``keep`` is given, only the records for which ``keep(name,
+    aliases)`` holds are kept. Every line is validated either way,
+    including the check for duplicate qids across the whole file.
     """
     records: dict[str, EntityRecord] = {}
+    seen: set[str] = set()
     implicit_degree: list[str] = []
     with open(path, "rb") as fh:
         for lineno, obj in jsonl.rows(fh):
-            rec, explicit = _parse_record(obj, lineno)
-            if rec.qid in records:
-                raise IntegrityError(f"line {lineno}: duplicate qid {rec.qid!r}")
-            records[rec.qid] = rec
-            if not explicit:
-                implicit_degree.append(rec.qid)
+            qid, name, aliases, degree = _parse_record(obj, lineno)
+            if qid in seen:
+                raise IntegrityError(f"line {lineno}: duplicate qid {qid!r}")
+            seen.add(qid)
+            if keep is not None and not keep(name, aliases):
+                continue
+            if degree is None:
+                implicit_degree.append(qid)
+            records[qid] = EntityRecord(qid, name, aliases, degree or 0)
     if edges_path is not None:
         degrees = compute_degrees(load_edges(edges_path))
         for qid in implicit_degree:

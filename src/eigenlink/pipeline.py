@@ -92,8 +92,9 @@ class RunConfig:
 class LinkContext:
     """Everything a worker needs to link one document.
 
-    ``index`` may cover only the dataset's mention tokens (as the CLI
-    builds it), so documents linked with it must come from that dataset.
+    ``catalog`` may hold only the records the dataset's mentions can
+    reach and ``index`` only its mention tokens (as the CLI builds them),
+    so documents linked with it must come from that dataset.
     """
 
     catalog: EntityCatalog

@@ -8,9 +8,10 @@ import pytest
 from eigenlink import weighting
 from eigenlink.cli import _load_context, _resolve_run_config, build_parser, main
 from eigenlink.dataset import load_dataset
+from eigenlink.evaluation import build_outcomes, write_predictions
 from eigenlink.index import build_index, tokenize
 from eigenlink.kg import load_catalog
-from eigenlink.pipeline import METHODS
+from eigenlink.pipeline import METHODS, LinkContext, RunConfig, run_documents
 
 CORPUS_CFG = "docs=6,mentions_per_doc=4,candidates_per_mention=5,d=24,rank=2,seed=77"
 
@@ -154,6 +155,7 @@ GOOD_MENTION = {"surface": "x", "gold_qid": None, "position": 0}
         {"doc_id": "d", "mentions": [GOOD_MENTION], "tokens": "not a list"},
         {"doc_id": "d", "mentions": [GOOD_MENTION], "nouns": "x"},
         {"doc_id": "d", "mentions": [GOOD_MENTION], "nouns": ["x", 3]},
+        {"doc_id": "d", "mentions": [{**GOOD_MENTION, "gold_qid": ""}]},
     ],
     ids=[
         "document-list",
@@ -165,6 +167,7 @@ GOOD_MENTION = {"surface": "x", "gold_qid": None, "position": 0}
         "tokens-string",
         "nouns-string",
         "nouns-non-string-item",
+        "gold-empty",
     ],
 )
 def test_malformed_dataset_exits_3(corpus_dir, tmp_path, capsys, document):
@@ -326,6 +329,115 @@ def test_link_indexes_only_mention_tokens(corpus_dir, tmp_path):
     assert ctx.index.vocabulary_size < len(catalog_tokens)
 
 
+def write_jsonl(path, rows):
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+
+
+# Mentions reach Q1 only through casefolding ("STRASSE" / "Straße"), Q2
+# only by its token-free name, Q3 and Q4 by name under whitespace
+# variants and by token, Q8 only by an alias token; Q6 is unreachable.
+REACH_CATALOG = [
+    {"qid": "Q1", "name": "Straße", "degree": 3},
+    {"qid": "Q2", "name": "!!!", "degree": 2},
+    {"qid": "Q3", "name": "New  York", "aliases": ["big apple"], "degree": 5},
+    {"qid": "Q4", "name": " new york", "degree": 7},
+    {"qid": "Q5", "name": "York Minster", "degree": 9},
+    {"qid": "Q6", "name": "unreachable", "degree": 1},
+    {"qid": "Q7", "name": "strasse", "aliases": ["street"], "degree": 1},
+    {"qid": "Q8", "name": "Gotham", "aliases": ["the apple"], "degree": 6},
+]
+REACH_MENTIONS = [
+    ("STRASSE", "Q1"),
+    ("!!!", "Q2"),
+    ("New York", "Q3"),
+    ("york", "Q5"),
+    ("apple", "Q3"),
+    ("nowhere", None),
+]
+
+
+def reach_files(tmp_path, catalog_rows=REACH_CATALOG):
+    catalog, dataset = tmp_path / "catalog.jsonl", tmp_path / "dataset.jsonl"
+    write_jsonl(catalog, catalog_rows)
+    mentions = [{"surface": s, "gold_qid": g, "position": 0} for s, g in REACH_MENTIONS]
+    write_jsonl(dataset, [{"doc_id": "d", "mentions": mentions}])
+    return str(catalog), str(dataset)
+
+
+def plain_link_args(catalog, dataset, out, method="degree"):
+    args = ["link", "--method", method, "--dataset", dataset, "--catalog", catalog]
+    return args + ["--jobs", "1", "--out", out]
+
+
+@pytest.mark.parametrize("method", ["namematch", "degree"])
+def test_reachable_catalog_links_as_the_full_catalog(tmp_path, method):
+    catalog_path, dataset_path = reach_files(tmp_path)
+    catalog = load_catalog(catalog_path)
+    ctx = LinkContext(catalog=catalog, index=build_index(catalog), config=RunConfig(method))
+    expected = str(tmp_path / "expected.csv")
+    write_predictions(build_outcomes(run_documents(load_dataset(dataset_path), ctx)), expected)
+    out = str(tmp_path / "run")
+    assert main(plain_link_args(catalog_path, dataset_path, out, method)) == 0
+    assert read_bytes(f"{out}/predictions.csv") == read_bytes(expected)
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        (
+            {"qid": "Q9", "name": "unreachable", "degree": "x"},
+            "'degree' must be a non-negative integer",
+        ),
+        ({"qid": "Q6", "name": "unreachable too"}, "duplicate qid 'Q6'"),
+    ],
+    ids=["malformed", "duplicate"],
+)
+def test_catalog_lines_the_dataset_cannot_reach_are_validated(tmp_path, capsys, bad, message):
+    catalog, dataset = reach_files(tmp_path, REACH_CATALOG + [bad])
+    assert main(plain_link_args(catalog, dataset, str(tmp_path / "x"))) == 3
+    line = len(REACH_CATALOG) + 1
+    assert capsys.readouterr().err == f"error: line {line}: {message}\n"
+
+
+def test_edges_fill_degrees_of_kept_records(tmp_path):
+    rows = [
+        {"qid": "Q1", "name": "york"},
+        {"qid": "Q5", "name": "York Minster", "degree": 9},
+        {"qid": "Q6", "name": "unreachable"},
+    ]
+    catalog, dataset = reach_files(tmp_path, rows)
+    edges = tmp_path / "edges.tsv"
+    edges.write_text("Q1\tQ5\nQ1\tQ6\nQ5\tQ6\n")
+    args = plain_link_args(catalog, dataset, str(tmp_path / "x")) + ["--edges", str(edges)]
+    args = build_parser().parse_args(args)
+    ctx, _ = _load_context(args, _resolve_run_config(args, args.method))
+    assert {rec.qid: rec.degree for rec in ctx.catalog} == {"Q1": 2, "Q5": 9}
+
+
+def test_catalog_keeps_only_reachable_records(corpus_dir, tmp_path):
+    padded = tmp_path / "catalog.jsonl"
+    pad = [{"qid": f"P{i}", "name": f"pad entity {i}"} for i in range(50)]
+    padded.write_bytes(read_bytes(f"{corpus_dir}/catalog.jsonl"))
+    with open(padded, "a", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(row) + "\n" for row in pad)
+    args = link_args(corpus_dir, str(tmp_path / "x"))
+    args[args.index("--catalog") + 1] = str(padded)
+    args = build_parser().parse_args(args)
+    ctx, docs = _load_context(args, _resolve_run_config(args, args.method))
+    surfaces = {m.surface for doc in docs for m in doc.mentions}
+    tokens = {tok for surface in surfaces for tok in tokenize(surface)}
+    names = {" ".join(surface.casefold().split()) for surface in surfaces}
+    reachable = [
+        rec.qid
+        for rec in load_catalog(str(padded))
+        if " ".join(rec.name.casefold().split()) in names
+        or any(tokens & set(tokenize(text)) for text in [rec.name, *rec.aliases])
+    ]
+    assert len(ctx.catalog) == len(reachable)
+    assert sorted(ctx.catalog.records) == sorted(reachable)
+    assert not any(qid.startswith("P") for qid in ctx.catalog.records)
+
+
 @pytest.mark.parametrize("bad", ["row-list", "repeated-qid"])
 def test_malformed_descriptions_exit_3(corpus_dir, tmp_path, capsys, bad):
     with open(f"{corpus_dir}/descriptions.jsonl", encoding="utf-8") as fh:
@@ -474,6 +586,28 @@ def test_mutilate_degree_collapses_to_zero(corpus_dir, tmp_path):
     assert payload["format"] == "eigenlink-mutilation"
     assert payload["fractions"] == [1.0, 0.0]
     assert payload["p1_overall"]["degree"][1] == 0.0
+
+
+@pytest.mark.parametrize("fraction", ["1.5", "-0.1", "nan", "inf"])
+def test_mutilate_fraction_out_of_range_exits_4_before_loading(
+    corpus_dir, tmp_path, capsys, fraction
+):
+    args = [
+        "mutilate",
+        "--methods",
+        "degree",
+        "--fractions",
+        f"1.0,{fraction}",
+        "--dataset",
+        f"{corpus_dir}/dataset.jsonl",
+        "--catalog",
+        str(tmp_path / "missing.jsonl"),
+        "--out",
+        str(tmp_path / "mut"),
+    ]
+    assert main(args) == 4
+    message = f"fractions must lie in [0, 1], got {float(fraction)}"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_unscaled_flag_changes_scores(corpus_dir, tmp_path):
