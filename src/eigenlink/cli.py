@@ -34,7 +34,7 @@ from .evaluation import (
     score_gap,
     write_predictions,
 )
-from .index import build_index, tokenize
+from .index import build_index, record_tokens, tokenize
 from .kg import load_catalog
 from .pipeline import METHODS, LinkContext, RunConfig, run_documents
 from .synth import SynthConfig, generate
@@ -113,13 +113,13 @@ def _read_config_file(path: str) -> dict:
 def _resolve_run_config(args, method: str) -> RunConfig:
     """Flags win over the config file, which wins over RunConfig's defaults.
 
-    The one CLI default of its own is jobs, the CPU count. The inputs the
-    method and weighting need are checked here, before anything is loaded.
+    The inputs the method and weighting need are checked here, before
+    anything is loaded.
     """
     values = _read_config_file(args.config_file) if args.config_file else {}
     flags = {**vars(args), "rescale": False if args.unscaled else None}
     values.update({name: flags[name] for name in _FILE_TYPES if flags[name] is not None})
-    cfg = RunConfig(**{"jobs": os.cpu_count() or 1, **values, "method": method})
+    cfg = RunConfig(**{**values, "method": method})
     cfg.validate()
     if args.descriptions and not args.words:
         raise ConfigError("--descriptions requires --words")
@@ -140,14 +140,8 @@ def _mention_reach(docs: list[DocumentTask]) -> tuple[set[str], Callable[[str, l
     names = {normalize_name(surface) for surface in surfaces}
 
     def reachable(name: str, aliases: list[str]) -> bool:
-        # Runs once per catalog line, hence a plain loop; kept records
-        # mostly match on a token, so that test comes first.
-        if not tokens.isdisjoint(tokenize(name)):
-            return True
-        for alias in aliases:
-            if not tokens.isdisjoint(tokenize(alias)):
-                return True
-        return normalize_name(name) in names
+        # Kept records mostly match on a token, so that test comes first.
+        return not tokens.isdisjoint(record_tokens(name, aliases)) or normalize_name(name) in names
 
     return tokens, reachable
 
@@ -170,8 +164,8 @@ def _load_context(args, cfg: RunConfig) -> tuple[LinkContext, list[DocumentTask]
     word_store = load_embeddings(args.words) if args.words else None
     desc_store = None
     if args.descriptions:
-        descriptions = load_descriptions(args.descriptions)
-        desc_store = build_description_store(descriptions, word_store, union)
+        descriptions = load_descriptions(args.descriptions, union)
+        desc_store = build_description_store(descriptions, word_store)
     ctx = LinkContext(
         catalog=catalog,
         index=index,

@@ -13,6 +13,7 @@ from collections.abc import Collection
 import numpy as np
 
 from .errors import DataError, FormatError, IntegrityError
+from .rowids import RowIds
 
 _NORM_EPS = 1e-12
 # Text read and parsed at a time; small blocks keep the parser's
@@ -102,8 +103,11 @@ def _parse_values(rests: list[str]) -> np.ndarray:
     return np.loadtxt(rests, dtype=np.float64, comments=None, ndmin=2)
 
 
-def _check_rows(ids, rests, linenos, dim: int, seen: set[str]) -> np.ndarray:
-    """Validate rows one by one: their values, or an error naming the first bad line."""
+def _check_rows(ids, rests, linenos, dim: int, seen: RowIds) -> np.ndarray:
+    """Validate rows one by one, recording each valid one in ``seen``.
+
+    Returns their values, or raises an error naming the first bad line.
+    """
     rows = []
     for identifier, rest, lineno in zip(ids, rests, linenos):
         try:
@@ -116,29 +120,32 @@ def _check_rows(ids, rests, linenos, dim: int, seen: set[str]) -> np.ndarray:
             )
         if not np.all(np.isfinite(row)):
             raise DataError(f"line {lineno}: non-finite value")
-        if identifier in seen:
-            raise IntegrityError(f"line {lineno}: duplicate identifier {identifier!r}")
-        seen.add(identifier)
+        seen.add(identifier, lineno)
         rows.append(row)
     return np.concatenate(rows)
 
 
-def _parse_block(ids, rests, linenos, dim: int, seen: set[str]) -> np.ndarray:
-    """Values of one block of rows; adds the block's identifiers to ``seen``.
+def _parse_block(ids, rests, linenos, dim: int, seen: RowIds) -> np.ndarray:
+    """Values of one block of rows; records the block's rows in ``seen``.
 
     The whole block is parsed at once; only a block with a bad row is
     parsed again row by row, to report that row's line.
     """
     # numpy skips empty rows, so identifier-only rows go straight to the row check
-    if "" not in rests and len(set(ids)) == len(ids) and seen.isdisjoint(ids):
+    if "" not in rests:
         try:
             values = _parse_values(rests)
         except ValueError:
             values = None
         if values is not None and values.shape == (len(ids), dim) and np.isfinite(values).all():
-            seen.update(ids)
+            for identifier, lineno in zip(ids, linenos):
+                seen.add(identifier, lineno)
             return values
     return _check_rows(ids, rests, linenos, dim, seen)
+
+
+def _line_identifier(raw: bytes) -> str:
+    return raw.decode("utf-8").split(None, 1)[0]
 
 
 def load_embeddings(path: str, keep: Collection[str] | None = None) -> EmbeddingStore:
@@ -149,7 +156,7 @@ def load_embeddings(path: str, keep: Collection[str] | None = None) -> Embedding
     rows whose identifier is in ``keep`` are stored; without ``keep``
     every row is. The file is parsed in blocks of about 64 KiB.
     """
-    with open(path, "rb") as fh:
+    with open(path, "rb") as fh, RowIds(path, _line_identifier, "identifier").checked() as seen:
         header = fh.readline().split()
         bad_header = "line 1: embedding header must be 'N D', integers with N >= 0 and D >= 1"
         try:
@@ -160,7 +167,6 @@ def load_embeddings(path: str, keep: Collection[str] | None = None) -> Embedding
             raise FormatError(bad_header) from exc
         if count < 0:
             raise FormatError(bad_header)
-        seen: set[str] = set()
         # The kept set, unlike the header, bounds the rows to be stored.
         reserve = min(count, len(keep)) if keep is not None else 0
         lineno = 1

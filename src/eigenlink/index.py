@@ -29,6 +29,15 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
+def record_tokens(name: str, aliases: list[str]) -> list[str]:
+    """The tokens of a name and its aliases, in one call.
+
+    The newline between the texts is not a token character, so no token
+    spans two of them.
+    """
+    return tokenize("\n".join((name, *aliases)))
+
+
 @dataclass
 class InvertedIndex:
     """token -> ascending-sorted list of qids whose name or an alias contains it."""
@@ -64,9 +73,7 @@ def build_index(catalog: EntityCatalog, tokens: Collection[str] | None = None) -
     keep = None if tokens is None else set(tokens)
     postings: dict[str, list[str]] = {}
     for rec in catalog:
-        found: set[str] = set(tokenize(rec.name))
-        for alias in rec.aliases:
-            found.update(tokenize(alias))
+        found = set(record_tokens(rec.name, rec.aliases))
         if keep is not None:
             found &= keep
         for tok in found:
@@ -113,12 +120,13 @@ def generate_candidates(
             return CandidateList(mention_surface=mention, candidates=[])
 
     # A stale index may reference entities the catalog no longer has; those
-    # can never be verified against a name, so they are dropped here.
+    # can never be verified against a name, so they are dropped here. A
+    # posting hit holds a lone mention token in one of its names already.
     token_set = set(tokens)
     hits = []
     for qid in matched:
         rec = catalog.get(qid)
-        if rec is not None and _single_source_match(token_set, rec):
+        if rec is not None and (len(token_set) == 1 or _single_source_match(token_set, rec)):
             hits.append(qid)
     hits.sort(key=lambda q: (-catalog.records[q].degree, q))
     truncated = len(hits) > T

@@ -13,6 +13,10 @@ from typing import Any, BinaryIO, Iterable, Iterator
 
 from .errors import FormatError
 
+# Bytes read and decoded at a time by ``rows``.
+_BLOCK_BYTES = 1 << 16
+_scan = json.JSONDecoder().scan_once
+
 
 def decode(raw: bytes, lineno: int) -> str:
     """``raw`` as UTF-8 text; here ``lineno`` is always the file line ``raw`` starts on."""
@@ -52,9 +56,39 @@ def lines(fh: BinaryIO, start: int = 1) -> Iterator[tuple[int, str]]:
             yield lineno, text
 
 
+def _value(text: str, lineno: int) -> Any:
+    """``loads(text, lineno)``, by the C scanner alone when ``text`` is one plain value.
+
+    ``text`` has no surrounding whitespace, so a value that ends where
+    ``text`` does is what ``json.loads`` returns. Anything else, and any
+    ``\\u`` escape, goes through ``loads`` for its checks and messages.
+    """
+    if "\\u" not in text:
+        try:
+            value, end = _scan(text, 0)
+            if end == len(text):
+                return value
+        except (StopIteration, ValueError, RecursionError):
+            pass
+    return loads(text, lineno)
+
+
 def rows(fh: BinaryIO, start: int = 1) -> Iterator[tuple[int, Any]]:
-    """(line number, JSON value) of each non-blank line of binary ``fh``."""
-    return ((lineno, loads(text.strip(), lineno)) for lineno, text in lines(fh, start))
+    """(line number, JSON value) of each non-blank line of binary ``fh``.
+
+    The file is read and decoded in blocks of about 64 KiB; a block
+    that is not UTF-8 is decoded again line by line, so that the rows
+    before its bad line still come first.
+    """
+    while block := fh.readlines(_BLOCK_BYTES):
+        try:
+            texts: Iterable[str] = b"".join(block).decode("utf-8").split("\n")
+        except UnicodeDecodeError:
+            texts = (decode(raw, lineno) for lineno, raw in enumerate(block, start))
+        for lineno, text in enumerate(texts, start):
+            if text and not text.isspace():
+                yield lineno, _value(text.strip(), lineno)
+        start += len(block)
 
 
 def write_rows(path: str, values: Iterable[Any]) -> None:

@@ -14,6 +14,7 @@ from typing import Callable, Iterable, Iterator
 
 from . import jsonl
 from .errors import FormatError, IntegrityError
+from .rowids import RowIds, line_qid
 
 
 @dataclass
@@ -86,14 +87,11 @@ def load_catalog(
     including the check for duplicate qids across the whole file.
     """
     records: dict[str, EntityRecord] = {}
-    seen: set[str] = set()
     implicit_degree: list[str] = []
-    with open(path, "rb") as fh:
+    with open(path, "rb") as fh, RowIds(path, line_qid, "qid").checked() as qids:
         for lineno, obj in jsonl.rows(fh):
             qid, name, aliases, degree = _parse_record(obj, lineno)
-            if qid in seen:
-                raise IntegrityError(f"line {lineno}: duplicate qid {qid!r}")
-            seen.add(qid)
+            qids.add(qid, lineno)
             if keep is not None and not keep(name, aliases):
                 continue
             if degree is None:

@@ -17,8 +17,9 @@ import numpy as np
 from . import jsonl
 from .dataset import DocumentTask
 from .embeddings import EmbeddingStore
-from .errors import ConfigError, FormatError, IntegrityError
+from .errors import ConfigError, FormatError
 from .index import CandidateList, tokenize
+from .rowids import RowIds, line_qid
 
 WEIGHT_KINDS = ("none", "degree_rr", "local_ctxt_rr", "global_ctxt_rr")
 
@@ -187,10 +188,14 @@ def mention_weights(
     return {qid: reciprocal_rank_weight(rank, scheme.delta) for qid, rank in ranking.items()}
 
 
-def load_descriptions(path: str) -> dict[str, str]:
-    """Read a JSONL file of {"qid": ..., "description": ...} records, each qid once."""
+def load_descriptions(path: str, keep: Collection[str] | None = None) -> dict[str, str]:
+    """Read a JSONL file of {"qid": ..., "description": ...} records, each qid once.
+
+    Every row is validated, but only the descriptions of the qids in
+    ``keep`` are returned; without ``keep`` every one is.
+    """
     descriptions: dict[str, str] = {}
-    with open(path, "rb") as fh:
+    with open(path, "rb") as fh, RowIds(path, line_qid, "qid").checked() as qids:
         for lineno, obj in jsonl.rows(fh):
             if not isinstance(obj, dict):
                 raise FormatError(f"line {lineno}: a description must be a JSON object")
@@ -198,22 +203,18 @@ def load_descriptions(path: str) -> dict[str, str]:
             desc = obj.get("description")
             if not isinstance(qid, str) or not isinstance(desc, str):
                 raise FormatError(f"line {lineno}: need string 'qid' and 'description'")
-            if qid in descriptions:
-                raise IntegrityError(f"line {lineno}: duplicate qid {qid!r}")
-            descriptions[qid] = desc
+            qids.add(qid, lineno)
+            if keep is None or qid in keep:
+                descriptions[qid] = desc
     return descriptions
 
 
 def build_description_store(
-    descriptions: dict[str, str],
-    word_store: EmbeddingStore,
-    keep: Collection[str] | None = None,
+    descriptions: dict[str, str], word_store: EmbeddingStore
 ) -> EmbeddingStore:
-    """Embed each description (only those of ``keep`` when given) as its mean word vector."""
+    """Embed each description as its mean word vector."""
     store = EmbeddingStore(word_store.dim)
     for qid, text in descriptions.items():
-        if keep is not None and qid not in keep:
-            continue
         vec = _mean_vector(tokenize(text), word_store)
         if vec is not None:
             store.add(qid, vec)

@@ -561,6 +561,13 @@ def test_config_file_int_widens_to_float_field(corpus_dir, tmp_path):
         assert '"delta": 2.0,' in fh.read()
 
 
+def test_jobs_defaults_to_one(tmp_path):
+    args = link_args("corpus", str(tmp_path / "x"))
+    del args[args.index("--jobs") : args.index("--jobs") + 2]
+    parsed = build_parser().parse_args(args)
+    assert _resolve_run_config(parsed, parsed.method).jobs == 1
+
+
 def test_mutilate_degree_collapses_to_zero(corpus_dir, tmp_path):
     out = str(tmp_path / "mut")
     args = [

@@ -12,6 +12,7 @@ from eigenlink.index import (
     generate_candidates,
     load_index,
     oracle_recall,
+    record_tokens,
     save_index,
     tokenize,
 )
@@ -32,6 +33,19 @@ def test_tokenize_punctuation_and_digits():
 
 def test_tokenize_underscore_splits():
     assert tokenize("foo_bar") == ["foo", "bar"]
+
+
+# Letters whose lowercase depends on their neighbours or changes length,
+# joiners and marks, beside plain text and the newline record_tokens joins on.
+TRICKY = st.sampled_from("aΣσςİIıß\u00ad\u0301\u200d_- .\n1")
+TRICKY_TEXT = st.text(alphabet=TRICKY | st.characters())
+
+
+@settings(max_examples=500, deadline=None)
+@given(name=TRICKY_TEXT, aliases=st.lists(TRICKY_TEXT, max_size=3))
+def test_record_tokens_are_the_union_of_each_text_tokens(name, aliases):
+    expected = set().union(*(tokenize(text) for text in (name, *aliases)))
+    assert set(record_tokens(name, aliases)) == expected
 
 
 @pytest.fixture

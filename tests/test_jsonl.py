@@ -1,6 +1,7 @@
 """The shared JSONL reader and writer, and byte-mutation fuzzing of every text loader."""
 
 import json
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -41,8 +42,13 @@ def test_lone_cr_is_not_a_line_break(tmp_path):
         (b'{"a": 1}\n[1,\n\n', "line 2: invalid JSON (Expecting value)"),
         (b'{"a": 1}\n' + b"[" * 100_000 + b"\n", "line 2: JSON nested too deeply"),
         (b'{"a": 1}\n' + b"7" * 5000 + b"\n", "line 2: number too long"),
+        # each line alone is bad JSON, though the two joined into one array are not
+        (
+            b'{"qid": "Q1", "name": "a", "aliases": ["x"\n"y"]}, {"qid": "Q2", "name": "b"}\n',
+            "line 1: invalid JSON (Expecting ',' delimiter)",
+        ),
     ],
-    ids=["utf8", "json", "nesting", "long-int"],
+    ids=["utf8", "json", "nesting", "long-int", "array-split-across-lines"],
 )
 def test_bad_line_names_its_line(tmp_path, raw, message):
     path = tmp_path / "rows.jsonl"
@@ -174,6 +180,32 @@ def test_mutated_text_inputs_raise_only_package_errors(scratch_dir, kind, mutati
         loader(str(path))
     except EigenlinkError:
         pass
+
+
+def reference_rows(path):
+    """``jsonl.rows`` one line at a time through ``jsonl.loads``: a value, or the error message."""
+    with open(path, "rb") as fh:
+        try:
+            return [(lineno, jsonl.loads(text.strip(), lineno)) for lineno, text in jsonl.lines(fh)]
+        except FormatError as exc:
+            return str(exc)
+
+
+JSONL_KINDS = ["catalog", "dataset", "descriptions", "index"]
+
+
+@pytest.mark.parametrize("kind", JSONL_KINDS)
+@settings(max_examples=150, deadline=None)
+@given(mutations=st.lists(MUTATION, min_size=1, max_size=4), block_bytes=st.integers(1, 200))
+def test_rows_in_blocks_match_the_line_by_line_reference(scratch_dir, kind, mutations, block_bytes):
+    path = scratch_dir / f"{kind}-rows"
+    path.write_bytes(mutate(VALID_FILES[kind][1], mutations))
+    try:
+        with patch.object(jsonl, "_BLOCK_BYTES", block_bytes):
+            got = read_rows(path)
+    except FormatError as exc:
+        got = str(exc)
+    assert got == reference_rows(path)
 
 
 @pytest.mark.parametrize("kind", sorted(VALID_FILES))

@@ -1,0 +1,176 @@
+"""The duplicate-identifier check shared by the catalog, embedding and description loaders."""
+
+import json
+import tracemalloc
+from unittest.mock import patch
+
+import pytest
+
+from eigenlink import embeddings, jsonl
+from eigenlink.embeddings import load_embeddings
+from eigenlink.errors import EigenlinkError
+from eigenlink.kg import load_catalog
+from eigenlink.weighting import load_descriptions
+
+MALFORMED = "malformed"
+NOT_UTF8 = "not-utf8"
+
+# loader, a valid row for a qid, a malformed row; embedding files start with a header
+LOADERS = {
+    "catalog": (
+        load_catalog,
+        lambda qid: json.dumps({"qid": qid, "name": f"name {qid}"}),
+        '{"qid": "Q9"}',
+    ),
+    "descriptions": (
+        load_descriptions,
+        lambda qid: json.dumps({"qid": qid, "description": f"about {qid}"}),
+        '{"qid": "Q9", "description": 7}',
+    ),
+    "embeddings": (load_embeddings, lambda qid: f"{qid} 1 0.5", "Q9 1 x"),
+}
+
+
+def write(tmp_path, kind, rows, count=None) -> str:
+    """A ``kind`` file of ``rows``: qids, MALFORMED or NOT_UTF8 (a row with a bad byte)."""
+    _, valid, malformed = LOADERS[kind]
+    lines = [
+        malformed.encode() if row == MALFORMED
+        else b"Q\xff" if row == NOT_UTF8
+        else valid(row).encode()
+        for row in rows
+    ]
+    if kind == "embeddings":
+        lines.insert(0, f"{len(rows) if count is None else count} 2".encode())
+    path = tmp_path / kind
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    return str(path)
+
+
+def jsonl_message(line, rest):
+    return {"catalog": f"line {line}: {rest}", "descriptions": f"line {line}: {rest}"}
+
+
+# (rows, header count, block bytes, {loader: message}); embedding lines are one
+# further down, below the header. A repeat before any other bad line wins,
+# except that the embedding loader decodes a whole block before it checks
+# the block's rows.
+CASES = {
+    "duplicate-then-malformed": (
+        ["Q1", "Q2", "Q1", "Q3", MALFORMED],
+        None,
+        1 << 16,
+        {
+            **jsonl_message(3, "duplicate qid 'Q1'"),
+            "embeddings": "line 4: duplicate identifier 'Q1'",
+        },
+    ),
+    "malformed-then-duplicate": (
+        ["Q1", MALFORMED, "Q1"],
+        None,
+        1 << 16,
+        {
+            "catalog": "line 2: missing or empty 'name'",
+            "descriptions": "line 2: need string 'qid' and 'description'",
+            "embeddings": "line 3: non-numeric value",
+        },
+    ),
+    "duplicate-then-bad-utf8": (
+        ["Q1", "Q1", "Q2", NOT_UTF8],
+        None,
+        1 << 16,
+        {
+            **jsonl_message(2, "duplicate qid 'Q1'"),
+            "embeddings": "line 5: not valid UTF-8",
+        },
+    ),
+    "duplicate-then-bad-utf8-in-a-later-block": (
+        ["Q1", "Q1", "Q2", NOT_UTF8],
+        None,
+        1,
+        {
+            **jsonl_message(2, "duplicate qid 'Q1'"),
+            "embeddings": "line 3: duplicate identifier 'Q1'",
+        },
+    ),
+    "duplicate-in-a-block-that-parses-then-malformed": (
+        ["Q1", "Q2", "Q1", MALFORMED],
+        None,
+        20,
+        {
+            **jsonl_message(3, "duplicate qid 'Q1'"),
+            "embeddings": "line 4: duplicate identifier 'Q1'",
+        },
+    ),
+    "header-count-and-duplicate": (
+        ["Q1", "Q2", "Q1"],
+        5,
+        1 << 16,
+        {"embeddings": "line 4: duplicate identifier 'Q1'"},
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "kind,case",
+    [(kind, case) for case, (*_, messages) in CASES.items() for kind in messages],
+)
+def test_first_error_in_file_order_wins(tmp_path, kind, case):
+    rows, count, block_bytes, messages = CASES[case]
+    path = write(tmp_path, kind, rows, count)
+    with patch.object(jsonl, "_BLOCK_BYTES", block_bytes), patch.object(
+        embeddings, "_BLOCK_BYTES", block_bytes
+    ):
+        with pytest.raises(EigenlinkError) as info:
+            LOADERS[kind][0](path)
+    assert str(info.value) == messages[kind]
+
+
+@pytest.mark.parametrize("collide", [lambda s: 0, len], ids=["one-hash", "hash-by-length"])
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_hash_ties_are_compared_as_strings(tmp_path, kind, collide):
+    load = LOADERS[kind][0]
+    rows = ["Q1", "Q2", "Q10", "Q22", "Q3"]
+
+    def write_indented(rows):
+        # a form feed is whitespace to the loaders, though not to JSON
+        path = write(tmp_path, kind, rows)
+        with open(path, "rb") as fh:
+            text = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(text.replace(b"\n", b"\n\x0c "))
+        return path
+
+    with patch("eigenlink.rowids.hash", collide, create=True):
+        assert len(load(write_indented(rows))) == len(rows)
+        with pytest.raises(EigenlinkError) as info:
+            load(write_indented([*rows, "Q22", "Q1", MALFORMED]))
+    line = 6 if kind != "embeddings" else 7
+    what = "qid" if kind != "embeddings" else "identifier"
+    assert str(info.value) == f"line {line}: duplicate {what} 'Q22'"
+
+
+def traced_peak(load) -> int:
+    tracemalloc.start()
+    try:
+        load()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["catalog", "embeddings"])
+def test_check_costs_at_most_32_bytes_per_dropped_row(tmp_path, kind):
+    kept = [f"K{i}" for i in range(10)]
+    keep = {
+        "catalog": lambda name, aliases: name.startswith("name K"),
+        "embeddings": set(kept),
+    }[kind]
+    load = LOADERS[kind][0]
+    n = 5000
+    peaks = []
+    for padding in (n, 4 * n):
+        path = write(tmp_path, kind, kept + [f"Q{i:07d}" for i in range(padding)])
+        load(path, keep=keep)  # one-time allocations, such as lazy imports, stay out of the peaks
+        peaks.append(traced_peak(lambda: load(path, keep=keep)))
+    assert peaks[1] - peaks[0] <= 32 * 3 * n

@@ -178,12 +178,18 @@ def test_load_descriptions(tmp_path):
     assert load_descriptions(str(path)) == {"Q1": "British author and humorist"}
 
 
-def test_description_store_keeps_only_requested(word_store, desc_store):
-    descriptions = {"c1": "a", "c2": "b", "c3": "a b"}
-    kept = build_description_store(descriptions, word_store, keep={"c3", "c1", "absent"})
-    assert sorted(kept.identifiers()) == ["c1", "c3"]
-    for qid in ("c1", "c3"):
-        assert kept.get(qid).tobytes() == desc_store.get(qid).tobytes()
+def test_load_descriptions_keeps_only_requested(tmp_path):
+    path = tmp_path / "desc.jsonl"
+    rows = [f'{{"qid": "Q{i}", "description": "text {i}"}}' for i in (1, 2, 3)]
+    path.write_text("\n".join(rows) + "\n")
+    assert load_descriptions(str(path), keep={"Q3", "Q1", "absent"}) == {
+        "Q1": "text 1",
+        "Q3": "text 3",
+    }
+    # a repeat on a dropped line is still an error
+    path.write_text("\n".join(rows + [rows[1]]) + "\n")
+    with pytest.raises(IntegrityError, match="^line 4: duplicate qid 'Q2'$"):
+        load_descriptions(str(path), keep={"Q1"})
 
 
 @pytest.mark.parametrize(
