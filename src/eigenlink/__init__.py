@@ -1,6 +1,6 @@
 """Unsupervised entity linking via per-document low-rank subspaces."""
 
-from .dataset import DocumentTask, Mention, attach_candidates, load_dataset, write_dataset
+from .dataset import DocumentTask, Mention, attach_candidates, load_dataset
 from .eigenthemes import (
     DocumentMatrix,
     LinkResult,
@@ -19,7 +19,7 @@ from .index import (
     oracle_recall,
     tokenize,
 )
-from .kg import EntityCatalog, EntityRecord, compute_degrees, load_catalog, write_catalog
+from .kg import EntityCatalog, EntityRecord, compute_degrees, load_catalog
 from .linalg import Subspace, truncated_svd, weighted_sscp
 from .pipeline import LinkContext, RunConfig, link_one, run_documents
 from .synth import SynthConfig, generate
@@ -65,6 +65,4 @@ __all__ = [
     "truncated_svd",
     "unit_normalize",
     "weighted_sscp",
-    "write_catalog",
-    "write_dataset",
 ]

@@ -28,18 +28,16 @@ from .kg import EntityCatalog
 from .weighting import WeightScheme, context_scores, document_contexts
 
 
-def build_name_lookup(
-    catalog: EntityCatalog, include_aliases: bool = False
-) -> dict[str, list[str]]:
-    """Normalized name -> qids sorted by degree descending, qid ascending."""
+def build_name_lookup(catalog: EntityCatalog) -> dict[str, list[str]]:
+    """Normalized name -> qids sorted by degree descending, qid ascending.
+
+    Only names are looked up, never aliases.
+    """
     lookup: dict[str, list[str]] = {}
     for rec in catalog:
-        names = [rec.name] + (rec.aliases if include_aliases else [])
-        for name in names:
-            lookup.setdefault(normalize_name(name), []).append(rec.qid)
-    for key, qids in lookup.items():
-        uniq = sorted(set(qids), key=lambda q: (-catalog.records[q].degree, q))
-        lookup[key] = uniq
+        lookup.setdefault(normalize_name(rec.name), []).append(rec.qid)
+    for qids in lookup.values():
+        qids.sort(key=lambda q: (-catalog.records[q].degree, q))
     return lookup
 
 
@@ -51,11 +49,10 @@ def name_match(
     mention: str,
     catalog: EntityCatalog,
     name_lookup: dict[str, list[str]] | None = None,
-    include_aliases: bool = False,
 ) -> list[tuple[str, float]]:
     """Exact-name matches ranked by degree; empty when nothing matches."""
     if name_lookup is None:
-        name_lookup = build_name_lookup(catalog, include_aliases)
+        name_lookup = build_name_lookup(catalog)
     matches = name_lookup.get(normalize_name(mention), [])
     return [(qid, float(catalog.records[qid].degree)) for qid in matches]
 

@@ -168,7 +168,6 @@ def _load_context(args, cfg: RunConfig) -> tuple[LinkContext, list[DocumentTask]
         desc_store = build_description_store(descriptions, word_store)
     ctx = LinkContext(
         catalog=catalog,
-        index=index,
         config=cfg,
         store=store,
         word_store=word_store,

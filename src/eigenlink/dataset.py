@@ -82,17 +82,6 @@ def load_dataset(path: str) -> list[DocumentTask]:
     return docs
 
 
-def _document_row(doc: DocumentTask) -> dict:
-    keys = ("surface", "gold_qid", "position")
-    mentions = [{key: getattr(m, key) for key in keys} for m in doc.mentions]
-    row = {"doc_id": doc.doc_id, "mentions": mentions, "tokens": doc.tokens, "nouns": doc.nouns}
-    return {key: value for key, value in row.items() if value is not None}
-
-
-def write_dataset(docs: list[DocumentTask], path: str) -> None:
-    jsonl.write_rows(path, map(_document_row, docs))
-
-
 def attach_candidates(
     doc: DocumentTask,
     idx: InvertedIndex,

@@ -72,8 +72,6 @@ def build_document_matrix(
     entity_ids: list[str] = []
     weight_of: dict[str, float] = {}
     for mention, context in zip(task.mentions, contexts):
-        if mention.candidates is None:
-            raise ValueError(f"mention {mention.surface!r} has no candidate list attached")
         weights = mention_weights(scheme, mention.candidates, context, desc_store)
         for qid in mention.candidates.candidates:
             if qid not in store:
@@ -140,7 +138,7 @@ def link_mentions(
             MentionLink(
                 surface=mention.surface,
                 gold_qid=mention.gold_qid,
-                candidates=mention.candidates.candidates if mention.candidates else [],
+                candidates=mention.candidates.candidates,
                 ranking=ranking,
                 predicted_qid=ranking[0][0] if ranking else None,
                 fallback="degree" if ranking and void and degree_fallback else None,

@@ -176,6 +176,8 @@ def load_embeddings(path: str, keep: Collection[str] | None = None) -> Embedding
                 try:
                     parts = raw.decode("utf-8").split(None, 1)
                 except UnicodeDecodeError as exc:
+                    if ids:  # an error on an earlier row of the block comes first
+                        _parse_block(ids, rests, linenos, dim, seen)
                     raise FormatError(f"line {lineno}: not valid UTF-8") from exc
                 if parts:
                     ids.append(parts[0])

@@ -12,14 +12,8 @@ from __future__ import annotations
 import re
 from collections.abc import Collection
 from dataclasses import dataclass
-from itertools import chain
 
-from . import jsonl
-from .errors import FormatError, IntegrityError
 from .kg import EntityCatalog
-
-INDEX_FORMAT = "eigenlink-index"
-INDEX_VERSION = 1
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -101,13 +95,13 @@ def generate_candidates(
     single-source matches, sort by degree and truncate to T."""
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    tokens = tokenize(mention)
+    tokens = set(tokenize(mention))
     if not tokens:
         return CandidateList(mention_surface=mention, candidates=[])
 
     # Intersect postings, rarest token first to keep the working set small.
     posting_sets = []
-    for tok in set(tokens):
+    for tok in tokens:
         qids = index.postings.get(tok)
         if qids is None:
             return CandidateList(mention_surface=mention, candidates=[])
@@ -119,15 +113,12 @@ def generate_candidates(
         if not matched:
             return CandidateList(mention_surface=mention, candidates=[])
 
-    # A stale index may reference entities the catalog no longer has; those
-    # can never be verified against a name, so they are dropped here. A
-    # posting hit holds a lone mention token in one of its names already.
-    token_set = set(tokens)
-    hits = []
-    for qid in matched:
-        rec = catalog.get(qid)
-        if rec is not None and (len(token_set) == 1 or _single_source_match(token_set, rec)):
-            hits.append(qid)
+    # A posting hit holds a lone mention token in one of its names already.
+    hits = [
+        qid
+        for qid in matched
+        if len(tokens) == 1 or _single_source_match(tokens, catalog.records[qid])
+    ]
     hits.sort(key=lambda q: (-catalog.records[q].degree, q))
     truncated = len(hits) > T
     return CandidateList(
@@ -151,50 +142,3 @@ def oracle_recall(
         if gold in generate_candidates(index, catalog, mention, T).candidates:
             hits += 1
     return hits / len(tasks)
-
-
-def save_index(index: InvertedIndex, path: str) -> None:
-    """Persist the index as JSONL with a format-version header line."""
-    header = dict(format=INDEX_FORMAT, version=INDEX_VERSION, vocabulary_size=len(index.postings))
-    postings = ({"t": tok, "q": index.postings[tok]} for tok in sorted(index.postings))
-    jsonl.write_rows(path, chain([header], postings))
-
-
-def load_index(path: str, tokens: Collection[str] | None = None) -> InvertedIndex:
-    """Read an index file, keeping only the postings of ``tokens`` when given.
-
-    Every line is validated whether or not its token is kept: a JSON
-    object with a non-empty string ``t`` seen once in the file and a list
-    of strings ``q``. Errors name the file line.
-    """
-    keep = None if tokens is None else set(tokens)
-    with open(path, "rb") as fh:
-        header = jsonl.parse(fh.readline())
-        if not isinstance(header, dict):
-            raise FormatError("line 1: index header must be a JSON object")
-        if header.get("format") != INDEX_FORMAT:
-            raise FormatError(f"line 1: not an index file (format={header.get('format')!r})")
-        if header.get("version") != INDEX_VERSION:
-            raise FormatError(f"line 1: unsupported index version {header.get('version')!r}")
-        postings: dict[str, list[str]] = {}
-        seen: set[str] = set()
-        for lineno, obj in jsonl.rows(fh, start=2):
-            if not isinstance(obj, dict):
-                raise FormatError(f"line {lineno}: a posting must be a JSON object")
-            tok, qids = obj.get("t"), obj.get("q")
-            if not isinstance(tok, str) or not tok:
-                raise FormatError(f"line {lineno}: 't' must be a non-empty string")
-            if not isinstance(qids, list) or not all(isinstance(q, str) for q in qids):
-                raise FormatError(f"line {lineno}: 'q' must be a list of strings")
-            if tok in seen:
-                raise IntegrityError(f"line {lineno}: repeated token {tok!r}")
-            seen.add(tok)
-            if keep is None or tok in keep:
-                postings[tok] = qids
-        declared = header.get("vocabulary_size")
-        if declared is not None and declared != len(seen):
-            raise FormatError(
-                f"line 1: header declares {declared} tokens but the file has {len(seen)}"
-            )
-    return InvertedIndex(postings=postings)
-

@@ -48,9 +48,9 @@ def parse(raw: bytes, lineno: int = 1) -> Any:
     return loads(decode(raw, lineno), lineno)
 
 
-def lines(fh: BinaryIO, start: int = 1) -> Iterator[tuple[int, str]]:
+def lines(fh: BinaryIO) -> Iterator[tuple[int, str]]:
     """(line number, text with its line ending) of each non-blank line of binary ``fh``."""
-    for lineno, raw in enumerate(fh, start):
+    for lineno, raw in enumerate(fh, 1):
         text = decode(raw, lineno)
         if not text.isspace():
             yield lineno, text
@@ -73,13 +73,14 @@ def _value(text: str, lineno: int) -> Any:
     return loads(text, lineno)
 
 
-def rows(fh: BinaryIO, start: int = 1) -> Iterator[tuple[int, Any]]:
+def rows(fh: BinaryIO) -> Iterator[tuple[int, Any]]:
     """(line number, JSON value) of each non-blank line of binary ``fh``.
 
     The file is read and decoded in blocks of about 64 KiB; a block
     that is not UTF-8 is decoded again line by line, so that the rows
     before its bad line still come first.
     """
+    start = 1
     while block := fh.readlines(_BLOCK_BYTES):
         try:
             texts: Iterable[str] = b"".join(block).decode("utf-8").split("\n")

@@ -9,7 +9,7 @@ edge list, with stored values taking precedence.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from . import jsonl
@@ -102,11 +102,6 @@ def load_catalog(
         for qid in implicit_degree:
             records[qid].degree = degrees.get(qid, 0)
     return EntityCatalog(records=records)
-
-
-def write_catalog(catalog: EntityCatalog, path: str) -> None:
-    """Write a catalog back out as JSONL, one record per line."""
-    jsonl.write_rows(path, map(asdict, catalog))
 
 
 def load_edges(path: str) -> list[tuple[str, str]]:

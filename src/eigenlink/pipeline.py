@@ -8,7 +8,8 @@ therefore every derived artifact) do not depend on the worker count.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .baselines import (
@@ -18,11 +19,10 @@ from .baselines import (
     link_document_degree,
     link_document_namematch,
 )
-from .dataset import DocumentTask, attach_candidates
+from .dataset import DocumentTask
 from .eigenthemes import LinkResult, link_document
 from .embeddings import EmbeddingStore
 from .errors import ConfigError
-from .index import InvertedIndex
 from .kg import EntityCatalog
 from .weighting import CONTEXT_KINDS, WeightScheme
 
@@ -90,30 +90,27 @@ class RunConfig:
 
 @dataclass
 class LinkContext:
-    """Everything a worker needs to link one document.
+    """Everything a worker needs to link documents whose candidates are attached.
 
     ``catalog`` may hold only the records the dataset's mentions can
-    reach and ``index`` only its mention tokens (as the CLI builds them),
-    so documents linked with it must come from that dataset.
+    reach (as the CLI loads it), so documents linked with it must come
+    from that dataset, with candidates attached over the same catalog.
     """
 
     catalog: EntityCatalog
-    index: InvertedIndex
     config: RunConfig
     store: EmbeddingStore | None = None
     word_store: EmbeddingStore | None = None
     desc_store: EmbeddingStore | None = None
-    name_lookup: dict[str, list[str]] | None = field(default=None, repr=False)
 
     def validate(self) -> None:
         self.config.validate()
         stores = dict(embeddings=self.store, words=self.word_store, descriptions=self.desc_store)
         self.config.check_inputs({name for name, store in stores.items() if store is not None})
 
-    def prepared(self) -> "LinkContext":
-        if self.config.method == "namematch" and self.name_lookup is None:
-            self.name_lookup = build_name_lookup(self.catalog)
-        return self
+    @cached_property
+    def name_lookup(self) -> dict[str, list[str]]:
+        return build_name_lookup(self.catalog)
 
 
 def _texts(ctx: LinkContext) -> dict:
@@ -134,7 +131,7 @@ def _link_degree(doc: DocumentTask, ctx: LinkContext, **flags) -> LinkResult:
 
 
 def _link_namematch(doc: DocumentTask, ctx: LinkContext, **flags) -> LinkResult:
-    return link_document_namematch(doc, ctx.catalog, ctx.name_lookup or {}, **flags)
+    return link_document_namematch(doc, ctx.catalog, ctx.name_lookup, **flags)
 
 
 def _link_context(doc: DocumentTask, ctx: LinkContext, **flags) -> LinkResult:
@@ -152,9 +149,7 @@ METHODS: dict[str, Method] = {
 
 
 def link_one(doc: DocumentTask, ctx: LinkContext) -> LinkResult:
-    """Attach candidates if needed and run the configured method."""
-    if any(m.candidates is None for m in doc.mentions):
-        doc = attach_candidates(doc, ctx.index, ctx.catalog, ctx.config.T)
+    """Run the configured method on a document whose candidates are attached."""
     method = METHODS[ctx.config.method]
     return method.link(doc, ctx, degree_fallback=method.degree_fallback)
 
@@ -174,9 +169,19 @@ def _run_worker(doc: DocumentTask) -> LinkResult:
 def run_documents(
     docs: list[DocumentTask], ctx: LinkContext, jobs: int = 1
 ) -> list[LinkResult]:
-    """Link all documents, preserving input order regardless of jobs."""
+    """Link all documents, preserving input order regardless of jobs.
+
+    Every mention must have its candidates, as ``attach_candidates`` gives them.
+    """
     ctx.validate()
-    ctx.prepared()
+    for doc in docs:
+        if any(m.candidates is None for m in doc.mentions):
+            raise ValueError(
+                f"document {doc.doc_id!r} has mentions without candidates; "
+                "call attach_candidates first"
+            )
+    if ctx.config.method == "namematch":
+        ctx.name_lookup  # built once here, not once per worker
     if jobs <= 1 or len(docs) <= 1:
         return [link_one(doc, ctx) for doc in docs]
     with ProcessPoolExecutor(

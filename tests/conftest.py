@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from eigenlink.dataset import load_dataset
+from eigenlink.dataset import attach_candidates, load_dataset
 from eigenlink.embeddings import EmbeddingStore, load_embeddings
 from eigenlink.evaluation import build_outcomes, metrics_report
 from eigenlink.index import build_index
@@ -45,10 +45,9 @@ class Corpus:
 
     def run(self, method: str, jobs: int = 1, **cfg_kwargs):
         cfg = RunConfig(method=method, **cfg_kwargs)
-        ctx = LinkContext(
-            catalog=self.catalog, index=self.index, config=cfg, store=self.store
-        )
-        results = run_documents(self.docs, ctx, jobs)
+        ctx = LinkContext(catalog=self.catalog, config=cfg, store=self.store)
+        docs = [attach_candidates(doc, self.index, self.catalog, cfg.T) for doc in self.docs]
+        results = run_documents(docs, ctx, jobs)
         outcomes = build_outcomes(results)
         return results, outcomes, metrics_report(outcomes)
 

@@ -57,8 +57,6 @@ def test_namematch_case_and_whitespace_insensitive():
 def test_namematch_aliases_only_with_flag():
     catalog = make_catalog([("Q1", "Rome", ["The Eternal City"], 5)])
     assert name_match("The Eternal City", catalog) == []
-    lookup = build_name_lookup(catalog, include_aliases=True)
-    assert name_match("the eternal city", catalog, lookup) == [("Q1", 5.0)]
 
 
 def test_namematch_prediction_dominates_matches():

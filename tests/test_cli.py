@@ -5,9 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from eigenlink import weighting
+from eigenlink import cli, weighting
 from eigenlink.cli import _load_context, _resolve_run_config, build_parser, main
-from eigenlink.dataset import load_dataset
+from eigenlink.dataset import attach_candidates, load_dataset
 from eigenlink.evaluation import build_outcomes, write_predictions
 from eigenlink.index import build_index, tokenize
 from eigenlink.kg import load_catalog
@@ -319,14 +319,22 @@ def test_global_context_computed_once_per_document(
     assert len(calls) == len(load_dataset(f"{corpus_dir}/dataset.jsonl"))
 
 
-def test_link_indexes_only_mention_tokens(corpus_dir, tmp_path):
+def test_link_indexes_only_mention_tokens(corpus_dir, tmp_path, monkeypatch):
+    built = []
+
+    def recording(*args):
+        built.append(build_index(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_index", recording)
     args = build_parser().parse_args(link_args(corpus_dir, str(tmp_path / "x")))
-    ctx, _ = _load_context(args, _resolve_run_config(args, args.method))
+    _load_context(args, _resolve_run_config(args, args.method))
+    (index,) = built
     catalog_tokens = set(build_index(load_catalog(f"{corpus_dir}/catalog.jsonl")).postings)
     docs = load_dataset(f"{corpus_dir}/dataset.jsonl")
     mention_tokens = {tok for doc in docs for m in doc.mentions for tok in tokenize(m.surface)}
-    assert ctx.index.vocabulary_size == len(mention_tokens & catalog_tokens)
-    assert ctx.index.vocabulary_size < len(catalog_tokens)
+    assert index.vocabulary_size == len(mention_tokens & catalog_tokens)
+    assert index.vocabulary_size < len(catalog_tokens)
 
 
 def write_jsonl(path, rows):
@@ -373,9 +381,11 @@ def plain_link_args(catalog, dataset, out, method="degree"):
 def test_reachable_catalog_links_as_the_full_catalog(tmp_path, method):
     catalog_path, dataset_path = reach_files(tmp_path)
     catalog = load_catalog(catalog_path)
-    ctx = LinkContext(catalog=catalog, index=build_index(catalog), config=RunConfig(method))
+    ctx = LinkContext(catalog=catalog, config=RunConfig(method))
+    index = build_index(catalog)
+    docs = [attach_candidates(doc, index, catalog) for doc in load_dataset(dataset_path)]
     expected = str(tmp_path / "expected.csv")
-    write_predictions(build_outcomes(run_documents(load_dataset(dataset_path), ctx)), expected)
+    write_predictions(build_outcomes(run_documents(docs, ctx)), expected)
     out = str(tmp_path / "run")
     assert main(plain_link_args(catalog_path, dataset_path, out, method)) == 0
     assert read_bytes(f"{out}/predictions.csv") == read_bytes(expected)

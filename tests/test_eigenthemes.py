@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from eigenlink.dataset import DocumentTask, Mention
+from eigenlink import pipeline
+from eigenlink.dataset import DocumentTask, Mention, attach_candidates
 from eigenlink.eigenthemes import (
     DocumentMatrix,
     build_document_matrix,
@@ -13,11 +14,11 @@ from eigenlink.eigenthemes import (
 )
 from eigenlink.embeddings import EmbeddingStore, load_embeddings, unit_normalize
 from eigenlink.errors import ConfigError, DimensionError, EmptyDocumentError
-from eigenlink.index import CandidateList
+from eigenlink.index import CandidateList, build_index
 from eigenlink.linalg import Subspace, truncated_svd
-from eigenlink.pipeline import METHODS, LinkContext, RunConfig, link_one
+from eigenlink.pipeline import METHODS, LinkContext, RunConfig, link_one, run_documents
 from eigenlink.weighting import WeightScheme, build_description_store, load_descriptions
-from tests.conftest import make_store
+from tests.conftest import make_catalog, make_store
 
 NONE = WeightScheme("none")
 
@@ -415,21 +416,25 @@ def test_degree_weighted_run_still_beats_degree_baseline(default_corpus):
     assert weighted.precision_at_1["hard"] > 0.0
 
 
-@pytest.mark.parametrize("method", METHODS)
-def test_shared_ranking_loop_contract(small_corpus, method):
-    word_store = load_embeddings(f"{small_corpus.dir}/words.txt")
+def context_with_every_input(corpus, method) -> LinkContext:
+    word_store = load_embeddings(f"{corpus.dir}/words.txt")
     desc_store = build_description_store(
-        load_descriptions(f"{small_corpus.dir}/descriptions.jsonl"), word_store
+        load_descriptions(f"{corpus.dir}/descriptions.jsonl"), word_store
     )
-    ctx = LinkContext(
-        catalog=small_corpus.catalog,
-        index=small_corpus.index,
+    return LinkContext(
+        catalog=corpus.catalog,
         config=RunConfig(method=method),
-        store=small_corpus.store,
+        store=corpus.store,
         word_store=word_store,
         desc_store=desc_store,
-    ).prepared()
+    )
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_shared_ranking_loop_contract(small_corpus, method):
+    ctx = context_with_every_input(small_corpus, method)
     for doc in small_corpus.docs:
+        doc = attach_candidates(doc, small_corpus.index, small_corpus.catalog, ctx.config.T)
         for ml in link_one(doc, ctx).mentions:
             if ml.ranking:
                 assert ml.predicted_qid == ml.ranking[0][0]
@@ -452,3 +457,32 @@ def test_check_inputs_follows_method_table(method):
             cfg.check_inputs(set())
     else:
         cfg.check_inputs(set())
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_run_rejects_documents_without_candidates(small_corpus, method, monkeypatch):
+    ctx = context_with_every_input(small_corpus, method)
+    first, second, *rest = small_corpus.docs
+    docs = [attach_candidates(first, small_corpus.index, small_corpus.catalog), second, *rest]
+
+    def no_workers(*args, **kwargs):
+        raise AssertionError("a worker pool started")
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", no_workers)
+    for jobs in (1, 2):
+        with pytest.raises(ValueError) as info:
+            run_documents(docs, ctx, jobs)
+        assert str(info.value) == (
+            f"document {second.doc_id!r} has mentions without candidates; "
+            "call attach_candidates first"
+        )
+
+
+def test_namematch_link_one_matches_run_documents():
+    # "Rome" is a candidate of both; only Q1 has it as its whole name
+    catalog = make_catalog([("Q1", "Rome", [], 1), ("Q2", "Rome Italy", [], 5)])
+    doc = attach_candidates(task("d", [Mention("Rome", "Q1")]), build_index(catalog), catalog)
+    config = RunConfig(method="namematch")
+    (expected,) = run_documents([doc], LinkContext(catalog=catalog, config=config))
+    assert expected.mentions[0].predicted_qid == "Q1"
+    assert link_one(doc, LinkContext(catalog=catalog, config=config)) == expected

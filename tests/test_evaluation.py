@@ -260,9 +260,7 @@ def runner_for(corpus, method, **cfg):
     from eigenlink.pipeline import LinkContext, RunConfig, run_documents
 
     config = RunConfig(method=method, **cfg)
-    ctx = LinkContext(
-        catalog=corpus.catalog, index=corpus.index, config=config, store=corpus.store
-    )
+    ctx = LinkContext(catalog=corpus.catalog, config=config, store=corpus.store)
     return lambda docs: run_documents(docs, ctx, 1)
 
 

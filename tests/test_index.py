@@ -1,19 +1,14 @@
-import json
 import random
-import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigenlink.errors import FormatError, IntegrityError
 from eigenlink.index import (
     build_index,
     generate_candidates,
-    load_index,
     oracle_recall,
     record_tokens,
-    save_index,
     tokenize,
 )
 from tests.conftest import make_catalog
@@ -185,113 +180,14 @@ def test_recall_monotone_in_T():
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
 
-def test_index_save_load_roundtrip(tmp_path, mj_catalog):
-    idx = build_index(mj_catalog)
-    path = tmp_path / "index.jsonl"
-    save_index(idx, str(path))
-    loaded = load_index(str(path))
-    assert loaded.postings == idx.postings
-    assert loaded.vocabulary_size == idx.vocabulary_size
-
-
-def test_index_load_rejects_wrong_format(tmp_path):
-    path = tmp_path / "bogus.jsonl"
-    path.write_text('{"format": "something-else", "version": 1}\n')
-    with pytest.raises(FormatError):
-        load_index(str(path))
-
-
 def test_build_index_keeps_only_requested_tokens(mj_catalog):
     idx = build_index(mj_catalog, tokens={"michael", "mj", "absent"})
     assert idx.postings == {"michael": ["Q2831", "Q3308285", "Q41421"], "mj": ["Q2831"]}
     assert build_index(mj_catalog, tokens=set()).vocabulary_size == 0
 
 
-def test_load_index_keeps_only_requested_tokens(tmp_path, mj_catalog):
-    path = str(tmp_path / "index.jsonl")
-    save_index(build_index(mj_catalog), path)
-    tokens = {"jordan", "i", "absent"}
-    assert load_index(path, tokens).postings == build_index(mj_catalog, tokens).postings
-
-
-def index_text(*postings, declared=None):
-    count = len(postings) if declared is None else declared
-    header = {"format": "eigenlink-index", "version": 1, "vocabulary_size": count}
-    return "".join(line + "\n" for line in (json.dumps(header), *postings))
-
-
-GOOD_POSTING = '{"t": "good", "q": ["Q1"]}'
-Q_LIST = "'q' must be a list of strings"
-T_STRING = "'t' must be a non-empty string"
-TOKEN_SETS = pytest.mark.parametrize("tokens", [None, {"good"}, set()], ids=["all", "good", "none"])
-
-
-@pytest.mark.parametrize(
-    "posting,message",
-    [
-        ('{"t": "a", "q": "Q1"}', Q_LIST),
-        ('{"t": "a", "q": ["Q1", 2]}', Q_LIST),
-        ('{"t": "a"}', Q_LIST),
-        ('{"q": ["Q1"]}', T_STRING),
-        ('{"t": "", "q": []}', T_STRING),
-        ('{"t": 7, "q": ["Q1"]}', T_STRING),
-        ('["a", ["Q1"]]', "a posting must be a JSON object"),
-        ('{"t": "a", "q": [', "invalid JSON"),
-    ],
-    ids=[
-        "q-string",
-        "q-non-string-item",
-        "q-missing",
-        "t-missing",
-        "t-empty",
-        "t-number",
-        "posting-list",
-        "posting-bad-json",
-    ],
-)
-@TOKEN_SETS
-def test_load_index_rejects_bad_posting(tmp_path, posting, message, tokens):
-    # "a" is never a requested token, so each bad line is checked though not kept
-    path = tmp_path / "index.jsonl"
-    path.write_text(index_text(GOOD_POSTING, posting), encoding="utf-8")
-    with pytest.raises(FormatError, match="^line 3: " + re.escape(message)):
-        load_index(str(path), tokens)
-
-
-@TOKEN_SETS
-def test_load_index_rejects_repeated_token(tmp_path, tokens):
-    path = tmp_path / "index.jsonl"
-    path.write_text(index_text('{"t": "a", "q": []}', GOOD_POSTING, '{"t": "a", "q": ["Q2"]}'))
-    with pytest.raises(IntegrityError, match="^line 4: repeated token 'a'$"):
-        load_index(str(path), tokens)
-
-
-@pytest.mark.parametrize(
-    "text,message",
-    [
-        (index_text(GOOD_POSTING, declared=2), "header declares 2 tokens but the file has 1"),
-        ("[1]\n" + GOOD_POSTING + "\n", "index header must be a JSON object"),
-        ("", "invalid JSON"),
-    ],
-    ids=["count-mismatch", "header-list", "empty-file"],
-)
-@TOKEN_SETS
-def test_load_index_rejects_bad_header(tmp_path, text, message, tokens):
-    path = tmp_path / "index.jsonl"
-    path.write_text(text, encoding="utf-8")
-    with pytest.raises(FormatError, match="^line 1: " + re.escape(message)):
-        load_index(str(path), tokens)
-
-
-def test_load_index_rejects_invalid_utf8(tmp_path):
-    path = tmp_path / "index.jsonl"
-    path.write_bytes(index_text(GOOD_POSTING, "").encode() + b'{"t": "\xff", "q": []}\n')
-    with pytest.raises(FormatError, match="^line 4: not valid UTF-8$"):
-        load_index(str(path), {"good"})
-
-
 # Property test: an index restricted to the mention tokens gives the same
-# candidate lists as the full index, built in memory or loaded from a file.
+# candidate lists as the full index.
 
 WORD = st.sampled_from(["ann", "bob", "cy", "dee", "eve", "Ann", "BOB", "x1", "ü"])
 PHRASE = st.lists(WORD, min_size=1, max_size=3).flatmap(
@@ -311,20 +207,14 @@ def catalogs_and_mentions(draw):
     return make_catalog(rows), mentions, draw(st.integers(1, 4))
 
 
-@pytest.fixture(scope="module")
-def index_path(tmp_path_factory):
-    return str(tmp_path_factory.mktemp("index_properties") / "index.jsonl")
-
-
 @settings(max_examples=200, deadline=None)
 @given(case=catalogs_and_mentions())
-def test_restricted_index_gives_full_index_candidates(index_path, case):
+def test_restricted_index_gives_full_index_candidates(case):
     catalog, mentions, T = case
     full = build_index(catalog)
     tokens = {tok for mention in mentions for tok in tokenize(mention)}
-    save_index(full, index_path)
-    for restricted in (build_index(catalog, tokens), load_index(index_path, tokens)):
-        assert set(restricted.postings) <= tokens
-        for mention in mentions:
-            want = generate_candidates(full, catalog, mention, T)
-            assert generate_candidates(restricted, catalog, mention, T) == want
+    restricted = build_index(catalog, tokens)
+    assert set(restricted.postings) <= tokens
+    for mention in mentions:
+        want = generate_candidates(full, catalog, mention, T)
+        assert generate_candidates(restricted, catalog, mention, T) == want

@@ -12,7 +12,6 @@ from eigenlink.cli import _read_config_file
 from eigenlink.dataset import load_dataset
 from eigenlink.errors import EigenlinkError, FormatError
 from eigenlink.evaluation import read_predictions
-from eigenlink.index import load_index
 from eigenlink.kg import load_catalog, load_edges
 from eigenlink.weighting import load_descriptions
 
@@ -127,12 +126,6 @@ VALID_FILES = {
         '{"qid": "Q2", "description": "zürich labs"}\n',
     ),
     "edges": (load_edges, "Q1\tQ2\r\nQ2\tQ3\n"),
-    "index": (
-        load_index,
-        '{"format": "eigenlink-index", "version": 1, "vocabulary_size": 2}\n'
-        '{"t": "acme", "q": ["Q1"]}\n'
-        '{"t": "beta", "q": ["Q2"]}\n',
-    ),
     "predictions": (
         read_predictions,
         "doc_id,mention_idx,surface,gold_qid,predicted_qid,bucket,rank_of_gold,score\r\n"
@@ -191,7 +184,7 @@ def reference_rows(path):
             return str(exc)
 
 
-JSONL_KINDS = ["catalog", "dataset", "descriptions", "index"]
+JSONL_KINDS = ["catalog", "dataset", "descriptions"]
 
 
 @pytest.mark.parametrize("kind", JSONL_KINDS)

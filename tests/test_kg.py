@@ -4,7 +4,7 @@ import random
 import pytest
 
 from eigenlink.errors import FormatError, IntegrityError
-from eigenlink.kg import compute_degrees, load_catalog, load_edges, write_catalog
+from eigenlink.kg import compute_degrees, load_catalog, load_edges
 
 
 def write_lines(path, rows):
@@ -95,14 +95,6 @@ def test_thousand_record_roundtrip(tmp_path):
         assert rec.name == rows[i]["name"]
         assert rec.aliases == rows[i].get("aliases", [])
         assert rec.degree == rows[i]["degree"]
-
-    out = tmp_path / "out.jsonl"
-    write_catalog(catalog, str(out))
-    reloaded = load_catalog(str(out))
-    assert reloaded.count == catalog.count
-    for qid, rec in catalog.records.items():
-        other = reloaded.get(qid)
-        assert (other.name, other.aliases, other.degree) == (rec.name, rec.aliases, rec.degree)
 
 
 def test_degrees_path_graph():

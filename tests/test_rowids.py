@@ -52,9 +52,7 @@ def jsonl_message(line, rest):
 
 
 # (rows, header count, block bytes, {loader: message}); embedding lines are one
-# further down, below the header. A repeat before any other bad line wins,
-# except that the embedding loader decodes a whole block before it checks
-# the block's rows.
+# further down, below the header. A repeat before any other bad line wins.
 CASES = {
     "duplicate-then-malformed": (
         ["Q1", "Q2", "Q1", "Q3", MALFORMED],
@@ -81,7 +79,17 @@ CASES = {
         1 << 16,
         {
             **jsonl_message(2, "duplicate qid 'Q1'"),
-            "embeddings": "line 5: not valid UTF-8",
+            "embeddings": "line 3: duplicate identifier 'Q1'",
+        },
+    ),
+    "malformed-then-bad-utf8": (
+        [MALFORMED, "Q1", NOT_UTF8],
+        None,
+        1 << 16,
+        {
+            "catalog": "line 1: missing or empty 'name'",
+            "descriptions": "line 1: need string 'qid' and 'description'",
+            "embeddings": "line 2: non-numeric value",
         },
     ),
     "duplicate-then-bad-utf8-in-a-later-block": (
