@@ -177,7 +177,7 @@ def _load_context(args, cfg: RunConfig) -> tuple[LinkContext, list[DocumentTask]
 
 
 def _echo_config(cfg: RunConfig, args, extra: dict | None = None) -> dict:
-    echo = cfg.to_dict()
+    echo = dataclasses.asdict(cfg)
     # jobs only controls scheduling, never results; leaving it out keeps
     # artifacts byte-identical across parallelism settings.
     echo.pop("jobs", None)
@@ -226,12 +226,9 @@ def cmd_link(args) -> int:
     ctx, docs = _load_context(args, cfg)
     results = run_documents(docs, ctx, cfg.jobs)
     outcomes = build_outcomes(results)
-
-    unlabeled = sum(1 for o in outcomes if o.bucket is None)
-    if unlabeled:
-        log.info("excluded %d mentions without gold annotation", unlabeled)
-
     report = metrics_report(outcomes)
+    if report.counts["unlabeled"]:
+        log.info("excluded %d mentions without gold annotation", report.counts["unlabeled"])
     gap = score_gap(outcomes, seed=cfg.seed)
     effective = [r.effective_k for r in results if r.effective_k is not None]
 
@@ -242,8 +239,8 @@ def cmd_link(args) -> int:
         "version": FORMAT_VERSION,
         "config": _echo_config(cfg, args),
         "seed": cfg.seed,
-        **report.to_dict(),
-        "score_gap": gap.to_dict() if gap else None,
+        **dataclasses.asdict(report),
+        "score_gap": dataclasses.asdict(gap) if gap else None,
         "effective_k": {"min": min(effective), "max": max(effective)} if effective else None,
         "documents": len(results),
     }
@@ -266,7 +263,7 @@ def cmd_eval(args) -> int:
         "version": FORMAT_VERSION,
         "config": {"predictions": args.predictions},
         "seed": None,
-        **report.to_dict(),
+        **dataclasses.asdict(report),
     }
     _write_json(metrics, os.path.join(args.out, "metrics.json"))
     print(
@@ -278,9 +275,11 @@ def cmd_eval(args) -> int:
 
 def cmd_mutilate(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for method in methods:
+    for i, method in enumerate(methods):
         if method not in METHODS:
             raise ConfigError(f"unknown method {method!r}")
+        if method in methods[:i]:
+            raise ConfigError(f"method {method!r} is listed twice")
     try:
         fractions = [float(f) for f in args.fractions.split(",") if f.strip()]
     except ValueError as exc:

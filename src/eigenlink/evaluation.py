@@ -4,14 +4,17 @@ Mentions are bucketed from the candidate generator's output alone:
 "easy" when the top-degree candidate is the gold entity, "hard" when
 gold is present but not first, "not_found" when truncation or matching
 lost it. Easy/hard metrics are computed within their bucket; "overall"
-pools every labeled mention and counts not_found ones as misses.
+pools every labeled mention. A not_found mention is a miss for every
+method that ranks the candidate list, but namematch ranks its name
+matches, which may hold gold, so its not_found mentions can score.
+``metrics_report`` computes every metric in one pass over the outcomes.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -51,14 +54,6 @@ class MetricsReport:
     mrr: dict[str, float]
     oracle_recall: float
 
-    def to_dict(self) -> dict:
-        return {
-            "counts": self.counts,
-            "precision_at_1": self.precision_at_1,
-            "mrr": self.mrr,
-            "oracle_recall": self.oracle_recall,
-        }
-
 
 def classify(candidates: Sequence[str], gold: str) -> str:
     """Bucket one labeled mention from its degree-sorted candidate list."""
@@ -77,16 +72,10 @@ def build_outcomes(results: Iterable[LinkResult]) -> list[MentionOutcome]:
     for result in results:
         for idx, ml in enumerate(result.mentions):
             gold = ml.gold_qid
-            bucket = classify(ml.candidates, gold) if gold is not None else None
             rank_of_gold = None
             gold_score = None
             nongold: list[float] = []
-            predicted_score = None
-            for pos, (qid, score) in enumerate(ml.ranking, start=1):
-                if qid == ml.predicted_qid and predicted_score is None:
-                    predicted_score = _finite(score)
-                if gold is None:
-                    continue
+            for pos, (qid, score) in enumerate(ml.ranking if gold is not None else (), start=1):
                 if qid == gold:
                     rank_of_gold = pos
                     gold_score = _finite(score)
@@ -99,9 +88,10 @@ def build_outcomes(results: Iterable[LinkResult]) -> list[MentionOutcome]:
                     surface=ml.surface,
                     gold_qid=gold,
                     predicted_qid=ml.predicted_qid,
-                    bucket=bucket,
+                    bucket=classify(ml.candidates, gold) if gold is not None else None,
                     rank_of_gold=rank_of_gold,
-                    predicted_score=predicted_score,
+                    # The prediction heads the ranking.
+                    predicted_score=_finite(ml.ranking[0][1]) if ml.ranking else None,
                     gold_score=gold_score,
                     nongold_mean=float(np.mean(nongold)) if nongold else None,
                 )
@@ -109,56 +99,35 @@ def build_outcomes(results: Iterable[LinkResult]) -> list[MentionOutcome]:
     return outcomes
 
 
-def _select(outcomes: Iterable[MentionOutcome], bucket: str) -> list[MentionOutcome]:
-    if bucket == "overall":
-        return [o for o in outcomes if o.bucket is not None]
-    if bucket not in BUCKETS:
-        raise ValueError(f"unknown bucket {bucket!r}")
-    return [o for o in outcomes if o.bucket == bucket]
+def metrics_report(outcomes: Iterable[MentionOutcome]) -> MetricsReport:
+    """Counts, P@1 and MRR per bucket, and oracle recall, in one pass over ``outcomes``.
 
-
-def precision_at_1(outcomes: Iterable[MentionOutcome], bucket: str = "overall") -> float:
-    """Fraction of the bucket's mentions whose prediction is the gold entity."""
-    selected = _select(outcomes, bucket)
-    if not selected:
-        return 0.0
-    correct = sum(
-        1 for o in selected if o.predicted_qid is not None and o.predicted_qid == o.gold_qid
-    )
-    return correct / len(selected)
-
-
-def mrr(outcomes: Iterable[MentionOutcome], bucket: str = "overall") -> float:
-    """Mean reciprocal rank of gold in the method ranking; absent gold counts 0."""
-    selected = _select(outcomes, bucket)
-    if not selected:
-        return 0.0
-    total = sum(1.0 / o.rank_of_gold for o in selected if o.rank_of_gold is not None)
-    return total / len(selected)
-
-
-def bucket_counts(outcomes: Iterable[MentionOutcome]) -> dict[str, int]:
-    counts = {b: 0 for b in BUCKETS}
+    P@1 is the share of a bucket's mentions predicted as gold; MRR the
+    mean of 1/rank of gold in the method's ranking, 0 where gold is not
+    ranked. Reciprocal ranks are summed left to right in outcome order.
+    An empty bucket scores 0.0.
+    """
+    n = dict.fromkeys(("overall", *BUCKETS), 0)
+    hits = dict.fromkeys(n, 0)
+    rr = dict.fromkeys(n, 0.0)
     unlabeled = 0
     for o in outcomes:
         if o.bucket is None:
             unlabeled += 1
-        else:
-            counts[o.bucket] += 1
-    counts["total"] = counts["easy"] + counts["hard"] + counts["not_found"]
-    counts["unlabeled"] = unlabeled
-    return counts
-
-
-def metrics_report(outcomes: Sequence[MentionOutcome]) -> MetricsReport:
-    counts = bucket_counts(outcomes)
-    total = counts["total"]
-    found = counts["easy"] + counts["hard"]
+            continue
+        hit = o.predicted_qid is not None and o.predicted_qid == o.gold_qid
+        for key in ("overall", o.bucket):
+            n[key] += 1
+            hits[key] += hit
+            if o.rank_of_gold is not None:
+                rr[key] += 1.0 / o.rank_of_gold
+    total = n["overall"]
+    shown = ("overall", "easy", "hard")
     return MetricsReport(
-        counts=counts,
-        precision_at_1={b: precision_at_1(outcomes, b) for b in ("overall", "easy", "hard")},
-        mrr={b: mrr(outcomes, b) for b in ("overall", "easy", "hard")},
-        oracle_recall=found / total if total else 0.0,
+        counts={**{b: n[b] for b in BUCKETS}, "total": total, "unlabeled": unlabeled},
+        precision_at_1={b: hits[b] / n[b] if n[b] else 0.0 for b in shown},
+        mrr={b: rr[b] / n[b] if n[b] else 0.0 for b in shown},
+        oracle_recall=(n["easy"] + n["hard"]) / total if total else 0.0,
     )
 
 
@@ -168,14 +137,6 @@ class ScoreGapReport:
     ci_low: float
     ci_high: float
     n_mentions: int
-
-    def to_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "n_mentions": self.n_mentions,
-        }
 
 
 def score_gap(
@@ -204,13 +165,27 @@ def score_gap(
         stop = min(start + block, resamples)
         idx = rng.integers(0, len(arr), size=(stop - start, len(arr)))
         means[start:stop] = arr[idx].mean(axis=1)
-    lo, hi = np.percentile(means, [2.5, 97.5])
+    means.sort()
     return ScoreGapReport(
         mean=float(arr.mean()),
-        ci_low=float(lo),
-        ci_high=float(hi),
+        ci_low=_percentile(means, 2.5),
+        ci_high=_percentile(means, 97.5),
         n_mentions=len(arr),
     )
+
+
+def _percentile(ordered: np.ndarray, q: float) -> float:
+    """``np.percentile(ordered, q)`` of an ascending, NaN-free array, by numpy's linear rule.
+
+    ``np.percentile`` imports ``numpy.ma`` on its first call, which costs
+    more than a small run's whole bootstrap; this is its arithmetic,
+    step for step, so the bits are the same.
+    """
+    pos = (len(ordered) - 1) * (q / 100)
+    i = math.floor(pos)
+    t = pos - i
+    a, b = ordered[i], ordered[min(i + 1, len(ordered) - 1)]
+    return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
 
 
 def mutilation(
@@ -238,33 +213,26 @@ def mutilation(
         and classify(m.candidates.candidates, m.gold_qid) == "easy"
     ]
 
+    def p1(subset: list[DocumentTask]) -> float:
+        return metrics_report(build_outcomes(runner(subset))).precision_at_1["overall"]
+
     results: dict[float, float] = {}
     for f in fractions:
         if f >= 1.0:
-            results[f] = precision_at_1(build_outcomes(runner(list(docs))), "overall")
+            results[f] = p1(list(docs))
             continue
         keep = round(f * len(easy_slots))
         values = []
         for rep in range(repeats):
             rng = np.random.default_rng([seed, int(round(f * 1000)), rep])
             kept_idx = rng.choice(len(easy_slots), size=keep, replace=False) if keep else []
-            kept = {easy_slots[i] for i in kept_idx}
-            dropped = set(easy_slots) - kept
-            subsampled: list[DocumentTask] = []
+            dropped = set(easy_slots).difference(easy_slots[i] for i in kept_idx)
+            subsampled = []
             for di, doc in enumerate(docs):
-                mentions = [
-                    m for mi, m in enumerate(doc.mentions) if (di, mi) not in dropped
-                ]
+                mentions = [m for mi, m in enumerate(doc.mentions) if (di, mi) not in dropped]
                 if mentions:
-                    subsampled.append(
-                        DocumentTask(
-                            doc_id=doc.doc_id,
-                            mentions=mentions,
-                            tokens=doc.tokens,
-                            nouns=doc.nouns,
-                        )
-                    )
-            values.append(precision_at_1(build_outcomes(runner(subsampled)), "overall"))
+                    subsampled.append(replace(doc, mentions=mentions))
+            values.append(p1(subsampled))
         results[f] = float(np.mean(values))
     return results
 
@@ -334,6 +302,16 @@ def read_predictions(path: str) -> list[MentionOutcome]:
                 predicted_score = _field(score, "score", line, float, -math.inf) if score else None
                 if bucket and bucket not in BUCKETS:
                     raise FormatError(f"line {line}: unknown bucket {bucket!r}")
+                # Rows as write_predictions writes them: a labeled mention has
+                # a bucket, and gold ranks first exactly when it is predicted.
+                if bool(bucket) != bool(gold):
+                    raise FormatError(f"line {line}: bucket and gold_qid must both be set or empty")
+                if rank and not gold:
+                    raise FormatError(f"line {line}: rank_of_gold without a gold_qid")
+                if (rank_of_gold == 1) != (bool(gold) and predicted == gold):
+                    raise FormatError(
+                        f"line {line}: rank_of_gold is 1 exactly when predicted_qid is gold_qid"
+                    )
                 if (doc_id, idx) in seen:
                     raise IntegrityError(f"line {line}: repeated mention {doc_id!r} #{idx}")
                 seen.add((doc_id, idx))

@@ -8,7 +8,7 @@ therefore every derived artifact) do not depend on the worker count.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -83,9 +83,6 @@ class RunConfig:
                 "context-based methods and weightings need word embeddings "
                 "and entity descriptions"
             )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass

@@ -52,6 +52,8 @@ class WeightScheme:
     def __post_init__(self):
         if self.kind not in WEIGHT_KINDS:
             raise ConfigError(f"unknown weighting kind {self.kind!r}")
+        if not math.isfinite(self.delta):
+            raise ConfigError(f"delta must be finite, got {self.delta}")
         if self.kind != "none" and self.delta <= 0.0:
             raise ConfigError(f"delta must be > 0, got {self.delta}")
 

@@ -16,6 +16,25 @@ from eigenlink.pipeline import METHODS, LinkContext, RunConfig, run_documents
 CORPUS_CFG = "docs=6,mentions_per_doc=4,candidates_per_mention=5,d=24,rank=2,seed=77"
 
 
+def load_strict_json(path):
+    """The JSON value in ``path``; NaN and Infinity, which JSON lacks, raise."""
+
+    def reject(constant):
+        raise ValueError(f"{path}: {constant} is not JSON")
+
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=reject)
+
+
+@pytest.fixture(autouse=True)
+def artifacts_are_strict_json(tmp_path):
+    """Every metrics.json and mutilation.json a test writes parses as strict JSON."""
+    yield
+    for name in ("metrics.json", "mutilation.json"):
+        for path in tmp_path.rglob(name):
+            load_strict_json(path)
+
+
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("cli_corpus"))
@@ -482,6 +501,8 @@ def test_eval_recomputes_link_metrics(corpus_dir, tmp_path):
 
 
 GOOD_ROW = "d1,0,Foo,Q1,Q1,easy,1,0.5"
+BOTH_OR_NEITHER = "bucket and gold_qid must both be set or empty"
+ONE_IFF_GOLD = "rank_of_gold is 1 exactly when predicted_qid is gold_qid"
 
 
 @pytest.mark.parametrize(
@@ -495,6 +516,14 @@ GOOD_ROW = "d1,0,Foo,Q1,Q1,easy,1,0.5"
         ("d1,1,Foo,Q1,Q1,easy,1,nan", "line 3: bad score 'nan'"),
         ("d1,1,Foo,Q1,Q1,medium,1,0.5", "line 3: unknown bucket 'medium'"),
         (GOOD_ROW, "line 3: repeated mention 'd1' #0"),
+        # Rows write_predictions never writes.
+        ("d1,1,m,,Q1,easy,1,0.5", f"line 3: {BOTH_OR_NEITHER}"),
+        ("d1,1,m,Q1,Q1,,1,0.5", f"line 3: {BOTH_OR_NEITHER}"),
+        ("d1,1,m,,Q1,,1,0.5", "line 3: rank_of_gold without a gold_qid"),
+        ("d1,1,m,Q1,Q2,hard,1,0.5", f"line 3: {ONE_IFF_GOLD}"),
+        ("d1,1,m,Q1,,hard,1,", f"line 3: {ONE_IFF_GOLD}"),
+        ("d1,1,m,Q1,Q1,hard,2,0.5", f"line 3: {ONE_IFF_GOLD}"),
+        ("d1,1,m,Q1,Q1,not_found,,0.5", f"line 3: {ONE_IFF_GOLD}"),
     ],
     ids=[
         "short-row",
@@ -505,6 +534,13 @@ GOOD_ROW = "d1,0,Foo,Q1,Q1,easy,1,0.5"
         "score-nan",
         "unknown-bucket",
         "repeated-mention",
+        "bucket-without-gold",
+        "gold-without-bucket",
+        "rank-without-gold",
+        "rank-1-other-prediction",
+        "rank-1-no-prediction",
+        "gold-predicted-rank-2",
+        "gold-predicted-unranked",
     ],
 )
 def test_eval_rejects_malformed_prediction_rows(tmp_path, capsys, row, message):
@@ -513,6 +549,24 @@ def test_eval_rejects_malformed_prediction_rows(tmp_path, capsys, row, message):
     path.write_text("\n".join([header, GOOD_ROW, row]) + "\n", encoding="utf-8")
     assert main(["eval", "--predictions", str(path), "--out", str(tmp_path / "x")]) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_eval_accepts_every_row_kind_link_writes(tmp_path):
+    rows = [
+        "d1,1,m,Q1,Q2,hard,3,0.5",  # gold ranked, not first
+        "d1,2,m,Q1,Q2,hard,,0.5",  # namematch: gold a candidate but not a name match
+        "d1,3,m,Q1,Q1,not_found,1,0.5",  # namematch: gold a name match, not a candidate
+        "d1,4,m,Q1,,not_found,,",  # no prediction
+        "d1,5,m,,Q2,,,0.5",  # unlabeled
+    ]
+    path = tmp_path / "predictions.csv"
+    header = "doc_id,mention_idx,surface,gold_qid,predicted_qid,bucket,rank_of_gold,score"
+    path.write_text("\n".join([header, GOOD_ROW, *rows]) + "\n", encoding="utf-8")
+    out = tmp_path / "x"
+    assert main(["eval", "--predictions", str(path), "--out", str(out)]) == 0
+    metrics = load_strict_json(out / "metrics.json")
+    assert metrics["counts"] == {"easy": 1, "hard": 2, "not_found": 2, "total": 5, "unlabeled": 1}
+    assert metrics["precision_at_1"]["overall"] == 2 / 5
 
 
 def test_eval_bad_header_names_line_1(tmp_path, capsys):
@@ -571,6 +625,33 @@ def test_config_file_int_widens_to_float_field(corpus_dir, tmp_path):
         assert '"delta": 2.0,' in fh.read()
 
 
+# (method, weighting): every weighting, under methods that do and do not read it.
+DELTA_RUNS = [("eigen", "none"), ("eigen", "degree_rr"), ("avg", "degree_rr"), ("degree", "none")]
+DELTA_VALUES = [
+    ("flag", "nan"),
+    ("flag", "inf"),
+    ("flag", "-inf"),
+    ("file", "NaN"),
+    ("file", "Infinity"),
+]
+
+
+@pytest.mark.parametrize("source,value", DELTA_VALUES)
+@pytest.mark.parametrize("method,weighting", DELTA_RUNS)
+def test_non_finite_delta_exits_4(corpus_dir, tmp_path, capsys, method, weighting, source, value):
+    if source == "flag":
+        extra = (f"--delta={value}",)
+    else:
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text('{"delta": %s}' % value)
+        extra = ("--config-file", str(cfg_path))
+    out = tmp_path / "x"
+    args = link_args(corpus_dir, str(out), method=method, extra=("--weighting", weighting, *extra))
+    assert main(args) == 4
+    assert capsys.readouterr().err == f"error: delta must be finite, got {float(value)}\n"
+    assert not out.exists()
+
+
 def test_jobs_defaults_to_one(tmp_path):
     args = link_args("corpus", str(tmp_path / "x"))
     del args[args.index("--jobs") : args.index("--jobs") + 2]
@@ -627,6 +708,22 @@ def test_mutilate_fraction_out_of_range_exits_4_before_loading(
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_mutilate_repeated_method_exits_4_before_loading(corpus_dir, tmp_path, capsys):
+    args = [
+        "mutilate",
+        "--methods",
+        "eigen,degree,eigen",
+        "--dataset",
+        f"{corpus_dir}/dataset.jsonl",
+        "--catalog",
+        str(tmp_path / "missing.jsonl"),
+        "--out",
+        str(tmp_path / "mut"),
+    ]
+    assert main(args) == 4
+    assert capsys.readouterr().err == "error: method 'eigen' is listed twice\n"
+
+
 def test_unscaled_flag_changes_scores(corpus_dir, tmp_path):
     out1, out2 = str(tmp_path / "s1"), str(tmp_path / "s2")
     assert main(link_args(corpus_dir, out1, method="eigen")) == 0
@@ -644,6 +741,30 @@ def test_namematch_runs_even_without_exact_names(corpus_dir, tmp_path):
     with open(f"{out}/metrics.json") as fh:
         metrics = json.load(fh)
     assert metrics["precision_at_1"]["overall"] == 0.0
+
+
+def test_namematch_not_found_mention_can_score(tmp_path):
+    # T=1 keeps only Q1, the higher degree, so gold Q2 is not found; but
+    # namematch ranks its name matches, and Q2's name is the mention's.
+    catalog, dataset = tmp_path / "catalog.jsonl", tmp_path / "dataset.jsonl"
+    write_jsonl(
+        catalog,
+        [
+            {"qid": "Q1", "name": "Rome Italy", "degree": 9},
+            {"qid": "Q2", "name": "Rome", "degree": 5},
+        ],
+    )
+    write_jsonl(dataset, [{"doc_id": "d", "mentions": [{"surface": "Rome", "gold_qid": "Q2"}]}])
+    out = tmp_path / "run"
+    args = plain_link_args(str(catalog), str(dataset), str(out), "namematch") + ["--T", "1"]
+    assert main(args) == 0
+    with open(out / "predictions.csv", newline="") as fh:
+        row = list(csv.DictReader(fh))[0]
+    assert (row["bucket"], row["predicted_qid"], row["rank_of_gold"]) == ("not_found", "Q2", "1")
+    metrics = load_strict_json(out / "metrics.json")
+    assert metrics["precision_at_1"]["overall"] == 1.0
+    assert metrics["mrr"]["overall"] == 1.0
+    assert metrics["oracle_recall"] == 0.0
 
 
 def test_link_with_edge_list_degrees(tmp_path):

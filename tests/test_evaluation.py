@@ -1,19 +1,24 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eigenlink.eigenthemes import LinkResult, MentionLink
 from eigenlink.evaluation import (
     BOOTSTRAP_BLOCK_ELEMENTS,
+    BUCKETS,
     MentionOutcome,
+    MetricsReport,
+    _percentile,
     build_outcomes,
-    bucket_counts,
     classify,
     metrics_report,
-    mrr,
     mutilation,
-    precision_at_1,
     read_predictions,
     score_gap,
     write_predictions,
@@ -66,14 +71,22 @@ def test_classify_not_found():
 # precision@1 / MRR
 
 
+def p1(outs, bucket="overall"):
+    return metrics_report(outs).precision_at_1[bucket]
+
+
+def mrr(outs, bucket="overall"):
+    return metrics_report(outs).mrr[bucket]
+
+
 def test_p1_all_correct():
     outs = [outcome("easy", predicted="g", rank=1) for _ in range(5)]
-    assert precision_at_1(outs, "overall") == 1.0
+    assert p1(outs) == 1.0
 
 
 def test_p1_only_not_found():
     outs = [outcome("not_found") for _ in range(4)]
-    assert precision_at_1(outs, "overall") == 0.0
+    assert p1(outs) == 0.0
 
 
 def test_p1_ten_mention_fixture():
@@ -83,17 +96,17 @@ def test_p1_ten_mention_fixture():
         + [outcome("hard", predicted="x", rank=3) for _ in range(2)]
         + [outcome("not_found") for _ in range(2)]
     )
-    assert precision_at_1(outs, "overall") == pytest.approx(0.6)
+    assert p1(outs) == pytest.approx(0.6)
 
 
 def test_mrr_gold_always_second():
     outs = [outcome("hard", predicted="x", rank=2) for _ in range(3)]
-    assert mrr(outs, "overall") == pytest.approx(0.5)
+    assert mrr(outs) == pytest.approx(0.5)
 
 
 def test_mrr_absent_gold_contributes_zero():
     outs = [outcome("hard", predicted="x", rank=1), outcome("not_found")]
-    assert mrr(outs, "overall") == pytest.approx(0.5)
+    assert mrr(outs) == pytest.approx(0.5)
 
 
 def test_mrr_hand_fixture():
@@ -103,7 +116,7 @@ def test_mrr_hand_fixture():
         outcome("hard", predicted="x", rank=4),
         outcome("not_found"),
     ]
-    assert mrr(outs, "overall") == pytest.approx(0.4375)
+    assert mrr(outs) == pytest.approx(0.4375)
 
 
 def test_mrr_at_least_p1_per_bucket():
@@ -118,13 +131,13 @@ def test_mrr_at_least_p1_per_bucket():
             predicted = "g" if rank == 1 else "x"
             outs.append(outcome(bucket, predicted=predicted, rank=rank))
     for bucket in ("overall", "easy", "hard"):
-        assert mrr(outs, bucket) >= precision_at_1(outs, bucket) - 1e-12
+        assert mrr(outs, bucket) >= p1(outs, bucket) - 1e-12
 
 
 def test_unlabeled_mentions_excluded():
     outs = [outcome("easy", predicted="g", rank=1), outcome(None, gold=None)]
-    assert precision_at_1(outs, "overall") == 1.0
-    counts = bucket_counts(outs)
+    assert p1(outs) == 1.0
+    counts = metrics_report(outs).counts
     assert counts["unlabeled"] == 1
     assert counts["total"] == 1
 
@@ -137,6 +150,53 @@ def test_report_p1_bounded_by_oracle_recall():
     report = metrics_report(outs)
     assert report.precision_at_1["overall"] <= report.oracle_recall
     assert report.oracle_recall == pytest.approx(0.6)
+
+
+def reference_report(outs):
+    """Counts, P@1, MRR and oracle recall from each bucket's own selection."""
+    labeled = [o for o in outs if o.bucket is not None]
+    selected = {"overall": labeled, **{b: [o for o in labeled if o.bucket == b] for b in BUCKETS}}
+    p1s, mrrs = {}, {}
+    for bucket in ("overall", "easy", "hard"):
+        sel = selected[bucket]
+        hits = [o for o in sel if o.predicted_qid is not None and o.predicted_qid == o.gold_qid]
+        total = 0.0
+        for o in sel:  # left to right, in outcome order
+            if o.rank_of_gold is not None:
+                total += 1.0 / o.rank_of_gold
+        p1s[bucket] = len(hits) / len(sel) if sel else 0.0
+        mrrs[bucket] = total / len(sel) if sel else 0.0
+    counts = {b: len(selected[b]) for b in BUCKETS}
+    counts.update(total=len(labeled), unlabeled=len(outs) - len(labeled))
+    found = counts["easy"] + counts["hard"]
+    return MetricsReport(counts, p1s, mrrs, found / len(labeled) if labeled else 0.0)
+
+
+@st.composite
+def random_outcome(draw):
+    bucket = draw(st.sampled_from([None, *BUCKETS]))
+    gold = None if bucket is None else draw(st.sampled_from(["g", "h"]))
+    # not_found mentions may carry a rank: namematch ranks its name matches.
+    rank = None if bucket is None else draw(st.none() | st.integers(1, 40))
+    return outcome(bucket, gold=gold, predicted=draw(st.sampled_from([None, "g", "h"])), rank=rank)
+
+
+def bits(report):
+    """The report's fields, floats as their exact hex spelling."""
+    return (
+        report.counts,
+        {b: v.hex() for b, v in report.precision_at_1.items()},
+        {b: v.hex() for b, v in report.mrr.items()},
+        report.oracle_recall.hex(),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(outs=st.lists(random_outcome(), max_size=60))
+def test_metrics_report_is_one_pass_of_the_bucket_definitions(outs):
+    want = bits(reference_report(outs))
+    assert bits(metrics_report(outs)) == want
+    assert bits(metrics_report(o for o in outs)) == want  # read once, as a stream
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +222,22 @@ def test_build_outcomes_records_ranks_and_scores():
     assert outs[1].rank_of_gold == 1
     assert outs[2].bucket == "not_found"
     assert outs[2].rank_of_gold is None
+
+
+def test_build_outcomes_scores_the_prediction_at_the_head_of_the_ranking():
+    result = LinkResult(
+        doc_id="d",
+        method="eigen",
+        mentions=[
+            ml("g", ["a", "g"], [("a", 2.5), ("g", 1.0)], "a"),
+            ml(None, ["a"], [("a", -math.inf)], "a"),
+            ml("g", [], [], None),
+        ],
+    )
+    outs = build_outcomes([result])
+    assert [o.predicted_score for o in outs] == [2.5, None, None]
+    assert (outs[1].bucket, outs[1].rank_of_gold, outs[1].nongold_mean) == (None, None, None)
+    assert (outs[2].bucket, outs[2].predicted_qid) == ("not_found", None)
 
 
 def test_build_outcomes_ignores_infinite_scores():
@@ -228,6 +304,46 @@ def test_score_gap_blocks_match_one_shot_bootstrap():
     assert (report.mean, report.ci_low, report.ci_high) == (gaps.mean(), lo, hi)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(
+        # + 0.0 folds -0.0 into 0.0: the two tie, and a tie's sign depends on the sort.
+        st.floats(-1e300, 1e300).map(lambda v: v + 0.0),
+        min_size=1,
+        max_size=50,
+    ),
+    q=st.floats(0.0, 100.0) | st.sampled_from([2.5, 97.5]),
+)
+def test_percentile_matches_numpy_bit_for_bit(values, q):
+    ordered = np.sort(np.asarray(values))
+    assert _percentile(ordered, q).hex() == float(np.percentile(ordered, q)).hex()
+
+
+def test_percentile_matches_numpy_on_bootstrap_means():
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 3, 40, 999, 10_000):
+        ordered = np.sort(rng.normal(size=n) * rng.uniform(0.1, 10.0))
+        want = np.percentile(ordered, [2.5, 97.5])
+        assert [_percentile(ordered, q) for q in (2.5, 97.5)] == list(want)
+
+
+def test_score_gap_does_not_import_numpy_ma():
+    # A fresh process: numpy imports numpy.ma lazily, and only once.
+    code = (
+        "import sys\n"
+        "from eigenlink.evaluation import MentionOutcome, score_gap\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "o = MentionOutcome('d', 0, 'm', 'g', 'g', 'easy', 1, 1.0, 1.0, 0.5)\n"
+        "score_gap([o, o], resamples=100)\n"
+        "print(before, 'numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    before, after = out.stdout.split()
+    assert after == before, out.stderr
+
+
 # ---------------------------------------------------------------------------
 # mutilation
 
@@ -268,7 +384,7 @@ def test_mutilation_full_fraction_is_plain_evaluation(crossing_corpus):
     docs = attach_all(crossing_corpus)
     runner = runner_for(crossing_corpus, "degree")
     by_fraction = mutilation(docs, runner, [1.0], seed=3, repeats=10)
-    plain = precision_at_1(build_outcomes(runner(docs)), "overall")
+    plain = p1(build_outcomes(runner(docs)))
     assert by_fraction[1.0] == plain  # bit-exact
 
 
