@@ -102,7 +102,10 @@ def _read_config_file(path: str) -> dict:
     for key, value in file_cfg.items():
         kind = _FILE_TYPES[key]
         if kind is float and type(value) is int:
-            file_cfg[key] = float(value)
+            try:
+                file_cfg[key] = float(value)
+            except OverflowError:
+                raise ConfigError(f"config-file key {key!r} is too large for a float") from None
         elif type(value) is not kind:
             raise ConfigError(
                 f"config-file key {key!r} must be {kind.__name__}, got {json.dumps(value)}"
@@ -146,20 +149,26 @@ def _mention_reach(docs: list[DocumentTask]) -> tuple[set[str], Callable[[str, l
     return tokens, reachable
 
 
-def _load_context(args, cfg: RunConfig) -> tuple[LinkContext, list[DocumentTask]]:
-    """Load the inputs and attach candidates to every document.
+def _load_context(args, cfgs: list[RunConfig]) -> tuple[LinkContext, list[DocumentTask]]:
+    """Load the inputs of runs with ``cfgs`` and attach candidates to every document.
 
-    The dataset comes first: the catalog keeps only the records its
-    mentions can reach and the index only its mention tokens. Candidates
-    come before the stores so that only their entity embeddings and
-    descriptions are kept.
+    The context is configured by ``cfgs[0]``, whose ``T`` they share. The
+    dataset comes first: the catalog keeps only the records its mentions
+    can reach and the index only its mention tokens. Candidates come
+    before the stores so that only their entity embeddings and
+    descriptions are kept. Unless one of the methods reads the catalog,
+    the catalog and the index are dropped before the stores load.
     """
+    cfg = cfgs[0]
     docs = load_dataset(args.dataset)
     tokens, reachable = _mention_reach(docs)
     catalog = load_catalog(args.catalog, edges_path=args.edges, keep=reachable)
     index = build_index(catalog, tokens)
     docs = [attach_candidates(doc, index, catalog, cfg.T) for doc in docs]
     union = {qid for doc in docs for m in doc.mentions for qid in m.candidates.candidates}
+    del index
+    if not any(METHODS[c.method].reads_catalog for c in cfgs):
+        catalog = None
     store = load_embeddings(args.embeddings, union) if args.embeddings else None
     word_store = load_embeddings(args.words) if args.words else None
     desc_store = None
@@ -223,14 +232,18 @@ def cmd_synth(args) -> int:
 
 def cmd_link(args) -> int:
     cfg = _resolve_run_config(args, args.method)
-    ctx, docs = _load_context(args, cfg)
+    ctx, docs = _load_context(args, [cfg])
     results = run_documents(docs, ctx, cfg.jobs)
+    effective = [r.effective_k for r in results if r.effective_k is not None]
+    n_documents = len(results)
     outcomes = build_outcomes(results)
+    # Nothing below reads the inputs or the rankings; freeing them keeps
+    # them out of the memory held through evaluation.
+    del results, ctx, docs
     report = metrics_report(outcomes)
     if report.counts["unlabeled"]:
         log.info("excluded %d mentions without gold annotation", report.counts["unlabeled"])
     gap = score_gap(outcomes, seed=cfg.seed)
-    effective = [r.effective_k for r in results if r.effective_k is not None]
 
     os.makedirs(args.out, exist_ok=True)
     write_predictions(outcomes, os.path.join(args.out, "predictions.csv"))
@@ -242,7 +255,7 @@ def cmd_link(args) -> int:
         **dataclasses.asdict(report),
         "score_gap": dataclasses.asdict(gap) if gap else None,
         "effective_k": {"min": min(effective), "max": max(effective)} if effective else None,
-        "documents": len(results),
+        "documents": n_documents,
     }
     _write_json(metrics, os.path.join(args.out, "metrics.json"))
     p1 = report.precision_at_1
@@ -294,7 +307,7 @@ def cmd_mutilate(args) -> int:
 
     cfgs = {method: _resolve_run_config(args, method) for method in methods}
     base_cfg = cfgs[methods[0]]
-    ctx, docs = _load_context(args, base_cfg)
+    ctx, docs = _load_context(args, list(cfgs.values()))
 
     curves: dict[str, list[float]] = {}
     for method, cfg in cfgs.items():

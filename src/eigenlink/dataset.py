@@ -23,7 +23,7 @@ from .index import CandidateList, InvertedIndex, generate_candidates
 from .kg import EntityCatalog
 
 
-@dataclass
+@dataclass(slots=True)
 class Mention:
     surface: str
     gold_qid: str | None = None

@@ -32,7 +32,7 @@ class DocumentMatrix:
     weights: np.ndarray  # (n_D,)
 
 
-@dataclass
+@dataclass(slots=True)
 class MentionLink:
     """Per-mention outcome: full scored ranking plus the argmax."""
 

@@ -33,7 +33,7 @@ BUCKETS = ("easy", "hard", "not_found")
 BOOTSTRAP_BLOCK_ELEMENTS = 1 << 16
 
 
-@dataclass
+@dataclass(slots=True)
 class MentionOutcome:
     doc_id: str
     mention_idx: int

@@ -43,7 +43,7 @@ class InvertedIndex:
         return len(self.postings)
 
 
-@dataclass
+@dataclass(slots=True)
 class CandidateList:
     """Degree-sorted candidates for one mention, truncated to T."""
 

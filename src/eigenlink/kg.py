@@ -17,7 +17,7 @@ from .errors import FormatError, IntegrityError
 from .rowids import RowIds, line_qid
 
 
-@dataclass
+@dataclass(slots=True)
 class EntityRecord:
     """One knowledge-graph entity: identifier, names and degree."""
 

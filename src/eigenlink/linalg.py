@@ -5,15 +5,31 @@ W E; only its right singular vectors and singular values are kept. The
 weighted sums-of-squares-and-cross-products matrix, whose top
 eigenvectors span the same subspace, is offered as a separate kernel
 but is not on the linking path.
+
+Products and SVDs of large matrices give different bits on different
+BLAS thread counts, so linking runs BLAS on one thread
+(``pin_blas_threads``).
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import logging
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, DimensionError, EmptyDocumentError, NumericalError
+
+log = logging.getLogger("eigenlink")
+
+# numpy's wheels bundle OpenBLAS here, with this thread-count setter.
+_NUMPY_LIBS = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+_OPENBLAS = os.path.join(_NUMPY_LIBS, "libscipy_openblas*.so")
+_SET_THREADS = "scipy_openblas_set_num_threads64_"
 
 # Singular values with sigma_i^2 <= RANK_TOL_FACTOR * sigma_1^2 are treated
 # as rank deficiency.
@@ -34,6 +50,28 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
+
+
+@functools.cache
+def pin_blas_threads() -> bool:
+    """Run numpy's BLAS on one thread in this process, whatever OPENBLAS_NUM_THREADS says.
+
+    Returns whether it could: a numpy built against another BLAS has no
+    such setter, and then a warning says that artifacts of large
+    documents may depend on the BLAS thread count.
+    """
+    for path in sorted(glob.glob(_OPENBLAS)):
+        setter = getattr(ctypes.CDLL(path), _SET_THREADS, None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+            return True
+    log.warning(
+        "cannot pin BLAS to one thread (no %s in numpy's bundled OpenBLAS); "
+        "results of large documents may depend on the BLAS thread count",
+        _SET_THREADS,
+    )
+    return False
 
 
 def _weighted_rows(E: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ from .eigenthemes import LinkResult, link_document
 from .embeddings import EmbeddingStore
 from .errors import ConfigError
 from .kg import EntityCatalog
+from .linalg import pin_blas_threads
 from .weighting import CONTEXT_KINDS, WeightScheme
 
 TEXT_INPUTS = frozenset({"words", "descriptions"})
@@ -35,6 +36,8 @@ class Method(NamedTuple):
     link: Callable[..., LinkResult]  # calls the linker by its name here, so wrappers see it
     inputs: frozenset[str]  # the input files the method reads
     degree_fallback: bool  # report a pool whose scores carry no signal as ranked by degree
+    # reads catalog records (degrees, names), not only the candidate lists and stores
+    reads_catalog: bool = False
 
 
 @dataclass
@@ -92,9 +95,10 @@ class LinkContext:
     ``catalog`` may hold only the records the dataset's mentions can
     reach (as the CLI loads it), so documents linked with it must come
     from that dataset, with candidates attached over the same catalog.
+    It may be None when the method does not read the catalog.
     """
 
-    catalog: EntityCatalog
+    catalog: EntityCatalog | None
     config: RunConfig
     store: EmbeddingStore | None = None
     word_store: EmbeddingStore | None = None
@@ -102,6 +106,8 @@ class LinkContext:
 
     def validate(self) -> None:
         self.config.validate()
+        if self.catalog is None and METHODS[self.config.method].reads_catalog:
+            raise ConfigError(f"method {self.config.method!r} needs the catalog")
         stores = dict(embeddings=self.store, words=self.word_store, descriptions=self.desc_store)
         self.config.check_inputs({name for name, store in stores.items() if store is not None})
 
@@ -138,8 +144,8 @@ def _link_context(doc: DocumentTask, ctx: LinkContext, **flags) -> LinkResult:
 METHODS: dict[str, Method] = {
     "eigen": Method(_link_eigen, frozenset({"embeddings"}), degree_fallback=True),
     "avg": Method(_link_avg, frozenset({"embeddings"}), degree_fallback=True),
-    "degree": Method(_link_degree, frozenset(), degree_fallback=False),
-    "namematch": Method(_link_namematch, frozenset(), degree_fallback=False),
+    "degree": Method(_link_degree, frozenset(), degree_fallback=False, reads_catalog=True),
+    "namematch": Method(_link_namematch, frozenset(), degree_fallback=False, reads_catalog=True),
     "local": Method(_link_context, TEXT_INPUTS, degree_fallback=True),
     "global": Method(_link_context, TEXT_INPUTS, degree_fallback=True),
 }
@@ -156,6 +162,7 @@ _WORKER_CTX: LinkContext | None = None
 
 def _init_worker(ctx: LinkContext) -> None:
     global _WORKER_CTX
+    pin_blas_threads()
     _WORKER_CTX = ctx
 
 
@@ -177,11 +184,13 @@ def run_documents(
                 f"document {doc.doc_id!r} has mentions without candidates; "
                 "call attach_candidates first"
             )
+    pin_blas_threads()
     if ctx.config.method == "namematch":
         ctx.name_lookup  # built once here, not once per worker
-    if jobs <= 1 or len(docs) <= 1:
+    workers = min(jobs, len(docs))
+    if workers <= 1:
         return [link_one(doc, ctx) for doc in docs]
     with ProcessPoolExecutor(
-        max_workers=jobs, initializer=_init_worker, initargs=(ctx,)
+        max_workers=workers, initializer=_init_worker, initargs=(ctx,)
     ) as pool:
-        return list(pool.map(_run_worker, docs, chunksize=max(1, len(docs) // (4 * jobs))))
+        return list(pool.map(_run_worker, docs, chunksize=max(1, len(docs) // (4 * workers))))

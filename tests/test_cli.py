@@ -1,16 +1,20 @@
 import csv
 import json
 import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from eigenlink import cli, weighting
 from eigenlink.cli import _load_context, _resolve_run_config, build_parser, main
-from eigenlink.dataset import attach_candidates, load_dataset
-from eigenlink.evaluation import build_outcomes, write_predictions
-from eigenlink.index import build_index, tokenize
-from eigenlink.kg import load_catalog
+from eigenlink.dataset import Mention, attach_candidates, load_dataset
+from eigenlink.eigenthemes import MentionLink
+from eigenlink.evaluation import MentionOutcome, build_outcomes, write_predictions
+from eigenlink.index import CandidateList, build_index, tokenize
+from eigenlink.kg import EntityRecord, load_catalog
 from eigenlink.pipeline import METHODS, LinkContext, RunConfig, run_documents
 
 CORPUS_CFG = "docs=6,mentions_per_doc=4,candidates_per_mention=5,d=24,rank=2,seed=77"
@@ -143,6 +147,47 @@ def test_jobs_count_does_not_change_outputs(corpus_dir, tmp_path, method, kind):
     assert main(args2) == 0
     assert read_bytes(f"{out1}/predictions.csv") == read_bytes(f"{out2}/predictions.csv")
     assert read_bytes(f"{out1}/metrics.json") == read_bytes(f"{out2}/metrics.json")
+
+
+SLOTTED = (EntityRecord, Mention, CandidateList, MentionLink, MentionOutcome)
+
+
+@pytest.mark.parametrize("method", ["eigen", "degree"])
+def test_slotted_records_cross_to_workers_unchanged(corpus_dir, tmp_path, method):
+    assert all("__slots__" in vars(cls) for cls in SLOTTED)
+    record = EntityRecord("Q1", "Rome", ["Roma"], 3)
+    assert not hasattr(record, "__dict__")
+    assert pickle.loads(pickle.dumps(record)) == record
+    # --jobs 2 pickles the documents and the context (with the catalog's
+    # records for degree) into the workers, and the links back.
+    out1, out2 = str(tmp_path / "j1"), str(tmp_path / "j2")
+    args1 = link_args(corpus_dir, out1, method=method)
+    args2 = link_args(corpus_dir, out2, method=method)
+    args2[args2.index("--jobs") + 1] = "2"
+    assert main(args1) == 0
+    assert main(args2) == 0
+    assert read_bytes(f"{out1}/predictions.csv") == read_bytes(f"{out2}/predictions.csv")
+    assert read_bytes(f"{out1}/metrics.json") == read_bytes(f"{out2}/metrics.json")
+
+
+@pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2, reason="OpenBLAS caps its threads at the CPU count, so 2 acts as 1"
+)
+def test_blas_thread_count_does_not_change_outputs(tmp_path):
+    # 1000 candidate rows at d=300: large enough for BLAS to split the work.
+    corpus = str(tmp_path / "corpus")
+    cfg = "d=300,docs=1,mentions_per_doc=50,candidates_per_mention=20"
+    assert main(["synth", "--config", cfg, "--out", corpus]) == 0
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    outs = {}
+    for threads in ("1", "2"):
+        outs[threads] = str(tmp_path / f"t{threads}")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        argv = link_args(corpus, outs[threads], method="eigen")
+        cmd = [sys.executable, "-m", "eigenlink.cli", *argv]
+        subprocess.run(cmd, env=env, check=True, timeout=120)
+    for name in ("metrics.json", "predictions.csv"):
+        assert read_bytes(f"{outs['1']}/{name}") == read_bytes(f"{outs['2']}/{name}")
 
 
 def test_missing_input_file_exits_2(corpus_dir, tmp_path):
@@ -347,7 +392,7 @@ def test_link_indexes_only_mention_tokens(corpus_dir, tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "build_index", recording)
     args = build_parser().parse_args(link_args(corpus_dir, str(tmp_path / "x")))
-    _load_context(args, _resolve_run_config(args, args.method))
+    _load_context(args, [_resolve_run_config(args, args.method)])
     (index,) = built
     catalog_tokens = set(build_index(load_catalog(f"{corpus_dir}/catalog.jsonl")).postings)
     docs = load_dataset(f"{corpus_dir}/dataset.jsonl")
@@ -439,7 +484,7 @@ def test_edges_fill_degrees_of_kept_records(tmp_path):
     edges.write_text("Q1\tQ5\nQ1\tQ6\nQ5\tQ6\n")
     args = plain_link_args(catalog, dataset, str(tmp_path / "x")) + ["--edges", str(edges)]
     args = build_parser().parse_args(args)
-    ctx, _ = _load_context(args, _resolve_run_config(args, args.method))
+    ctx, _ = _load_context(args, [_resolve_run_config(args, args.method)])
     assert {rec.qid: rec.degree for rec in ctx.catalog} == {"Q1": 2, "Q5": 9}
 
 
@@ -452,7 +497,7 @@ def test_catalog_keeps_only_reachable_records(corpus_dir, tmp_path):
     args = link_args(corpus_dir, str(tmp_path / "x"))
     args[args.index("--catalog") + 1] = str(padded)
     args = build_parser().parse_args(args)
-    ctx, docs = _load_context(args, _resolve_run_config(args, args.method))
+    ctx, docs = _load_context(args, [_resolve_run_config(args, args.method)])
     surfaces = {m.surface for doc in docs for m in doc.mentions}
     tokens = {tok for surface in surfaces for tok in tokenize(surface)}
     names = {" ".join(surface.casefold().split()) for surface in surfaces}
@@ -625,6 +670,15 @@ def test_config_file_int_widens_to_float_field(corpus_dir, tmp_path):
         assert '"delta": 2.0,' in fh.read()
 
 
+def test_config_file_oversized_int_for_float_field_exits_4(corpus_dir, tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text('{"delta": 1%s}' % ("0" * 400))
+    out = tmp_path / "x"
+    assert main(link_args(corpus_dir, str(out), extra=("--config-file", str(cfg_path)))) == 4
+    assert capsys.readouterr().err == "error: config-file key 'delta' is too large for a float\n"
+    assert not out.exists()
+
+
 # (method, weighting): every weighting, under methods that do and do not read it.
 DELTA_RUNS = [("eigen", "none"), ("eigen", "degree_rr"), ("avg", "degree_rr"), ("degree", "none")]
 DELTA_VALUES = [
@@ -684,6 +738,33 @@ def test_mutilate_degree_collapses_to_zero(corpus_dir, tmp_path):
     assert payload["format"] == "eigenlink-mutilation"
     assert payload["fractions"] == [1.0, 0.0]
     assert payload["p1_overall"]["degree"][1] == 0.0
+
+
+def mutilate_args(corpus_dir, out, methods):
+    args = link_args(corpus_dir, out)
+    args[:3] = ["mutilate", "--methods", methods]
+    return args + ["--fractions", "1.0,0.5", "--repeats", "1"]
+
+
+@pytest.mark.parametrize("command", ["link", "mutilate"])
+def test_commands_link_through_the_cli_run_documents_name(
+    corpus_dir, tmp_path, monkeypatch, command
+):
+    # perfbench hooks this name to split setup time from linking time.
+    calls = []
+    linked = cli.run_documents
+
+    def recording(*args, **kwargs):
+        calls.append(command)
+        return linked(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_documents", recording)
+    out = str(tmp_path / "x")
+    if command == "link":
+        assert main(link_args(corpus_dir, out)) == 0
+    else:
+        assert main(mutilate_args(corpus_dir, out, "degree")) == 0
+    assert calls
 
 
 @pytest.mark.parametrize("fraction", ["1.5", "-0.1", "nan", "inf"])

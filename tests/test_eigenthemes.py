@@ -478,6 +478,37 @@ def test_run_rejects_documents_without_candidates(small_corpus, method, monkeypa
         )
 
 
+@pytest.mark.parametrize("jobs,workers", [(8, 3), (2, 2)])
+def test_run_starts_at_most_one_worker_per_document(small_corpus, monkeypatch, jobs, workers):
+    started = []
+
+    class InProcessPool:
+        """Records the pool size and maps in this process; no worker starts."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            started.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(pipeline, "_WORKER_CTX", None)
+    ctx = context_with_every_input(small_corpus, "degree")
+    docs = [
+        attach_candidates(doc, small_corpus.index, small_corpus.catalog)
+        for doc in small_corpus.docs[:3]
+    ]
+    assert run_documents(docs, ctx, jobs) == run_documents(docs, ctx, 1)
+    assert started == [workers]
+
+
 def test_namematch_link_one_matches_run_documents():
     # "Rome" is a candidate of both; only Q1 has it as its whole name
     catalog = make_catalog([("Q1", "Rome", [], 1), ("Q2", "Rome Italy", [], 5)])

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from eigenlink import linalg
 from eigenlink.errors import (
     DataError,
     DimensionError,
     EmptyDocumentError,
     NumericalError,
 )
-from eigenlink.linalg import truncated_svd, weighted_sscp
+from eigenlink.linalg import pin_blas_threads, truncated_svd, weighted_sscp
 
 # ---------------------------------------------------------------------------
 # Independent oracles
@@ -211,3 +212,11 @@ def test_lapack_failure_is_numerical_error(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", fail)
     with pytest.raises(NumericalError):
         truncated_svd(np.eye(3), np.ones(3), k=1)
+
+
+def test_blas_without_the_thread_setter_is_reported(tmp_path, monkeypatch, caplog):
+    monkeypatch.setattr(linalg, "_OPENBLAS", str(tmp_path / "libscipy_openblas*.so"))
+    assert pin_blas_threads.__wrapped__() is False
+    (record,) = caplog.records
+    assert record.levelname == "WARNING"
+    assert "may depend on the BLAS thread count" in record.getMessage()

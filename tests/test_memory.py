@@ -1,0 +1,92 @@
+"""What `link` and `mutilate` keep in memory: each input only while a stage reads it."""
+
+import tracemalloc
+
+import pytest
+
+from eigenlink import cli
+from eigenlink.cli import _load_context, _resolve_run_config, build_parser, main
+from eigenlink.errors import ConfigError
+from eigenlink.pipeline import METHODS, LinkContext, RunConfig, run_documents
+
+CORPUS_CFG = "docs=30,mentions_per_doc=8,candidates_per_mention=10,d=64,seed=5"
+READS_CATALOG = {"degree", "namematch"}
+
+
+@pytest.fixture(scope="module")
+def corpus_dir(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("memory_corpus"))
+    assert main(["synth", "--config", CORPUS_CFG, "--out", out]) == 0
+    return out
+
+
+def run_args(corpus_dir, out, command="link", method="avg"):
+    args = [command, "--methods" if command == "mutilate" else "--method", method]
+    for flag, name in [
+        ("dataset", "dataset.jsonl"),
+        ("catalog", "catalog.jsonl"),
+        ("embeddings", "embeddings.txt"),
+        ("words", "words.txt"),
+        ("descriptions", "descriptions.jsonl"),
+    ]:
+        args += [f"--{flag}", f"{corpus_dir}/{name}"]
+    if command == "mutilate":
+        args += ["--fractions", "1.0", "--repeats", "1"]
+    return args + ["--jobs", "1", "--out", out]
+
+
+def test_link_releases_the_inputs_before_the_bootstrap(corpus_dir, tmp_path, monkeypatch):
+    seen = {}
+    load_embeddings, score_gap = cli.load_embeddings, cli.score_gap
+
+    def loading(*args, **kwargs):
+        store = load_embeddings(*args, **kwargs)
+        seen["after_load"] = tracemalloc.get_traced_memory()[0]
+        seen["matrix"] = len(store) * store.dim * 8
+        return store
+
+    def bootstrapping(*args, **kwargs):
+        seen["at_bootstrap"] = tracemalloc.get_traced_memory()[0]
+        return score_gap(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_embeddings", loading)
+    monkeypatch.setattr(cli, "score_gap", bootstrapping)
+    args = run_args(corpus_dir, str(tmp_path / "x"))
+    args[args.index("--words") : args.index("--descriptions") + 2] = []
+    tracemalloc.start()
+    try:
+        assert main(args) == 0
+    finally:
+        tracemalloc.stop()
+    # The outcomes are all that is left of the stores, documents and links.
+    assert seen["at_bootstrap"] < seen["after_load"] - seen["matrix"]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_catalog_is_loaded_only_for_methods_that_read_it(corpus_dir, tmp_path, method):
+    args = build_parser().parse_args(run_args(corpus_dir, str(tmp_path / "x"), method=method))
+    ctx, _ = _load_context(args, [_resolve_run_config(args, method)])
+    assert (ctx.catalog is not None) == (method in READS_CATALOG)
+    assert METHODS[method].reads_catalog == (method in READS_CATALOG)
+
+
+@pytest.mark.parametrize("methods,kept", [("eigen,avg", False), ("eigen,degree", True)])
+def test_mutilate_keeps_the_catalog_when_any_method_reads_it(
+    corpus_dir, tmp_path, monkeypatch, methods, kept
+):
+    catalogs = []
+    linked = cli.run_documents
+
+    def recording(docs, ctx, jobs):
+        catalogs.append(ctx.catalog is not None)
+        return linked(docs, ctx, jobs)
+
+    monkeypatch.setattr(cli, "run_documents", recording)
+    assert main(run_args(corpus_dir, str(tmp_path / "x"), "mutilate", methods)) == 0
+    assert catalogs == [kept, kept]
+
+
+@pytest.mark.parametrize("method", sorted(READS_CATALOG))
+def test_run_without_the_catalog_a_method_reads_raises(method):
+    with pytest.raises(ConfigError, match="needs the catalog"):
+        run_documents([], LinkContext(catalog=None, config=RunConfig(method=method)))
