@@ -46,13 +46,9 @@ def normalize_name(name: str) -> str:
 
 
 def name_match(
-    mention: str,
-    catalog: EntityCatalog,
-    name_lookup: dict[str, list[str]] | None = None,
+    mention: str, catalog: EntityCatalog, name_lookup: dict[str, list[str]]
 ) -> list[tuple[str, float]]:
-    """Exact-name matches ranked by degree; empty when nothing matches."""
-    if name_lookup is None:
-        name_lookup = build_name_lookup(catalog)
+    """Exact-name matches ranked by degree (``name_lookup`` is ``build_name_lookup(catalog)``)."""
     matches = name_lookup.get(normalize_name(mention), [])
     return [(qid, float(catalog.records[qid].degree)) for qid in matches]
 
@@ -86,22 +82,19 @@ def avg_scores(dm: DocumentMatrix) -> np.ndarray:
     return np.divide(dots, enorms * cnorm, out=np.zeros_like(dots), where=enorms > 0.0)
 
 
-def link_document_degree(
-    task: DocumentTask, catalog: EntityCatalog, degree_fallback: bool = False
-) -> LinkResult:
+def link_document_degree(task: DocumentTask, catalog: EntityCatalog) -> LinkResult:
     pools = (degree_baseline(m.candidates, catalog) for m in task.mentions)
-    return link_mentions(task, "degree", pools, degree_fallback)
+    return link_mentions(task, pools, degree_fallback=False)
 
 
 def link_document_namematch(
     task: DocumentTask,
     catalog: EntityCatalog,
     name_lookup: dict[str, list[str]],
-    degree_fallback: bool = False,
 ) -> LinkResult:
     """The pool is the mention's name matches, which need not be among its candidates."""
     pools = (name_match(m.surface, catalog, name_lookup) for m in task.mentions)
-    return link_mentions(task, "namematch", pools, degree_fallback)
+    return link_mentions(task, pools, degree_fallback=False)
 
 
 def link_document_avg(
@@ -111,7 +104,6 @@ def link_document_avg(
     word_store: EmbeddingStore | None = None,
     desc_store: EmbeddingStore | None = None,
     window: int = 5,
-    degree_fallback: bool = True,
 ) -> LinkResult:
     try:
         dm = build_document_matrix(
@@ -120,7 +112,7 @@ def link_document_avg(
         score_of = dict(zip(dm.entity_ids, avg_scores(dm).tolist()))
     except EmptyDocumentError:
         score_of = {}
-    return link_mentions(task, "avg", pools_from(task, score_of), degree_fallback)
+    return link_mentions(task, pools_from(task, score_of), degree_fallback=True)
 
 
 def link_document_context(
@@ -129,9 +121,8 @@ def link_document_context(
     desc_store: EmbeddingStore,
     mode: str = "local",
     window: int = 5,
-    degree_fallback: bool = True,
 ) -> LinkResult:
     """LocalCtxt / GlobalCtxt: description-vs-context cosine ranking (see ``context_scores``)."""
     contexts = document_contexts(task, mode, word_store, window)
     pools = (context_scores(m.candidates, c, desc_store) for m, c in zip(task.mentions, contexts))
-    return link_mentions(task, mode, pools, degree_fallback)
+    return link_mentions(task, pools, degree_fallback=True)

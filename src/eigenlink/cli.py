@@ -126,7 +126,8 @@ def _resolve_run_config(args, method: str) -> RunConfig:
     cfg.validate()
     if args.descriptions and not args.words:
         raise ConfigError("--descriptions requires --words")
-    cfg.check_inputs({name for name in ("embeddings", "words", "descriptions") if flags[name]})
+    inputs = ("catalog", "embeddings", "words", "descriptions")
+    cfg.check_inputs({name for name in inputs if flags[name]})
     return cfg
 
 
@@ -167,7 +168,7 @@ def _load_context(args, cfgs: list[RunConfig]) -> tuple[LinkContext, list[Docume
     docs = [attach_candidates(doc, index, catalog, cfg.T) for doc in docs]
     union = {qid for doc in docs for m in doc.mentions for qid in m.candidates.candidates}
     del index
-    if not any(METHODS[c.method].reads_catalog for c in cfgs):
+    if not any("catalog" in METHODS[c.method].inputs for c in cfgs):
         catalog = None
     store = load_embeddings(args.embeddings, union) if args.embeddings else None
     word_store = load_embeddings(args.words) if args.words else None
@@ -233,7 +234,7 @@ def cmd_synth(args) -> int:
 def cmd_link(args) -> int:
     cfg = _resolve_run_config(args, args.method)
     ctx, docs = _load_context(args, [cfg])
-    results = run_documents(docs, ctx, cfg.jobs)
+    results = run_documents(docs, ctx)
     effective = [r.effective_k for r in results if r.effective_k is not None]
     n_documents = len(results)
     outcomes = build_outcomes(results)
@@ -313,8 +314,8 @@ def cmd_mutilate(args) -> int:
     for method, cfg in cfgs.items():
         mctx = dataclasses.replace(ctx, config=cfg)
 
-        def runner(subset, _ctx=mctx, _jobs=cfg.jobs):
-            return run_documents(subset, _ctx, _jobs)
+        def runner(subset, _ctx=mctx):
+            return run_documents(subset, _ctx)
 
         by_fraction = mutilation(docs, runner, fractions, seed=cfg.seed, repeats=args.repeats)
         curves[method] = [by_fraction[f] for f in fractions]

@@ -8,7 +8,7 @@ JSONL, one document per line:
      "nouns": [str]}           # optional, overrides the stopword heuristic
 
 ``position`` is the non-negative token index the mention occupies in
-``tokens``; it defaults to 0.
+``tokens``, so below its length when ``tokens`` is given; it defaults to 0.
 Candidate lists are not stored; they are attached by running the
 candidate generator over the loaded documents.
 """
@@ -52,6 +52,13 @@ def load_dataset(path: str) -> list[DocumentTask]:
             if doc_id in seen_ids:
                 raise FormatError(f"line {lineno}: duplicate doc_id {doc_id!r}")
             seen_ids.add(doc_id)
+            tokens = obj.get("tokens")
+            nouns = obj.get("nouns")
+            for key, words in (("tokens", tokens), ("nouns", nouns)):
+                if words is not None and not (
+                    isinstance(words, list) and all(isinstance(t, str) for t in words)
+                ):
+                    raise FormatError(f"line {lineno}: {key!r} must be a list of strings")
             raw_mentions = obj.get("mentions")
             if not isinstance(raw_mentions, list):
                 raise FormatError(f"line {lineno}: 'mentions' must be a list")
@@ -70,14 +77,9 @@ def load_dataset(path: str) -> list[DocumentTask]:
                 position = m.get("position", 0)
                 if not isinstance(position, int) or isinstance(position, bool) or position < 0:
                     raise FormatError(f"line {lineno}: 'position' must be a non-negative integer")
+                if tokens is not None and position >= len(tokens):
+                    raise FormatError(f"line {lineno}: 'position' {position} is past the tokens")
                 mentions.append(Mention(surface=surface, gold_qid=gold, position=position))
-            tokens = obj.get("tokens")
-            nouns = obj.get("nouns")
-            for key, words in (("tokens", tokens), ("nouns", nouns)):
-                if words is not None and not (
-                    isinstance(words, list) and all(isinstance(t, str) for t in words)
-                ):
-                    raise FormatError(f"line {lineno}: {key!r} must be a list of strings")
             docs.append(DocumentTask(doc_id=doc_id, mentions=mentions, tokens=tokens, nouns=nouns))
     return docs
 

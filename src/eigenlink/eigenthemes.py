@@ -47,7 +47,6 @@ class MentionLink:
 @dataclass
 class LinkResult:
     doc_id: str
-    method: str
     mentions: list[MentionLink]
     effective_k: int | None = None
 
@@ -118,7 +117,6 @@ def score_candidate(subspace: Subspace, e: np.ndarray, rescale: bool = True) -> 
 
 def link_mentions(
     task: DocumentTask,
-    method: str,
     pools: Iterable[list[tuple[str, float]]],
     degree_fallback: bool,
     effective_k: int | None = None,
@@ -144,7 +142,7 @@ def link_mentions(
                 fallback="degree" if ranking and void and degree_fallback else None,
             )
         )
-    return LinkResult(task.doc_id, method, mentions, effective_k)
+    return LinkResult(task.doc_id, mentions, effective_k)
 
 
 def pools_from(
@@ -166,7 +164,6 @@ def link_document(
     word_store: EmbeddingStore | None = None,
     desc_store: EmbeddingStore | None = None,
     window: int = 5,
-    degree_fallback: bool = True,
 ) -> LinkResult:
     """Learn one subspace for the document and score every mention against it.
 
@@ -188,4 +185,5 @@ def link_document(
         pass
     except NumericalError as exc:
         raise NumericalError(f"document {task.doc_id!r}: {exc}") from exc
-    return link_mentions(task, "eigen", pools_from(task, score_of), degree_fallback, effective_k)
+    pools = pools_from(task, score_of)
+    return link_mentions(task, pools, degree_fallback=True, effective_k=effective_k)

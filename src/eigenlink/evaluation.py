@@ -269,10 +269,12 @@ def write_predictions(outcomes: Iterable[MentionOutcome], path: str) -> None:
 
 
 def _field(value: str, name: str, line: int, parse: Callable, minimum: float) -> float:
-    """``value`` parsed by ``parse`` if finite and >= minimum; else a FormatError."""
+    """``value`` parsed by ``parse`` if finite, >= minimum and spelled as ``write_predictions``
+    spells it (ASCII; only digits for an int; no whitespace or "_"); else a FormatError."""
+    plain = value.isdigit() if parse is int else value == value.strip() and "_" not in value
     try:
         number = parse(value)
-        if math.isfinite(number) and number >= minimum:
+        if value.isascii() and plain and math.isfinite(number) and number >= minimum:
             return number
     except ValueError:
         pass

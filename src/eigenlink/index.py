@@ -47,15 +47,8 @@ class InvertedIndex:
 class CandidateList:
     """Degree-sorted candidates for one mention, truncated to T."""
 
-    mention_surface: str
     candidates: list[str]
     truncated: bool = False
-
-    def __len__(self) -> int:
-        return len(self.candidates)
-
-    def __contains__(self, qid: str) -> bool:
-        return qid in self.candidates
 
 
 def build_index(catalog: EntityCatalog, tokens: Collection[str] | None = None) -> InvertedIndex:
@@ -97,21 +90,21 @@ def generate_candidates(
         raise ValueError(f"T must be >= 1, got {T}")
     tokens = set(tokenize(mention))
     if not tokens:
-        return CandidateList(mention_surface=mention, candidates=[])
+        return CandidateList(candidates=[])
 
     # Intersect postings, rarest token first to keep the working set small.
     posting_sets = []
     for tok in tokens:
         qids = index.postings.get(tok)
         if qids is None:
-            return CandidateList(mention_surface=mention, candidates=[])
+            return CandidateList(candidates=[])
         posting_sets.append(qids)
     posting_sets.sort(key=len)
     matched = set(posting_sets[0])
     for qids in posting_sets[1:]:
         matched.intersection_update(qids)
         if not matched:
-            return CandidateList(mention_surface=mention, candidates=[])
+            return CandidateList(candidates=[])
 
     # A posting hit holds a lone mention token in one of its names already.
     hits = [
@@ -121,11 +114,7 @@ def generate_candidates(
     ]
     hits.sort(key=lambda q: (-catalog.records[q].degree, q))
     truncated = len(hits) > T
-    return CandidateList(
-        mention_surface=mention,
-        candidates=hits[:T],
-        truncated=truncated,
-    )
+    return CandidateList(candidates=hits[:T], truncated=truncated)
 
 
 def oracle_recall(

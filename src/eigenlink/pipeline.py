@@ -34,10 +34,7 @@ class Method(NamedTuple):
     """One entry of the method table, ``METHODS``."""
 
     link: Callable[..., LinkResult]  # calls the linker by its name here, so wrappers see it
-    inputs: frozenset[str]  # the input files the method reads
-    degree_fallback: bool  # report a pool whose scores carry no signal as ranked by degree
-    # reads catalog records (degrees, names), not only the candidate lists and stores
-    reads_catalog: bool = False
+    inputs: frozenset[str]  # the inputs the method reads: "catalog" (records) and input files
 
 
 @dataclass
@@ -63,13 +60,15 @@ class RunConfig:
             raise ConfigError(f"window must be >= 1, got {self.window}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         self.scheme()
 
     def scheme(self) -> WeightScheme:
         return WeightScheme(kind=self.weighting, delta=self.delta)
 
     def check_inputs(self, provided: set[str]) -> None:
-        """Raise ConfigError unless ``provided`` names every input file the run reads.
+        """Raise ConfigError unless ``provided`` names every input the run reads.
 
         Those are the method's table entry's inputs, plus "words" and
         "descriptions" for a context weighting of a method that reads
@@ -79,6 +78,8 @@ class RunConfig:
         if self.weighting in CONTEXT_KINDS and "embeddings" in needed:
             needed = needed | TEXT_INPUTS
         missing = needed - provided
+        if "catalog" in missing:
+            raise ConfigError(f"method {self.method!r} needs the catalog")
         if "embeddings" in missing:
             raise ConfigError(f"method {self.method!r} needs entity embeddings")
         if missing:
@@ -106,10 +107,13 @@ class LinkContext:
 
     def validate(self) -> None:
         self.config.validate()
-        if self.catalog is None and METHODS[self.config.method].reads_catalog:
-            raise ConfigError(f"method {self.config.method!r} needs the catalog")
-        stores = dict(embeddings=self.store, words=self.word_store, descriptions=self.desc_store)
-        self.config.check_inputs({name for name, store in stores.items() if store is not None})
+        inputs = dict(
+            catalog=self.catalog,
+            embeddings=self.store,
+            words=self.word_store,
+            descriptions=self.desc_store,
+        )
+        self.config.check_inputs({name for name, value in inputs.items() if value is not None})
 
     @cached_property
     def name_lookup(self) -> dict[str, list[str]]:
@@ -120,41 +124,40 @@ def _texts(ctx: LinkContext) -> dict:
     return dict(word_store=ctx.word_store, desc_store=ctx.desc_store, window=ctx.config.window)
 
 
-def _link_eigen(doc: DocumentTask, ctx: LinkContext, **flags) -> LinkResult:
+def _link_eigen(doc: DocumentTask, ctx: LinkContext) -> LinkResult:
     cfg = ctx.config
-    return link_document(doc, ctx.store, cfg.scheme(), cfg.k, cfg.rescale, **_texts(ctx), **flags)
+    return link_document(doc, ctx.store, cfg.scheme(), cfg.k, cfg.rescale, **_texts(ctx))
 
 
-def _link_avg(doc: DocumentTask, ctx: LinkContext, **flags) -> LinkResult:
-    return link_document_avg(doc, ctx.store, ctx.config.scheme(), **_texts(ctx), **flags)
+def _link_avg(doc: DocumentTask, ctx: LinkContext) -> LinkResult:
+    return link_document_avg(doc, ctx.store, ctx.config.scheme(), **_texts(ctx))
 
 
-def _link_degree(doc: DocumentTask, ctx: LinkContext, **flags) -> LinkResult:
-    return link_document_degree(doc, ctx.catalog, **flags)
+def _link_degree(doc: DocumentTask, ctx: LinkContext) -> LinkResult:
+    return link_document_degree(doc, ctx.catalog)
 
 
-def _link_namematch(doc: DocumentTask, ctx: LinkContext, **flags) -> LinkResult:
-    return link_document_namematch(doc, ctx.catalog, ctx.name_lookup, **flags)
+def _link_namematch(doc: DocumentTask, ctx: LinkContext) -> LinkResult:
+    return link_document_namematch(doc, ctx.catalog, ctx.name_lookup)
 
 
-def _link_context(doc: DocumentTask, ctx: LinkContext, **flags) -> LinkResult:
-    return link_document_context(doc, mode=ctx.config.method, **_texts(ctx), **flags)
+def _link_context(doc: DocumentTask, ctx: LinkContext) -> LinkResult:
+    return link_document_context(doc, mode=ctx.config.method, **_texts(ctx))
 
 
 METHODS: dict[str, Method] = {
-    "eigen": Method(_link_eigen, frozenset({"embeddings"}), degree_fallback=True),
-    "avg": Method(_link_avg, frozenset({"embeddings"}), degree_fallback=True),
-    "degree": Method(_link_degree, frozenset(), degree_fallback=False, reads_catalog=True),
-    "namematch": Method(_link_namematch, frozenset(), degree_fallback=False, reads_catalog=True),
-    "local": Method(_link_context, TEXT_INPUTS, degree_fallback=True),
-    "global": Method(_link_context, TEXT_INPUTS, degree_fallback=True),
+    "eigen": Method(_link_eigen, frozenset({"embeddings"})),
+    "avg": Method(_link_avg, frozenset({"embeddings"})),
+    "degree": Method(_link_degree, frozenset({"catalog"})),
+    "namematch": Method(_link_namematch, frozenset({"catalog"})),
+    "local": Method(_link_context, TEXT_INPUTS),
+    "global": Method(_link_context, TEXT_INPUTS),
 }
 
 
 def link_one(doc: DocumentTask, ctx: LinkContext) -> LinkResult:
     """Run the configured method on a document whose candidates are attached."""
-    method = METHODS[ctx.config.method]
-    return method.link(doc, ctx, degree_fallback=method.degree_fallback)
+    return METHODS[ctx.config.method].link(doc, ctx)
 
 
 _WORKER_CTX: LinkContext | None = None
@@ -170,10 +173,8 @@ def _run_worker(doc: DocumentTask) -> LinkResult:
     return link_one(doc, _WORKER_CTX)
 
 
-def run_documents(
-    docs: list[DocumentTask], ctx: LinkContext, jobs: int = 1
-) -> list[LinkResult]:
-    """Link all documents, preserving input order regardless of jobs.
+def run_documents(docs: list[DocumentTask], ctx: LinkContext) -> list[LinkResult]:
+    """Link all documents, preserving input order whatever ``ctx.config.jobs``.
 
     Every mention must have its candidates, as ``attach_candidates`` gives them.
     """
@@ -187,7 +188,7 @@ def run_documents(
     pin_blas_threads()
     if ctx.config.method == "namematch":
         ctx.name_lookup  # built once here, not once per worker
-    workers = min(jobs, len(docs))
+    workers = min(ctx.config.jobs, len(docs))
     if workers <= 1:
         return [link_one(doc, ctx) for doc in docs]
     with ProcessPoolExecutor(

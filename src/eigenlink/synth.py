@@ -12,6 +12,7 @@ manifest records the planted truth for every document.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
 
@@ -55,8 +56,12 @@ class SynthConfig:
             raise ConfigError(f"easy_fraction must lie in [0, 1], got {self.easy_fraction}")
         if not 0.0 <= self.miss_fraction <= 1.0:
             raise ConfigError(f"miss_fraction must lie in [0, 1], got {self.miss_fraction}")
-        if self.noise_amplitude < 0.0:
-            raise ConfigError(f"noise_amplitude must be >= 0, got {self.noise_amplitude}")
+        if not 0.0 <= self.noise_amplitude < math.inf:
+            raise ConfigError(f"noise_amplitude must lie in [0, inf), got {self.noise_amplitude}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.word_dim < 1:
+            raise ConfigError(f"word_dim must be >= 1, got {self.word_dim}")
         if self.docs < 1 or self.mentions_per_doc < 1:
             raise ConfigError("docs and mentions_per_doc must be >= 1")
         if self.candidates_per_mention < 2:

@@ -43,11 +43,11 @@ class Corpus:
     store: EmbeddingStore
     docs: list
 
-    def run(self, method: str, jobs: int = 1, **cfg_kwargs):
+    def run(self, method: str, **cfg_kwargs):
         cfg = RunConfig(method=method, **cfg_kwargs)
         ctx = LinkContext(catalog=self.catalog, config=cfg, store=self.store)
         docs = [attach_candidates(doc, self.index, self.catalog, cfg.T) for doc in self.docs]
-        results = run_documents(docs, ctx, jobs)
+        results = run_documents(docs, ctx)
         outcomes = build_outcomes(results)
         return results, outcomes, metrics_report(outcomes)
 

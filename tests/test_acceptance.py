@@ -222,7 +222,7 @@ def test_criterion_5_bucket_identities(planted_run, tmp_path_factory):
     docs = [attach_candidates(d, corpus.index, corpus.catalog, 20) for d in corpus.docs]
     cfg = RunConfig(method="degree")
     ctx = LinkContext(catalog=corpus.catalog, config=cfg, store=None)
-    runner = lambda subset: run_documents(subset, ctx, 1)
+    runner = lambda subset: run_documents(subset, ctx)
     collapsed = mutilation(docs, runner, [0.0], seed=11, repeats=3)
     ok &= collapsed[0.0] == 0.0
     report(

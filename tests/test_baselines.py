@@ -23,7 +23,7 @@ NONE = WeightScheme("none")
 
 
 def cl(*qids):
-    return CandidateList(mention_surface="m", candidates=list(qids))
+    return CandidateList(candidates=list(qids))
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +32,7 @@ def cl(*qids):
 
 def test_namematch_unique():
     catalog = make_catalog([("Q45", "Portugal", [], 100), ("Q1", "Spain", [], 90)])
-    ranking = name_match("Portugal", catalog)
+    ranking = name_match("Portugal", catalog, build_name_lookup(catalog))
     assert ranking == [("Q45", 100.0)]
 
 
@@ -40,23 +40,23 @@ def test_namematch_highest_degree_wins():
     catalog = make_catalog(
         [("Q41421", "Michael Jordan", [], 900), ("Q3308285", "Michael Jordan", [], 40)]
     )
-    ranking = name_match("Michael Jordan", catalog)
+    ranking = name_match("Michael Jordan", catalog, build_name_lookup(catalog))
     assert [q for q, _ in ranking] == ["Q41421", "Q3308285"]
 
 
 def test_namematch_no_match():
     catalog = make_catalog([("Q1", "Spain", [], 90)])
-    assert name_match("Atlantis", catalog) == []
+    assert name_match("Atlantis", catalog, build_name_lookup(catalog)) == []
 
 
 def test_namematch_case_and_whitespace_insensitive():
     catalog = make_catalog([("Q1", "New York City", [], 5)])
-    assert name_match("  new   YORK city ", catalog) == [("Q1", 5.0)]
+    assert name_match("  new   YORK city ", catalog, build_name_lookup(catalog)) == [("Q1", 5.0)]
 
 
 def test_namematch_aliases_only_with_flag():
     catalog = make_catalog([("Q1", "Rome", ["The Eternal City"], 5)])
-    assert name_match("The Eternal City", catalog) == []
+    assert name_match("The Eternal City", catalog, build_name_lookup(catalog)) == []
 
 
 def test_namematch_prediction_dominates_matches():

@@ -220,6 +220,7 @@ GOOD_MENTION = {"surface": "x", "gold_qid": None, "position": 0}
         {"doc_id": "d", "mentions": [GOOD_MENTION], "nouns": "x"},
         {"doc_id": "d", "mentions": [GOOD_MENTION], "nouns": ["x", 3]},
         {"doc_id": "d", "mentions": [{**GOOD_MENTION, "gold_qid": ""}]},
+        {"doc_id": "d", "mentions": [{**GOOD_MENTION, "position": 2}], "tokens": ["x", "y"]},
     ],
     ids=[
         "document-list",
@@ -232,6 +233,7 @@ GOOD_MENTION = {"surface": "x", "gold_qid": None, "position": 0}
         "nouns-string",
         "nouns-non-string-item",
         "gold-empty",
+        "position-past-tokens",
     ],
 )
 def test_malformed_dataset_exits_3(corpus_dir, tmp_path, capsys, document):
@@ -287,12 +289,43 @@ def test_invalid_k_exits_4(corpus_dir, tmp_path):
     assert main(args) == 4
 
 
+@pytest.mark.parametrize("command", ["link", "mutilate"])
+@pytest.mark.parametrize("source", ["flag", "config-file"])
+def test_negative_seed_exits_4_before_loading(corpus_dir, tmp_path, capsys, command, source):
+    if source == "flag":
+        extra = ("--seed", "-1")
+    else:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"seed": -3}')
+        extra = ("--config-file", str(cfg_path))
+    args = link_args(corpus_dir, str(tmp_path / "x"), extra=extra)
+    # the dataset does not exist, so reaching any loader would exit 2
+    args[args.index("--dataset") + 1] = str(tmp_path / "nope.jsonl")
+    if command == "mutilate":
+        args[:3] = ["mutilate", "--methods", "degree"]
+    assert main(args) == 4
+    seed = -1 if source == "flag" else -3
+    assert capsys.readouterr().err == f"error: seed must be >= 0, got {seed}\n"
+
+
 def test_context_method_without_words_exits_4(corpus_dir, tmp_path):
     assert main(link_args(corpus_dir, str(tmp_path / "x"), method="local")) == 4
 
 
 def test_unknown_synth_key_exits_4(tmp_path):
     assert main(["synth", "--config", "bananas=3", "--out", str(tmp_path / "x")]) == 4
+
+
+@pytest.mark.parametrize(
+    "setting",
+    ["seed=-1", "word_dim=0", "word_dim=-2", "noise_amplitude=nan", "noise_amplitude=inf"],
+)
+def test_synth_value_it_cannot_generate_from_exits_4(tmp_path, capsys, setting):
+    out = tmp_path / "x"
+    assert main(["synth", "--config", setting, "--out", str(out)]) == 4
+    key = setting.partition("=")[0]
+    assert capsys.readouterr().err.startswith(f"error: {key} must ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("spelling,code", [("maybe", 4), ("2", 4), ("YES", 0), ("No", 0)])
@@ -559,6 +592,11 @@ ONE_IFF_GOLD = "rank_of_gold is 1 exactly when predicted_qid is gold_qid"
         ("d1,1,Foo,Q1,Q1,easy,0,0.5", "line 3: bad rank_of_gold '0'"),
         ("d1,1,Foo,Q1,Q1,easy,1,high", "line 3: bad score 'high'"),
         ("d1,1,Foo,Q1,Q1,easy,1,nan", "line 3: bad score 'nan'"),
+        ("d1,0_0,Foo,Q1,Q1,easy,1,0.5", "line 3: bad mention_idx '0_0'"),
+        ("d1,+0,Foo,Q1,Q1,easy,1,0.5", "line 3: bad mention_idx '+0'"),
+        ("d1,\u0660,Foo,Q1,Q1,easy,1,0.5", "line 3: bad mention_idx '\u0660'"),
+        ("d1,1,Foo,Q1,Q1,easy, 1,0.5", "line 3: bad rank_of_gold ' 1'"),
+        ("d1,1,Foo,Q1,Q1,easy,1,1_0.5", "line 3: bad score '1_0.5'"),
         ("d1,1,Foo,Q1,Q1,medium,1,0.5", "line 3: unknown bucket 'medium'"),
         (GOOD_ROW, "line 3: repeated mention 'd1' #0"),
         # Rows write_predictions never writes.
@@ -577,6 +615,11 @@ ONE_IFF_GOLD = "rank_of_gold is 1 exactly when predicted_qid is gold_qid"
         "rank-zero",
         "score-text",
         "score-nan",
+        "mention-idx-underscore",
+        "mention-idx-plus",
+        "mention-idx-arabic-indic",
+        "rank-space",
+        "score-underscore",
         "unknown-bucket",
         "repeated-mention",
         "bucket-without-gold",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ def mention(surface, gold, cands, position=0):
         surface=surface,
         gold_qid=gold,
         position=position,
-        candidates=CandidateList(mention_surface=surface, candidates=list(cands)),
+        candidates=CandidateList(candidates=list(cands)),
     )
 
 
@@ -459,6 +460,10 @@ def test_check_inputs_follows_method_table(method):
         cfg.check_inputs(set())
 
 
+def with_jobs(ctx: LinkContext, jobs: int) -> LinkContext:
+    return dataclasses.replace(ctx, config=dataclasses.replace(ctx.config, jobs=jobs))
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_run_rejects_documents_without_candidates(small_corpus, method, monkeypatch):
     ctx = context_with_every_input(small_corpus, method)
@@ -471,20 +476,19 @@ def test_run_rejects_documents_without_candidates(small_corpus, method, monkeypa
     monkeypatch.setattr(pipeline, "ProcessPoolExecutor", no_workers)
     for jobs in (1, 2):
         with pytest.raises(ValueError) as info:
-            run_documents(docs, ctx, jobs)
+            run_documents(docs, with_jobs(ctx, jobs))
         assert str(info.value) == (
             f"document {second.doc_id!r} has mentions without candidates; "
             "call attach_candidates first"
         )
 
 
-@pytest.mark.parametrize("jobs,workers", [(8, 3), (2, 2)])
-def test_run_starts_at_most_one_worker_per_document(small_corpus, monkeypatch, jobs, workers):
+@pytest.fixture
+def recorded_pools(monkeypatch) -> list[int]:
+    """The size of every pool ``run_documents`` starts; each maps in this process."""
     started = []
 
     class InProcessPool:
-        """Records the pool size and maps in this process; no worker starts."""
-
         def __init__(self, max_workers, initializer, initargs):
             started.append(max_workers)
             initializer(*initargs)
@@ -500,13 +504,27 @@ def test_run_starts_at_most_one_worker_per_document(small_corpus, monkeypatch, j
 
     monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(pipeline, "_WORKER_CTX", None)
+    return started
+
+
+def first_docs(corpus, n: int) -> list[DocumentTask]:
+    return [attach_candidates(doc, corpus.index, corpus.catalog) for doc in corpus.docs[:n]]
+
+
+@pytest.mark.parametrize("jobs,workers", [(8, 3), (2, 2)])
+def test_run_starts_at_most_one_worker_per_document(small_corpus, recorded_pools, jobs, workers):
     ctx = context_with_every_input(small_corpus, "degree")
-    docs = [
-        attach_candidates(doc, small_corpus.index, small_corpus.catalog)
-        for doc in small_corpus.docs[:3]
-    ]
-    assert run_documents(docs, ctx, jobs) == run_documents(docs, ctx, 1)
-    assert started == [workers]
+    docs = first_docs(small_corpus, 3)
+    assert run_documents(docs, with_jobs(ctx, jobs)) == run_documents(docs, ctx)
+    assert recorded_pools == [workers]
+
+
+def test_run_takes_its_worker_count_from_the_config(small_corpus, recorded_pools):
+    ctx = LinkContext(catalog=small_corpus.catalog, config=RunConfig(method="degree", jobs=2))
+    serial = run_documents(first_docs(small_corpus, 3), with_jobs(ctx, 1))
+    assert recorded_pools == []
+    assert run_documents(first_docs(small_corpus, 3), ctx) == serial
+    assert recorded_pools == [2]
 
 
 def test_namematch_link_one_matches_run_documents():

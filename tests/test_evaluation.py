@@ -206,7 +206,6 @@ def test_metrics_report_is_one_pass_of_the_bucket_definitions(outs):
 def test_build_outcomes_records_ranks_and_scores():
     result = LinkResult(
         doc_id="d",
-        method="eigen",
         mentions=[
             ml("g", ["a", "g"], [("a", 2.0), ("g", 1.0)], "a"),
             ml("g2", ["g2", "b"], [("g2", 3.0), ("b", 0.5)], "g2"),
@@ -227,7 +226,6 @@ def test_build_outcomes_records_ranks_and_scores():
 def test_build_outcomes_scores_the_prediction_at_the_head_of_the_ranking():
     result = LinkResult(
         doc_id="d",
-        method="eigen",
         mentions=[
             ml("g", ["a", "g"], [("a", 2.5), ("g", 1.0)], "a"),
             ml(None, ["a"], [("a", -math.inf)], "a"),
@@ -243,7 +241,6 @@ def test_build_outcomes_scores_the_prediction_at_the_head_of_the_ranking():
 def test_build_outcomes_ignores_infinite_scores():
     result = LinkResult(
         doc_id="d",
-        method="eigen",
         mentions=[ml("g", ["g", "x"], [("g", 1.0), ("x", -math.inf)], "g")],
     )
     outs = build_outcomes([result])
@@ -377,7 +374,7 @@ def runner_for(corpus, method, **cfg):
 
     config = RunConfig(method=method, **cfg)
     ctx = LinkContext(catalog=corpus.catalog, config=config, store=corpus.store)
-    return lambda docs: run_documents(docs, ctx, 1)
+    return lambda docs: run_documents(docs, ctx)
 
 
 def test_mutilation_full_fraction_is_plain_evaluation(crossing_corpus):

@@ -67,7 +67,7 @@ def test_catalog_is_loaded_only_for_methods_that_read_it(corpus_dir, tmp_path, m
     args = build_parser().parse_args(run_args(corpus_dir, str(tmp_path / "x"), method=method))
     ctx, _ = _load_context(args, [_resolve_run_config(args, method)])
     assert (ctx.catalog is not None) == (method in READS_CATALOG)
-    assert METHODS[method].reads_catalog == (method in READS_CATALOG)
+    assert ("catalog" in METHODS[method].inputs) == (method in READS_CATALOG)
 
 
 @pytest.mark.parametrize("methods,kept", [("eigen,avg", False), ("eigen,degree", True)])
@@ -77,9 +77,9 @@ def test_mutilate_keeps_the_catalog_when_any_method_reads_it(
     catalogs = []
     linked = cli.run_documents
 
-    def recording(docs, ctx, jobs):
+    def recording(docs, ctx):
         catalogs.append(ctx.catalog is not None)
-        return linked(docs, ctx, jobs)
+        return linked(docs, ctx)
 
     monkeypatch.setattr(cli, "run_documents", recording)
     assert main(run_args(corpus_dir, str(tmp_path / "x"), "mutilate", methods)) == 0

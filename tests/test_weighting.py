@@ -18,7 +18,7 @@ from tests.conftest import make_store
 
 
 def cl(*qids):
-    return CandidateList(mention_surface="m", candidates=list(qids))
+    return CandidateList(candidates=list(qids))
 
 
 def test_weight_rank1():
