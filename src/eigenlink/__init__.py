@@ -4,7 +4,6 @@ from .dataset import DocumentTask, Mention, attach_candidates, load_dataset
 from .eigenthemes import (
     DocumentMatrix,
     LinkResult,
-    MentionLink,
     build_document_matrix,
     learn_subspace,
     link_document,
@@ -38,7 +37,6 @@ __all__ = [
     "LinkContext",
     "LinkResult",
     "Mention",
-    "MentionLink",
     "RunConfig",
     "Subspace",
     "SynthConfig",

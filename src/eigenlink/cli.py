@@ -27,7 +27,6 @@ from .errors import (
     IntegrityError,
 )
 from .evaluation import (
-    build_outcomes,
     metrics_report,
     mutilation,
     read_predictions,
@@ -237,8 +236,8 @@ def cmd_link(args) -> int:
     results = run_documents(docs, ctx)
     effective = [r.effective_k for r in results if r.effective_k is not None]
     n_documents = len(results)
-    outcomes = build_outcomes(results)
-    # Nothing below reads the inputs or the rankings; freeing them keeps
+    outcomes = [o for r in results for o in r.mentions]
+    # Nothing below reads the documents or the stores; freeing them keeps
     # them out of the memory held through evaluation.
     del results, ctx, docs
     report = metrics_report(outcomes)
@@ -289,6 +288,8 @@ def cmd_eval(args) -> int:
 
 def cmd_mutilate(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise ConfigError("need at least one method")
     for i, method in enumerate(methods):
         if method not in METHODS:
             raise ConfigError(f"unknown method {method!r}")
@@ -300,9 +301,11 @@ def cmd_mutilate(args) -> int:
         raise ConfigError(f"bad fractions list: {args.fractions!r}") from exc
     if not fractions:
         raise ConfigError("need at least one fraction")
-    for fraction in fractions:
+    for i, fraction in enumerate(fractions):
         if not 0.0 <= fraction <= 1.0:
             raise ConfigError(f"fractions must lie in [0, 1], got {fraction}")
+        if fraction in fractions[:i]:
+            raise ConfigError(f"fraction {fraction} is listed twice")
     if args.repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {args.repeats}")
 
@@ -336,8 +339,15 @@ def cmd_mutilate(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad or missing flag as a configuration error, which exits 4."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eigenlink",
         description="Unsupervised entity linking over per-document low-rank subspaces",
     )
@@ -379,9 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

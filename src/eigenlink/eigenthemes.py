@@ -19,6 +19,7 @@ import numpy as np
 from .dataset import DocumentTask
 from .embeddings import EmbeddingStore, unit_normalize_rows
 from .errors import DimensionError, EmptyDocumentError, NumericalError
+from .evaluation import MentionOutcome, build_outcomes
 from .linalg import Subspace, truncated_svd
 from .weighting import CONTEXT_KINDS, WeightScheme, document_contexts, mention_weights
 
@@ -32,22 +33,9 @@ class DocumentMatrix:
     weights: np.ndarray  # (n_D,)
 
 
-@dataclass(slots=True)
-class MentionLink:
-    """Per-mention outcome: full scored ranking plus the argmax."""
-
-    surface: str
-    gold_qid: str | None
-    candidates: list[str]  # degree order, as generated
-    ranking: list[tuple[str, float]]  # score descending
-    predicted_qid: str | None
-    fallback: str | None = None  # "degree" when scores carried no signal
-
-
 @dataclass
 class LinkResult:
-    doc_id: str
-    mentions: list[MentionLink]
+    mentions: list[MentionOutcome]  # one per mention, in mention order
     effective_k: int | None = None
 
 
@@ -126,23 +114,16 @@ def link_mentions(
     ``pools`` gives each mention's pool, in mention order, as (qid, score)
     pairs in degree order. An empty pool gives no prediction. With
     ``degree_fallback``, a pool without any finite, non-zero score keeps its
-    degree order and is reported as a degree fallback.
+    degree order and is reported as a degree fallback. Each mention's
+    ranking and fallback become its outcome record (``build_outcomes``).
     """
-    mentions: list[MentionLink] = []
-    for mention, pool in zip(task.mentions, pools, strict=True):
+    rankings, fallbacks = [], []
+    for pool in pools:
         ranking = sorted(pool, key=lambda pair: -pair[1])
         void = not any(math.isfinite(s) and s != 0.0 for _, s in ranking)
-        mentions.append(
-            MentionLink(
-                surface=mention.surface,
-                gold_qid=mention.gold_qid,
-                candidates=mention.candidates.candidates,
-                ranking=ranking,
-                predicted_qid=ranking[0][0] if ranking else None,
-                fallback="degree" if ranking and void and degree_fallback else None,
-            )
-        )
-    return LinkResult(task.doc_id, mentions, effective_k)
+        rankings.append(ranking)
+        fallbacks.append("degree" if ranking and void and degree_fallback else None)
+    return LinkResult(build_outcomes(task, rankings, fallbacks), effective_k)
 
 
 def pools_from(

@@ -1,4 +1,4 @@
-"""Metrics and analyses over linking results.
+"""Per-mention outcome records, and the metrics and analyses over them.
 
 Mentions are bucketed from the candidate generator's output alone:
 "easy" when the top-degree candidate is the gold entity, "hard" when
@@ -21,7 +21,6 @@ import numpy as np
 
 from . import jsonl
 from .dataset import DocumentTask
-from .eigenthemes import LinkResult
 from .errors import FormatError, IntegrityError
 
 BUCKETS = ("easy", "hard", "not_found")
@@ -45,6 +44,8 @@ class MentionOutcome:
     predicted_score: float | None
     gold_score: float | None = None
     nongold_mean: float | None = None
+    ranking: list[tuple[str, float]] | None = None  # score descending; None when read back
+    fallback: str | None = None  # "degree" when scores carried no signal
 
 
 @dataclass
@@ -66,36 +67,42 @@ def _finite(x: float | None) -> float | None:
     return x if x is not None and math.isfinite(x) else None
 
 
-def build_outcomes(results: Iterable[LinkResult]) -> list[MentionOutcome]:
-    """Flatten link results into per-mention outcome records."""
+def build_outcomes(
+    task: DocumentTask,
+    rankings: Sequence[list[tuple[str, float]]],
+    fallbacks: Sequence[str | None],
+) -> list[MentionOutcome]:
+    """One document's outcome records, from each mention's ranking and fallback."""
     outcomes: list[MentionOutcome] = []
-    for result in results:
-        for idx, ml in enumerate(result.mentions):
-            gold = ml.gold_qid
-            rank_of_gold = None
-            gold_score = None
-            nongold: list[float] = []
-            for pos, (qid, score) in enumerate(ml.ranking if gold is not None else (), start=1):
-                if qid == gold:
-                    rank_of_gold = pos
-                    gold_score = _finite(score)
-                elif math.isfinite(score):
-                    nongold.append(score)
-            outcomes.append(
-                MentionOutcome(
-                    doc_id=result.doc_id,
-                    mention_idx=idx,
-                    surface=ml.surface,
-                    gold_qid=gold,
-                    predicted_qid=ml.predicted_qid,
-                    bucket=classify(ml.candidates, gold) if gold is not None else None,
-                    rank_of_gold=rank_of_gold,
-                    # The prediction heads the ranking.
-                    predicted_score=_finite(ml.ranking[0][1]) if ml.ranking else None,
-                    gold_score=gold_score,
-                    nongold_mean=float(np.mean(nongold)) if nongold else None,
-                )
+    mentions = zip(task.mentions, rankings, fallbacks, strict=True)
+    for idx, (mention, ranking, fallback) in enumerate(mentions):
+        gold = mention.gold_qid
+        rank_of_gold = None
+        gold_score = None
+        nongold: list[float] = []
+        for pos, (qid, score) in enumerate(ranking if gold is not None else (), start=1):
+            if qid == gold:
+                rank_of_gold = pos
+                gold_score = _finite(score)
+            elif math.isfinite(score):
+                nongold.append(score)
+        outcomes.append(
+            MentionOutcome(
+                doc_id=task.doc_id,
+                mention_idx=idx,
+                surface=mention.surface,
+                gold_qid=gold,
+                predicted_qid=ranking[0][0] if ranking else None,
+                bucket=classify(mention.candidates.candidates, gold) if gold is not None else None,
+                rank_of_gold=rank_of_gold,
+                # The prediction heads the ranking.
+                predicted_score=_finite(ranking[0][1]) if ranking else None,
+                gold_score=gold_score,
+                nongold_mean=float(np.mean(nongold)) if nongold else None,
+                ranking=ranking,
+                fallback=fallback,
             )
+        )
     return outcomes
 
 
@@ -190,16 +197,18 @@ def _percentile(ordered: np.ndarray, q: float) -> float:
 
 def mutilation(
     docs: Sequence[DocumentTask],
-    runner: Callable[[list[DocumentTask]], list[LinkResult]],
+    runner: Callable[[list[DocumentTask]], list],
     fractions: Sequence[float],
     seed: int = 0,
     repeats: int = 10,
 ) -> dict[float, float]:
     """Overall P@1 after keeping only a fraction of the easy mentions.
 
-    Hard and not-found mentions always stay. Each (fraction, repeat)
-    pair subsamples independently from a seed derived from the root
-    seed; fraction 1.0 short-circuits to the unmodified dataset.
+    ``runner`` links documents as ``run_documents`` does, into results
+    whose ``mentions`` are outcomes. Hard and not-found mentions always
+    stay. Each (fraction, repeat) pair subsamples independently from a
+    seed derived from the root seed; fraction 1.0 short-circuits to the
+    unmodified dataset.
     """
     for f in fractions:
         if not 0.0 <= f <= 1.0:
@@ -214,7 +223,8 @@ def mutilation(
     ]
 
     def p1(subset: list[DocumentTask]) -> float:
-        return metrics_report(build_outcomes(runner(subset))).precision_at_1["overall"]
+        outcomes = (o for result in runner(subset) for o in result.mentions)
+        return metrics_report(outcomes).precision_at_1["overall"]
 
     results: dict[float, float] = {}
     for f in fractions:
@@ -270,13 +280,14 @@ def write_predictions(outcomes: Iterable[MentionOutcome], path: str) -> None:
 
 def _field(value: str, name: str, line: int, parse: Callable, minimum: float) -> float:
     """``value`` parsed by ``parse`` if finite, >= minimum and spelled as ``write_predictions``
-    spells it (ASCII; only digits for an int; no whitespace or "_"); else a FormatError."""
-    plain = value.isdigit() if parse is int else value == value.strip() and "_" not in value
+    spells it (ASCII; an int in canonical decimal; no whitespace or "_"); else a FormatError."""
+    plain = value.isascii() and value == value.strip() and "_" not in value
     try:
         number = parse(value)
-        if value.isascii() and plain and math.isfinite(number) and number >= minimum:
+        canonical = parse is not int or value == str(number)
+        if plain and canonical and math.isfinite(number) and number >= minimum:
             return number
-    except ValueError:
+    except (ValueError, OverflowError):  # OverflowError: an int too large for a float
         pass
     raise FormatError(f"line {line}: bad {name} {value!r}")
 

@@ -10,7 +10,7 @@ import pytest
 
 from eigenlink.dataset import attach_candidates, load_dataset
 from eigenlink.embeddings import EmbeddingStore, load_embeddings
-from eigenlink.evaluation import build_outcomes, metrics_report
+from eigenlink.evaluation import metrics_report
 from eigenlink.index import build_index
 from eigenlink.kg import EntityCatalog, EntityRecord, load_catalog
 from eigenlink.pipeline import LinkContext, RunConfig, run_documents
@@ -48,7 +48,7 @@ class Corpus:
         ctx = LinkContext(catalog=self.catalog, config=cfg, store=self.store)
         docs = [attach_candidates(doc, self.index, self.catalog, cfg.T) for doc in self.docs]
         results = run_documents(docs, ctx)
-        outcomes = build_outcomes(results)
+        outcomes = [o for r in results for o in r.mentions]
         return results, outcomes, metrics_report(outcomes)
 
 

@@ -11,8 +11,7 @@ import pytest
 from eigenlink import cli, weighting
 from eigenlink.cli import _load_context, _resolve_run_config, build_parser, main
 from eigenlink.dataset import Mention, attach_candidates, load_dataset
-from eigenlink.eigenthemes import MentionLink
-from eigenlink.evaluation import MentionOutcome, build_outcomes, write_predictions
+from eigenlink.evaluation import MentionOutcome, write_predictions
 from eigenlink.index import CandidateList, build_index, tokenize
 from eigenlink.kg import EntityRecord, load_catalog
 from eigenlink.pipeline import METHODS, LinkContext, RunConfig, run_documents
@@ -149,7 +148,7 @@ def test_jobs_count_does_not_change_outputs(corpus_dir, tmp_path, method, kind):
     assert read_bytes(f"{out1}/metrics.json") == read_bytes(f"{out2}/metrics.json")
 
 
-SLOTTED = (EntityRecord, Mention, CandidateList, MentionLink, MentionOutcome)
+SLOTTED = (EntityRecord, Mention, CandidateList, MentionOutcome)
 
 
 @pytest.mark.parametrize("method", ["eigen", "degree"])
@@ -159,7 +158,7 @@ def test_slotted_records_cross_to_workers_unchanged(corpus_dir, tmp_path, method
     assert not hasattr(record, "__dict__")
     assert pickle.loads(pickle.dumps(record)) == record
     # --jobs 2 pickles the documents and the context (with the catalog's
-    # records for degree) into the workers, and the links back.
+    # records for degree) into the workers, and the outcomes back.
     out1, out2 = str(tmp_path / "j1"), str(tmp_path / "j2")
     args1 = link_args(corpus_dir, out1, method=method)
     args2 = link_args(corpus_dir, out2, method=method)
@@ -482,7 +481,7 @@ def test_reachable_catalog_links_as_the_full_catalog(tmp_path, method):
     index = build_index(catalog)
     docs = [attach_candidates(doc, index, catalog) for doc in load_dataset(dataset_path)]
     expected = str(tmp_path / "expected.csv")
-    write_predictions(build_outcomes(run_documents(docs, ctx)), expected)
+    write_predictions((o for r in run_documents(docs, ctx) for o in r.mentions), expected)
     out = str(tmp_path / "run")
     assert main(plain_link_args(catalog_path, dataset_path, out, method)) == 0
     assert read_bytes(f"{out}/predictions.csv") == read_bytes(expected)
@@ -597,6 +596,10 @@ ONE_IFF_GOLD = "rank_of_gold is 1 exactly when predicted_qid is gold_qid"
         ("d1,\u0660,Foo,Q1,Q1,easy,1,0.5", "line 3: bad mention_idx '\u0660'"),
         ("d1,1,Foo,Q1,Q1,easy, 1,0.5", "line 3: bad rank_of_gold ' 1'"),
         ("d1,1,Foo,Q1,Q1,easy,1,1_0.5", "line 3: bad score '1_0.5'"),
+        ("d1,00,Foo,Q1,Q1,easy,1,0.5", "line 3: bad mention_idx '00'"),
+        ("d1,01,Foo,Q1,Q1,easy,1,0.5", "line 3: bad mention_idx '01'"),
+        ("d1,1,Foo,Q1,Q1,easy,01,0.5", "line 3: bad rank_of_gold '01'"),
+        ("d1,1" + "0" * 400 + ",Foo,Q1,Q1,easy,1,0.5", f"line 3: bad mention_idx '1{'0' * 400}'"),
         ("d1,1,Foo,Q1,Q1,medium,1,0.5", "line 3: unknown bucket 'medium'"),
         (GOOD_ROW, "line 3: repeated mention 'd1' #0"),
         # Rows write_predictions never writes.
@@ -620,6 +623,10 @@ ONE_IFF_GOLD = "rank_of_gold is 1 exactly when predicted_qid is gold_qid"
         "mention-idx-arabic-indic",
         "rank-space",
         "score-underscore",
+        "mention-idx-double-zero",
+        "mention-idx-leading-zero",
+        "rank-leading-zero",
+        "mention-idx-too-large-for-a-float",
         "unknown-bucket",
         "repeated-mention",
         "bucket-without-gold",
@@ -846,6 +853,61 @@ def test_mutilate_repeated_method_exits_4_before_loading(corpus_dir, tmp_path, c
     ]
     assert main(args) == 4
     assert capsys.readouterr().err == "error: method 'eigen' is listed twice\n"
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--methods", ""], "need at least one method"),
+        (["--methods", " , "], "need at least one method"),
+        (["--methods", "degree", "--fractions", "0.5,0.5"], "fraction 0.5 is listed twice"),
+        (["--methods", "degree", "--fractions", "0.0,-0.0"], "fraction -0.0 is listed twice"),
+    ],
+    ids=["no-method", "blank-methods", "repeated-fraction", "signed-zero-fraction"],
+)
+def test_mutilate_empty_methods_or_repeated_fraction_exits_4_before_loading(
+    corpus_dir, tmp_path, capsys, flags, message
+):
+    args = [
+        "mutilate",
+        *flags,
+        "--dataset",
+        f"{corpus_dir}/dataset.jsonl",
+        "--catalog",
+        str(tmp_path / "missing.jsonl"),
+        "--out",
+        str(tmp_path / "mut"),
+    ]
+    assert main(args) == 4
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--weighting", "bogus"], "argument --weighting: invalid choice: 'bogus'"),
+        (["--method", "bogus"], "argument --method: invalid choice: 'bogus'"),
+        (["--k", "abc"], "argument --k: invalid int value: 'abc'"),
+        (["--delta", "x"], "argument --delta: invalid float value: 'x'"),
+        (["--no-such-flag"], "unrecognized arguments: --no-such-flag"),
+    ],
+    ids=["weighting", "method", "k", "delta", "unknown-flag"],
+)
+def test_bad_flag_values_exit_4_with_one_error_line(tmp_path, capsys, flags, message):
+    # The input files do not exist: a flag error stops before any is read.
+    args = ["link", "--dataset", "d", "--catalog", "c", "--out", str(tmp_path / "x"), *flags]
+    assert main(args) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["link", "--help"])
+    assert exc.value.code == 0
+    assert "--weighting" in capsys.readouterr().out
 
 
 def test_unscaled_flag_changes_scores(corpus_dir, tmp_path):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eigenlink import pipeline
 from eigenlink.dataset import DocumentTask, Mention, attach_candidates
@@ -338,9 +340,9 @@ def test_exact_orthogonal_distractors_give_perfect_linking():
     result = link_document(task("d", mentions), store, NONE, k=3)
     assert all(m.predicted_qid == m.gold_qid for m in result.mentions)
     # distractors are exactly orthogonal to the learned subspace
-    for m in result.mentions:
+    for mt, m in zip(mentions, result.mentions):
         scores = dict(m.ranking)
-        assert all(scores[q] == 0.0 for q in m.candidates if q != m.gold_qid)
+        assert all(scores[q] == 0.0 for q in mt.candidates.candidates if q != m.gold_qid)
 
 
 def test_collectivity_other_mentions_change_scores():
@@ -436,7 +438,7 @@ def test_shared_ranking_loop_contract(small_corpus, method):
     ctx = context_with_every_input(small_corpus, method)
     for doc in small_corpus.docs:
         doc = attach_candidates(doc, small_corpus.index, small_corpus.catalog, ctx.config.T)
-        for ml in link_one(doc, ctx).mentions:
+        for mt, ml in zip(doc.mentions, link_one(doc, ctx).mentions):
             if ml.ranking:
                 assert ml.predicted_qid == ml.ranking[0][0]
             else:
@@ -444,9 +446,33 @@ def test_shared_ranking_loop_contract(small_corpus, method):
             scores = [s for _, s in ml.ranking]
             assert scores == sorted(scores, reverse=True)
             if method != "namematch":
-                assert sorted(q for q, _ in ml.ranking) == sorted(ml.candidates)
+                assert sorted(q for q, _ in ml.ranking) == sorted(mt.candidates.candidates)
             if method in ("degree", "namematch"):
                 assert ml.fallback is None
+
+
+INDEPENDENCE_SETUPS = [(method, "degree_rr") for method in METHODS] + [
+    ("eigen", "local_ctxt_rr"),
+    ("eigen", "global_ctxt_rr"),
+]
+
+
+@pytest.mark.parametrize("method,weighting", INDEPENDENCE_SETUPS)
+def test_linking_a_document_subset_gives_the_full_runs_results(small_corpus, method, weighting):
+    ctx = context_with_every_input(small_corpus, method)
+    ctx.config.weighting = weighting
+    docs = [
+        attach_candidates(doc, small_corpus.index, small_corpus.catalog, ctx.config.T)
+        for doc in small_corpus.docs
+    ]
+    full = run_documents(docs, ctx)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(st.integers(0, len(docs) - 1), unique=True))
+    def check(picked):
+        assert run_documents([docs[i] for i in picked], ctx) == [full[i] for i in picked]
+
+    check()
 
 
 @pytest.mark.parametrize("method", METHODS)

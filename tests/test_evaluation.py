@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigenlink.eigenthemes import LinkResult, MentionLink
+from eigenlink.dataset import DocumentTask, Mention
 from eigenlink.evaluation import (
     BOOTSTRAP_BLOCK_ELEMENTS,
     BUCKETS,
@@ -23,17 +23,16 @@ from eigenlink.evaluation import (
     score_gap,
     write_predictions,
 )
+from eigenlink.index import CandidateList
 from tests.conftest import build_corpus
 
 
-def ml(gold, candidates, ranking, predicted):
-    return MentionLink(
-        surface="m",
-        gold_qid=gold,
-        candidates=candidates,
-        ranking=ranking,
-        predicted_qid=predicted,
+def outcomes_of(*mentions):
+    """build_outcomes over one document of (gold, candidates, ranking) mentions."""
+    task = DocumentTask(
+        "d", [Mention("m", gold, candidates=CandidateList(cands)) for gold, cands, _ in mentions]
     )
+    return build_outcomes(task, [ranking for *_, ranking in mentions], [None] * len(mentions))
 
 
 def outcome(bucket, gold="g", predicted=None, rank=None):
@@ -204,15 +203,11 @@ def test_metrics_report_is_one_pass_of_the_bucket_definitions(outs):
 
 
 def test_build_outcomes_records_ranks_and_scores():
-    result = LinkResult(
-        doc_id="d",
-        mentions=[
-            ml("g", ["a", "g"], [("a", 2.0), ("g", 1.0)], "a"),
-            ml("g2", ["g2", "b"], [("g2", 3.0), ("b", 0.5)], "g2"),
-            ml("gx", ["a", "b"], [("a", 1.0), ("b", 0.5)], "a"),
-        ],
+    outs = outcomes_of(
+        ("g", ["a", "g"], [("a", 2.0), ("g", 1.0)]),
+        ("g2", ["g2", "b"], [("g2", 3.0), ("b", 0.5)]),
+        ("gx", ["a", "b"], [("a", 1.0), ("b", 0.5)]),
     )
-    outs = build_outcomes([result])
     assert outs[0].bucket == "hard"  # candidates[0] != gold... a is top candidate
     assert outs[0].rank_of_gold == 2
     assert outs[0].gold_score == 1.0
@@ -224,26 +219,18 @@ def test_build_outcomes_records_ranks_and_scores():
 
 
 def test_build_outcomes_scores_the_prediction_at_the_head_of_the_ranking():
-    result = LinkResult(
-        doc_id="d",
-        mentions=[
-            ml("g", ["a", "g"], [("a", 2.5), ("g", 1.0)], "a"),
-            ml(None, ["a"], [("a", -math.inf)], "a"),
-            ml("g", [], [], None),
-        ],
+    outs = outcomes_of(
+        ("g", ["a", "g"], [("a", 2.5), ("g", 1.0)]),
+        (None, ["a"], [("a", -math.inf)]),
+        ("g", [], []),
     )
-    outs = build_outcomes([result])
     assert [o.predicted_score for o in outs] == [2.5, None, None]
     assert (outs[1].bucket, outs[1].rank_of_gold, outs[1].nongold_mean) == (None, None, None)
     assert (outs[2].bucket, outs[2].predicted_qid) == ("not_found", None)
 
 
 def test_build_outcomes_ignores_infinite_scores():
-    result = LinkResult(
-        doc_id="d",
-        mentions=[ml("g", ["g", "x"], [("g", 1.0), ("x", -math.inf)], "g")],
-    )
-    outs = build_outcomes([result])
+    outs = outcomes_of(("g", ["g", "x"], [("g", 1.0), ("x", -math.inf)]))
     assert outs[0].nongold_mean is None
 
 
@@ -381,7 +368,7 @@ def test_mutilation_full_fraction_is_plain_evaluation(crossing_corpus):
     docs = attach_all(crossing_corpus)
     runner = runner_for(crossing_corpus, "degree")
     by_fraction = mutilation(docs, runner, [1.0], seed=3, repeats=10)
-    plain = p1(build_outcomes(runner(docs)))
+    plain = p1(o for r in runner(docs) for o in r.mentions)
     assert by_fraction[1.0] == plain  # bit-exact
 
 
