@@ -89,10 +89,20 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", required=True, help="output directory")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A config-file JSON object, whose every key must be given once."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"config-file key {key!r} is given twice")
+        obj[key] = value
+    return obj
+
+
 def _read_config_file(path: str) -> dict:
     """The file's JSON object, each value checked against its RunConfig field type."""
     with open(path, "rb") as fh:
-        file_cfg = jsonl.parse(fh.read())
+        file_cfg = jsonl.parse(fh.read(), pairs_hook=_unique_keys)
     if not isinstance(file_cfg, dict):
         raise FormatError("config file must hold a JSON object")
     unknown = set(file_cfg) - set(_FILE_TYPES)
@@ -219,6 +229,8 @@ def cmd_synth(args) -> int:
             parser_fn = _SYNTH_FIELD_PARSERS.get(key)
             if parser_fn is None:
                 raise ConfigError(f"unknown synth config key {key!r}")
+            if key in cfg_values:
+                raise ConfigError(f"synth config key {key!r} is given twice")
             try:
                 cfg_values[key] = parser_fn(raw.strip())
             except ValueError as exc:

@@ -75,10 +75,6 @@ class EmbeddingStore:
     def identifiers(self):
         return self._row.keys()
 
-    def __getstate__(self) -> dict:
-        # Pickle (as sent to worker processes) only the filled rows.
-        return {**self.__dict__, "_matrix": self._matrix[: len(self._row)]}
-
 
 def unit_normalize(v: np.ndarray) -> np.ndarray:
     """v / ||v||, leaving (near-)zero vectors untouched."""

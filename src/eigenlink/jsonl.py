@@ -9,7 +9,7 @@ or nesting past the recursion limit is a FormatError naming the line.
 from __future__ import annotations
 
 import json
-from typing import Any, BinaryIO, Iterable, Iterator
+from typing import Any, BinaryIO, Callable, Iterable, Iterator
 
 from .errors import FormatError
 
@@ -27,9 +27,9 @@ def decode(raw: bytes, lineno: int) -> str:
         raise FormatError(f"line {line}: not valid UTF-8") from exc
 
 
-def loads(text: str, lineno: int) -> Any:
+def loads(text: str, lineno: int, pairs_hook: Callable | None = None) -> Any:
     try:
-        value = json.loads(text)
+        value = json.loads(text, object_pairs_hook=pairs_hook)
         if "\\u" in text:  # only an escape can make text that UTF-8 cannot hold
             json.dumps(value, ensure_ascii=False).encode("utf-8")
         return value
@@ -43,9 +43,10 @@ def loads(text: str, lineno: int) -> Any:
         raise FormatError(f"line {lineno}: number too long") from exc
 
 
-def parse(raw: bytes, lineno: int = 1) -> Any:
-    """The JSON value of ``raw``, a single line or a whole document."""
-    return loads(decode(raw, lineno), lineno)
+def parse(raw: bytes, lineno: int = 1, pairs_hook: Callable | None = None) -> Any:
+    """The JSON value of ``raw``, a single line or a whole document; ``pairs_hook``
+    is ``json.loads``'s ``object_pairs_hook``."""
+    return loads(decode(raw, lineno), lineno, pairs_hook)
 
 
 def lines(fh: BinaryIO) -> Iterator[tuple[int, str]]:

@@ -56,6 +56,7 @@ class Subspace:
 def pin_blas_threads() -> bool:
     """Run numpy's BLAS on one thread in this process, whatever OPENBLAS_NUM_THREADS says.
 
+    The setting is process-wide, so it covers every thread that links.
     Returns whether it could: a numpy built against another BLAS has no
     such setter, and then a warning says that artifacts of large
     documents may depend on the BLAS thread count.

@@ -1,13 +1,15 @@
 """Document-parallel linking runs.
 
-Stores are opened read-only up front and shipped to workers once; the
-documents are then mapped in submission order, so results (and
-therefore every derived artifact) do not depend on the worker count.
+Each document is linked on its own, so ``--jobs`` documents are linked at
+once on threads of this process (LAPACK releases the GIL in eigen's SVDs).
+Linking writes no shared state: the catalog, the stores and the name
+lookup are only read. Documents are mapped in submission order, so results
+(and therefore every derived artifact) do not depend on the worker count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -91,7 +93,7 @@ class RunConfig:
 
 @dataclass
 class LinkContext:
-    """Everything a worker needs to link documents whose candidates are attached.
+    """Everything needed to link documents whose candidates are attached.
 
     ``catalog`` may hold only the records the dataset's mentions can
     reach (as the CLI loads it), so documents linked with it must come
@@ -160,19 +162,6 @@ def link_one(doc: DocumentTask, ctx: LinkContext) -> LinkResult:
     return METHODS[ctx.config.method].link(doc, ctx)
 
 
-_WORKER_CTX: LinkContext | None = None
-
-
-def _init_worker(ctx: LinkContext) -> None:
-    global _WORKER_CTX
-    pin_blas_threads()
-    _WORKER_CTX = ctx
-
-
-def _run_worker(doc: DocumentTask) -> LinkResult:
-    return link_one(doc, _WORKER_CTX)
-
-
 def run_documents(docs: list[DocumentTask], ctx: LinkContext) -> list[LinkResult]:
     """Link all documents, preserving input order whatever ``ctx.config.jobs``.
 
@@ -187,11 +176,9 @@ def run_documents(docs: list[DocumentTask], ctx: LinkContext) -> list[LinkResult
             )
     pin_blas_threads()
     if ctx.config.method == "namematch":
-        ctx.name_lookup  # built once here, not once per worker
+        ctx.name_lookup  # built before the threads start: cached_property has no lock on 3.12+
     workers = min(ctx.config.jobs, len(docs))
     if workers <= 1:
         return [link_one(doc, ctx) for doc in docs]
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(ctx,)
-    ) as pool:
-        return list(pool.map(_run_worker, docs, chunksize=max(1, len(docs) // (4 * workers))))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(link_one, docs, [ctx] * len(docs)))

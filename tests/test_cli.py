@@ -157,8 +157,8 @@ def test_slotted_records_cross_to_workers_unchanged(corpus_dir, tmp_path, method
     record = EntityRecord("Q1", "Rome", ["Roma"], 3)
     assert not hasattr(record, "__dict__")
     assert pickle.loads(pickle.dumps(record)) == record
-    # --jobs 2 pickles the documents and the context (with the catalog's
-    # records for degree) into the workers, and the outcomes back.
+    # --jobs 2 links on threads, which share the records unpickled; the
+    # outputs still match --jobs 1's.
     out1, out2 = str(tmp_path / "j1"), str(tmp_path / "j2")
     args1 = link_args(corpus_dir, out1, method=method)
     args2 = link_args(corpus_dir, out2, method=method)
@@ -313,6 +313,17 @@ def test_context_method_without_words_exits_4(corpus_dir, tmp_path):
 
 def test_unknown_synth_key_exits_4(tmp_path):
     assert main(["synth", "--config", "bananas=3", "--out", str(tmp_path / "x")]) == 4
+
+
+@pytest.mark.parametrize(
+    "configs", [["docs=2,docs=3"], ["docs=2", "docs=4"]], ids=["one-flag", "two-flags"]
+)
+def test_repeated_synth_key_exits_4(tmp_path, capsys, configs):
+    out = tmp_path / "x"
+    args = ["synth", *(arg for cfg in configs for arg in ("--config", cfg)), "--out", str(out)]
+    assert main(args) == 4
+    assert capsys.readouterr().err == "error: synth config key 'docs' is given twice\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -709,6 +720,18 @@ def test_config_file_unknown_key_exits_4(corpus_dir, tmp_path, capsys, file_cfg)
     assert main(args) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text", ['{"k": 5, "k": 7}', '{"k": 5, "seed": 1, "k": 5}'], ids=["changed", "same-value"]
+)
+def test_config_file_repeated_key_exits_4(corpus_dir, tmp_path, capsys, text):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(text)
+    out = tmp_path / "x"
+    assert main(link_args(corpus_dir, str(out), extra=("--config-file", str(cfg_path)))) == 4
+    assert capsys.readouterr().err == "error: config-file key 'k' is given twice\n"
+    assert not out.exists()
 
 
 def test_config_file_int_widens_to_float_field(corpus_dir, tmp_path):

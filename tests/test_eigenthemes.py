@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import multiprocessing.process
+import sys
 
 import numpy as np
 import pytest
@@ -499,7 +501,7 @@ def test_run_rejects_documents_without_candidates(small_corpus, method, monkeypa
     def no_workers(*args, **kwargs):
         raise AssertionError("a worker pool started")
 
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", no_workers)
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", no_workers)
     for jobs in (1, 2):
         with pytest.raises(ValueError) as info:
             run_documents(docs, with_jobs(ctx, jobs))
@@ -511,13 +513,12 @@ def test_run_rejects_documents_without_candidates(small_corpus, method, monkeypa
 
 @pytest.fixture
 def recorded_pools(monkeypatch) -> list[int]:
-    """The size of every pool ``run_documents`` starts; each maps in this process."""
+    """The size of every pool ``run_documents`` starts; each maps serially."""
     started = []
 
     class InProcessPool:
-        def __init__(self, max_workers, initializer, initargs):
+        def __init__(self, max_workers):
             started.append(max_workers)
-            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -525,11 +526,10 @@ def recorded_pools(monkeypatch) -> list[int]:
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(pipeline, "_WORKER_CTX", None)
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", InProcessPool)
     return started
 
 
@@ -551,6 +551,27 @@ def test_run_takes_its_worker_count_from_the_config(small_corpus, recorded_pools
     assert recorded_pools == []
     assert run_documents(first_docs(small_corpus, 3), ctx) == serial
     assert recorded_pools == [2]
+
+
+@pytest.mark.parametrize("jobs", [2, 8])
+@pytest.mark.parametrize("method", METHODS)
+def test_run_links_on_threads_without_child_processes(small_corpus, method, jobs, monkeypatch):
+    ctx = context_with_every_input(small_corpus, method)
+    docs = first_docs(small_corpus, len(small_corpus.docs))
+    serial = run_documents(docs, ctx)
+
+    def no_process(self):
+        raise AssertionError("a child process started")
+
+    # every process class, forked or spawned, starts through BaseProcess.start
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
+    # switching threads often makes a race on shared state more likely to show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert run_documents(docs, with_jobs(ctx, jobs)) == serial
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_namematch_link_one_matches_run_documents():
