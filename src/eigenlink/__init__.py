@@ -10,14 +10,7 @@ from .eigenthemes import (
     score_candidate,
 )
 from .embeddings import EmbeddingStore, load_embeddings, unit_normalize
-from .index import (
-    CandidateList,
-    InvertedIndex,
-    build_index,
-    generate_candidates,
-    oracle_recall,
-    tokenize,
-)
+from .index import CandidateCollector, CandidateList, candidate_lists, tokenize
 from .kg import EntityCatalog, EntityRecord, compute_degrees, load_catalog
 from .linalg import Subspace, truncated_svd, weighted_sscp
 from .pipeline import LinkContext, RunConfig, link_one, run_documents
@@ -27,13 +20,13 @@ from .weighting import WeightScheme, degree_ranking, mention_weights, reciprocal
 __version__ = "0.1.0"
 
 __all__ = [
+    "CandidateCollector",
     "CandidateList",
     "DocumentMatrix",
     "DocumentTask",
     "EmbeddingStore",
     "EntityCatalog",
     "EntityRecord",
-    "InvertedIndex",
     "LinkContext",
     "LinkResult",
     "Mention",
@@ -43,11 +36,10 @@ __all__ = [
     "WeightScheme",
     "attach_candidates",
     "build_document_matrix",
-    "build_index",
+    "candidate_lists",
     "compute_degrees",
     "degree_ranking",
     "generate",
-    "generate_candidates",
     "learn_subspace",
     "link_document",
     "link_one",
@@ -55,7 +47,6 @@ __all__ = [
     "load_dataset",
     "load_embeddings",
     "mention_weights",
-    "oracle_recall",
     "reciprocal_rank_weight",
     "run_documents",
     "score_candidate",

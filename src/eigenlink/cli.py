@@ -13,7 +13,7 @@ import json
 import logging
 import os
 import sys
-from typing import Callable, get_type_hints
+from typing import get_type_hints
 
 from . import jsonl
 from .baselines import normalize_name
@@ -33,7 +33,7 @@ from .evaluation import (
     score_gap,
     write_predictions,
 )
-from .index import build_index, record_tokens, tokenize
+from .index import CandidateCollector
 from .kg import load_catalog
 from .pipeline import METHODS, LinkContext, RunConfig, run_documents
 from .synth import SynthConfig, generate
@@ -89,20 +89,13 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", required=True, help="output directory")
 
 
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """A config-file JSON object, whose every key must be given once."""
-    obj: dict = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ConfigError(f"config-file key {key!r} is given twice")
-        obj[key] = value
-    return obj
-
-
 def _read_config_file(path: str) -> dict:
     """The file's JSON object, each value checked against its RunConfig field type."""
     with open(path, "rb") as fh:
-        file_cfg = jsonl.parse(fh.read(), pairs_hook=_unique_keys)
+        try:
+            file_cfg = jsonl.parse(fh.read(), pairs_hook=jsonl.unique_keys)
+        except jsonl.RepeatedKeyError as exc:
+            raise ConfigError(f"config-file key {exc.key!r} is given twice") from None
     if not isinstance(file_cfg, dict):
         raise FormatError("config file must hold a JSON object")
     unknown = set(file_cfg) - set(_FILE_TYPES)
@@ -140,45 +133,33 @@ def _resolve_run_config(args, method: str) -> RunConfig:
     return cfg
 
 
-def _mention_reach(docs: list[DocumentTask]) -> tuple[set[str], Callable[[str, list[str]], bool]]:
-    """The dataset's mention tokens, and the rule for the catalog records a mention can reach.
-
-    A record is reachable when one of its name or alias tokens is a
-    mention token, which every candidate's is, or when its normalized
-    name equals a mention's, which every namematch hit's does (including
-    names that have no tokens).
-    """
-    surfaces = {m.surface for doc in docs for m in doc.mentions}
-    tokens = {tok for surface in surfaces for tok in tokenize(surface)}
-    names = {normalize_name(surface) for surface in surfaces}
-
-    def reachable(name: str, aliases: list[str]) -> bool:
-        # Kept records mostly match on a token, so that test comes first.
-        return not tokens.isdisjoint(record_tokens(name, aliases)) or normalize_name(name) in names
-
-    return tokens, reachable
-
-
 def _load_context(args, cfgs: list[RunConfig]) -> tuple[LinkContext, list[DocumentTask]]:
     """Load the inputs of runs with ``cfgs`` and attach candidates to every document.
 
     The context is configured by ``cfgs[0]``, whose ``T`` they share. The
-    dataset comes first: the catalog keeps only the records its mentions
-    can reach and the index only its mention tokens. Candidates come
-    before the stores so that only their entity embeddings and
-    descriptions are kept. Unless one of the methods reads the catalog,
-    the catalog and the index are dropped before the stores load.
+    dataset comes first, then one pass over the catalog collects its
+    mentions' candidates. That pass makes a record only when one of the
+    methods reads the catalog, and then only for a candidate hit or a
+    record whose normalized name is a mention's (a namematch hit, which
+    may have no tokens). The stores load last and keep only the
+    candidates' entity embeddings and descriptions.
     """
     cfg = cfgs[0]
     docs = load_dataset(args.dataset)
-    tokens, reachable = _mention_reach(docs)
-    catalog = load_catalog(args.catalog, edges_path=args.edges, keep=reachable)
-    index = build_index(catalog, tokens)
-    docs = [attach_candidates(doc, index, catalog, cfg.T) for doc in docs]
-    union = {qid for doc in docs for m in doc.mentions for qid in m.candidates.candidates}
-    del index
-    if not any("catalog" in METHODS[c.method].inputs for c in cfgs):
-        catalog = None
+    surfaces = {m.surface for doc in docs for m in doc.mentions}
+    collector = CandidateCollector(surfaces, cfg.T)
+    reads_catalog = any("catalog" in METHODS[c.method].inputs for c in cfgs)
+    names = {normalize_name(surface) for surface in surfaces}
+
+    def keep(qid: str, name: str, aliases: list[str], degree: int) -> bool:
+        hit = collector.offer(qid, name, aliases, degree)
+        return reads_catalog and (hit or normalize_name(name) in names)
+
+    catalog = load_catalog(args.catalog, edges_path=args.edges, keep=keep)
+    lists = collector.lists()
+    del collector
+    docs = [attach_candidates(doc, lists) for doc in docs]
+    union = {qid for candidates in lists.values() for qid in candidates.candidates}
     store = load_embeddings(args.embeddings, union) if args.embeddings else None
     word_store = load_embeddings(args.words) if args.words else None
     desc_store = None
@@ -186,7 +167,7 @@ def _load_context(args, cfgs: list[RunConfig]) -> tuple[LinkContext, list[Docume
         descriptions = load_descriptions(args.descriptions, union)
         desc_store = build_description_store(descriptions, word_store)
     ctx = LinkContext(
-        catalog=catalog,
+        catalog=catalog if reads_catalog else None,
         config=cfg,
         store=store,
         word_store=word_store,

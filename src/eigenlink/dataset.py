@@ -9,18 +9,18 @@ JSONL, one document per line:
 
 ``position`` is the non-negative token index the mention occupies in
 ``tokens``, so below its length when ``tokens`` is given; it defaults to 0.
-Candidate lists are not stored; they are attached by running the
-candidate generator over the loaded documents.
+Candidate lists are not stored; they are attached from the candidate
+lists of the documents' surfaces (``index.CandidateCollector``).
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
 from . import jsonl
 from .errors import FormatError
-from .index import CandidateList, InvertedIndex, generate_candidates
-from .kg import EntityCatalog
+from .index import CandidateList
 
 
 @dataclass(slots=True)
@@ -84,15 +84,10 @@ def load_dataset(path: str) -> list[DocumentTask]:
     return docs
 
 
-def attach_candidates(
-    doc: DocumentTask,
-    idx: InvertedIndex,
-    catalog: EntityCatalog,
-    T: int = 20,
-) -> DocumentTask:
-    """Return a copy of the document with candidate lists generated."""
-    mentions = [
-        replace(m, candidates=generate_candidates(idx, catalog, m.surface, T))
-        for m in doc.mentions
-    ]
+def attach_candidates(doc: DocumentTask, lists: Mapping[str, CandidateList]) -> DocumentTask:
+    """Return a copy of the document whose mentions carry ``lists[surface]``.
+
+    Every mention with the same surface gets the same ``CandidateList``.
+    """
+    mentions = [replace(m, candidates=lists[m.surface]) for m in doc.mentions]
     return replace(doc, mentions=mentions)

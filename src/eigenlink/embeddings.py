@@ -134,8 +134,7 @@ def _parse_block(ids, rests, linenos, dim: int, seen: RowIds) -> np.ndarray:
         except ValueError:
             values = None
         if values is not None and values.shape == (len(ids), dim) and np.isfinite(values).all():
-            for identifier, lineno in zip(ids, linenos):
-                seen.add(identifier, lineno)
+            seen.extend(ids, linenos)
             return values
     return _check_rows(ids, rests, linenos, dim, seen)
 

@@ -1,19 +1,23 @@
-"""Token inverted index over entity names and aliases.
+"""Candidate generation over entity names and aliases.
 
 A mention's candidates are the entities for which every mention token
 occurs in the entity's name or in one of its aliases, where all tokens
 must come from a single name or a single alias (not spread across
 them). Candidates are ordered by degree descending, qid ascending on
 ties, and truncated to at most T per mention.
+
+Candidates are collected in one pass over the catalog: a
+``CandidateCollector`` made from the mention surfaces is offered each
+record as it is read, so no record needs to be kept for them.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Collection
 from dataclasses import dataclass
+from typing import Iterable
 
-from .kg import EntityCatalog
+from .kg import EntityRecord
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -21,26 +25,6 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on any non-alphanumeric codepoint."""
     return _TOKEN_RE.findall(text.lower())
-
-
-def record_tokens(name: str, aliases: list[str]) -> list[str]:
-    """The tokens of a name and its aliases, in one call.
-
-    The newline between the texts is not a token character, so no token
-    spans two of them.
-    """
-    return tokenize("\n".join((name, *aliases)))
-
-
-@dataclass
-class InvertedIndex:
-    """token -> ascending-sorted list of qids whose name or an alias contains it."""
-
-    postings: dict[str, list[str]]
-
-    @property
-    def vocabulary_size(self) -> int:
-        return len(self.postings)
 
 
 @dataclass(slots=True)
@@ -51,83 +35,67 @@ class CandidateList:
     truncated: bool = False
 
 
-def build_index(catalog: EntityCatalog, tokens: Collection[str] | None = None) -> InvertedIndex:
-    """Index every token of every entity's name and aliases.
+class CandidateCollector:
+    """The candidate lists of a fixed set of mention surfaces, filled one record at a time.
 
-    With ``tokens`` given, only those tokens get posting lists; candidate
-    generation for mentions made of them is unchanged.
+    The hits of each distinct mention token set are kept as
+    ``(-degree, qid)`` pairs. A list that grows past 2T is sorted and cut
+    to its best T + 1, so it never holds more than 2T hits and still
+    shows that it is to be truncated.
     """
-    keep = None if tokens is None else set(tokens)
-    postings: dict[str, list[str]] = {}
-    for rec in catalog:
-        found = set(record_tokens(rec.name, rec.aliases))
-        if keep is not None:
-            found &= keep
-        for tok in found:
-            postings.setdefault(tok, []).append(rec.qid)
-    return InvertedIndex(postings={tok: sorted(qids) for tok, qids in postings.items()})
+
+    def __init__(self, surfaces: Iterable[str], T: int = 20):
+        if T < 1:
+            raise ValueError(f"T must be >= 1, got {T}")
+        self.T = T
+        self._token_sets = {surface: frozenset(tokenize(surface)) for surface in surfaces}
+        # A token set is looked up by one of its tokens only: a text that
+        # holds every token of the set holds that one.
+        self._by_token: dict[str, list[frozenset[str]]] = {}
+        for tokens in set(self._token_sets.values()):
+            if tokens:
+                self._by_token.setdefault(min(tokens), []).append(tokens)
+        self._lookup_tokens = frozenset(self._by_token)
+        self._hits: dict[frozenset[str], list[tuple[int, str]]] = {}
+
+    def offer(self, qid: str, name: str, aliases: list[str], degree: int) -> bool:
+        """Add the record to the hits of each token set its name or one alias holds.
+
+        Each text is tokenized once. Returns whether the record is a hit.
+        """
+        matched = set()
+        for text in (name, *aliases):
+            found = _TOKEN_RE.findall(text.lower())  # tokenize(text), inlined for speed
+            if self._lookup_tokens.isdisjoint(found):
+                continue
+            found = set(found)
+            for token in found:
+                for tokens in self._by_token.get(token, ()):
+                    if tokens <= found:
+                        matched.add(tokens)
+        for tokens in matched:
+            hits = self._hits.setdefault(tokens, [])
+            hits.append((-degree, qid))
+            if len(hits) > 2 * self.T:
+                hits.sort()
+                del hits[self.T + 1 :]
+        return bool(matched)
+
+    def lists(self) -> dict[str, CandidateList]:
+        """Each surface's candidates; surfaces with the same token set share one list."""
+        made: dict[frozenset[str], CandidateList] = {}
+        for tokens in self._token_sets.values():
+            if tokens not in made:
+                hits = sorted(self._hits.get(tokens, ()))
+                made[tokens] = CandidateList([q for _, q in hits[: self.T]], len(hits) > self.T)
+        return {surface: made[tokens] for surface, tokens in self._token_sets.items()}
 
 
-def _single_source_match(mention_tokens: set[str], rec) -> bool:
-    """True if one name or one alias contains all mention tokens."""
-    if mention_tokens.issubset(tokenize(rec.name)):
-        return True
-    for alias in rec.aliases:
-        if mention_tokens.issubset(tokenize(alias)):
-            return True
-    return False
-
-
-def generate_candidates(
-    index: InvertedIndex,
-    catalog: EntityCatalog,
-    mention: str,
-    T: int = 20,
-) -> CandidateList:
-    """Intersect posting lists for the mention tokens, filter to
-    single-source matches, sort by degree and truncate to T."""
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    tokens = set(tokenize(mention))
-    if not tokens:
-        return CandidateList(candidates=[])
-
-    # Intersect postings, rarest token first to keep the working set small.
-    posting_sets = []
-    for tok in tokens:
-        qids = index.postings.get(tok)
-        if qids is None:
-            return CandidateList(candidates=[])
-        posting_sets.append(qids)
-    posting_sets.sort(key=len)
-    matched = set(posting_sets[0])
-    for qids in posting_sets[1:]:
-        matched.intersection_update(qids)
-        if not matched:
-            return CandidateList(candidates=[])
-
-    # A posting hit holds a lone mention token in one of its names already.
-    hits = [
-        qid
-        for qid in matched
-        if len(tokens) == 1 or _single_source_match(tokens, catalog.records[qid])
-    ]
-    hits.sort(key=lambda q: (-catalog.records[q].degree, q))
-    truncated = len(hits) > T
-    return CandidateList(candidates=hits[:T], truncated=truncated)
-
-
-def oracle_recall(
-    tasks: list[tuple[str, str]],
-    index: InvertedIndex,
-    catalog: EntityCatalog,
-    T: int = 20,
-) -> float:
-    """Fraction of (mention, gold_qid) tasks whose candidate list contains gold."""
-    if not tasks:
-        raise ValueError("oracle_recall requires a non-empty task list")
-    hits = 0
-    for mention, gold in tasks:
-        if gold in generate_candidates(index, catalog, mention, T).candidates:
-            hits += 1
-    return hits / len(tasks)
+def candidate_lists(
+    records: Iterable[EntityRecord], surfaces: Iterable[str], T: int = 20
+) -> dict[str, CandidateList]:
+    """The candidates of each surface among ``records``, such as a loaded catalog's."""
+    collector = CandidateCollector(surfaces, T)
+    for rec in records:
+        collector.offer(rec.qid, rec.name, rec.aliases, rec.degree)
+    return collector.lists()

@@ -2,8 +2,9 @@
 
 Files are split on ``\\n``, so a line ends in ``\\n`` or ``\\r\\n`` and a
 lone ``\\r`` is not a line break; blank lines are skipped. A bad byte, bad
-JSON, a ``\\u`` escape of a lone surrogate (text that UTF-8 cannot hold)
-or nesting past the recursion limit is a FormatError naming the line.
+JSON, a ``\\u`` escape of a lone surrogate (text that UTF-8 cannot hold),
+an object that gives a key twice, at any depth, or nesting past the
+recursion limit is a FormatError naming the line.
 """
 
 from __future__ import annotations
@@ -15,7 +16,29 @@ from .errors import FormatError
 
 # Bytes read and decoded at a time by ``rows``.
 _BLOCK_BYTES = 1 << 16
-_scan = json.JSONDecoder().scan_once
+
+
+class RepeatedKeyError(FormatError):
+    """A JSON object gives ``key`` twice."""
+
+    def __init__(self, key: str):
+        super().__init__(f"key {key!r} is given twice")
+        self.key = key
+
+
+def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """The ``object_pairs_hook`` that raises RepeatedKeyError for a key given twice."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise RepeatedKeyError(key)
+            seen.add(key)
+    return obj
+
+
+_scan = json.JSONDecoder(object_pairs_hook=unique_keys).scan_once
 
 
 def decode(raw: bytes, lineno: int) -> str:
@@ -58,20 +81,23 @@ def lines(fh: BinaryIO) -> Iterator[tuple[int, str]]:
 
 
 def _value(text: str, lineno: int) -> Any:
-    """``loads(text, lineno)``, by the C scanner alone when ``text`` is one plain value.
+    """``loads(text, lineno, unique_keys)``, by the C scanner alone for one plain value.
 
     ``text`` has no surrounding whitespace, so a value that ends where
     ``text`` does is what ``json.loads`` returns. Anything else, and any
     ``\\u`` escape, goes through ``loads`` for its checks and messages.
     """
-    if "\\u" not in text:
-        try:
-            value, end = _scan(text, 0)
-            if end == len(text):
-                return value
-        except (StopIteration, ValueError, RecursionError):
-            pass
-    return loads(text, lineno)
+    try:
+        if "\\u" not in text:
+            try:
+                value, end = _scan(text, 0)
+                if end == len(text):
+                    return value
+            except (StopIteration, ValueError, RecursionError):
+                pass
+        return loads(text, lineno, unique_keys)
+    except RepeatedKeyError as exc:
+        raise FormatError(f"line {lineno}: {exc}") from None
 
 
 def rows(fh: BinaryIO) -> Iterator[tuple[int, Any]]:

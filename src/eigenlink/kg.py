@@ -32,8 +32,7 @@ class EntityCatalog:
     """Immutable-after-build store of entity records keyed by qid.
 
     Loaded with a ``keep`` rule (as the CLI loads it), the catalog holds
-    only the records that rule accepts, such as those a dataset's
-    mentions can reach.
+    only the records that rule accepts, such as a dataset's candidates.
     """
 
     records: dict[str, EntityRecord]
@@ -74,33 +73,30 @@ def _parse_record(obj: dict, lineno: int) -> tuple[str, str, list[str], int | No
 def load_catalog(
     path: str,
     edges_path: str | None = None,
-    keep: Callable[[str, list[str]], bool] | None = None,
+    keep: Callable[[str, str, list[str], int], bool] | None = None,
 ) -> EntityCatalog:
     """Load a JSONL entity catalog.
 
-    When ``edges_path`` is given, degrees are computed from the edge list
-    and fill in records that do not carry an explicit ``degree`` field;
-    explicit values always win.
+    When ``edges_path`` is given, the edge list is read first and its
+    degrees fill in records that do not carry an explicit ``degree``
+    field; explicit values always win.
 
-    When ``keep`` is given, only the records for which ``keep(name,
-    aliases)`` holds are kept. Every line is validated either way,
-    including the check for duplicate qids across the whole file.
+    When ``keep`` is given, it is called with each valid line's
+    ``(qid, name, aliases, degree)``, the degree being final, and only
+    the records for which it holds are made and kept. Every line is
+    validated either way, including the check for duplicate qids across
+    the whole file.
     """
+    degrees = compute_degrees(load_edges(edges_path)) if edges_path is not None else {}
     records: dict[str, EntityRecord] = {}
-    implicit_degree: list[str] = []
     with open(path, "rb") as fh, RowIds(path, line_qid, "qid").checked() as qids:
         for lineno, obj in jsonl.rows(fh):
             qid, name, aliases, degree = _parse_record(obj, lineno)
             qids.add(qid, lineno)
-            if keep is not None and not keep(name, aliases):
-                continue
             if degree is None:
-                implicit_degree.append(qid)
-            records[qid] = EntityRecord(qid, name, aliases, degree or 0)
-    if edges_path is not None:
-        degrees = compute_degrees(load_edges(edges_path))
-        for qid in implicit_degree:
-            records[qid].degree = degrees.get(qid, 0)
+                degree = degrees.get(qid, 0)
+            if keep is None or keep(qid, name, aliases, degree):
+                records[qid] = EntityRecord(qid, name, aliases, degree)
     return EntityCatalog(records=records)
 
 

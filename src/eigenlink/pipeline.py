@@ -95,9 +95,9 @@ class RunConfig:
 class LinkContext:
     """Everything needed to link documents whose candidates are attached.
 
-    ``catalog`` may hold only the records the dataset's mentions can
-    reach (as the CLI loads it), so documents linked with it must come
-    from that dataset, with candidates attached over the same catalog.
+    ``catalog`` may hold only the dataset's candidates and name matches
+    (as the CLI loads it), so documents linked with it must come from
+    that dataset, with candidates attached from the same catalog file.
     It may be None when the method does not read the catalog.
     """
 

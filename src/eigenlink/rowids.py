@@ -45,6 +45,11 @@ class RowIds:
         self._hashes.append(hash(identifier))
         self._lines.append(lineno)
 
+    def extend(self, identifiers: list[str], linenos: list[int]) -> None:
+        """Record valid rows, as ``add`` on each pair in turn."""
+        self._hashes.extend(map(hash, identifiers))
+        self._lines.extend(linenos)
+
     def __len__(self) -> int:
         return len(self._hashes)
 

@@ -11,7 +11,7 @@ import pytest
 from eigenlink.dataset import attach_candidates, load_dataset
 from eigenlink.embeddings import EmbeddingStore, load_embeddings
 from eigenlink.evaluation import metrics_report
-from eigenlink.index import build_index
+from eigenlink.index import candidate_lists
 from eigenlink.kg import EntityCatalog, EntityRecord, load_catalog
 from eigenlink.pipeline import LinkContext, RunConfig, run_documents
 from eigenlink.synth import SynthConfig, generate
@@ -23,6 +23,12 @@ def make_catalog(rows) -> EntityCatalog:
     for qid, name, aliases, degree in rows:
         records[qid] = EntityRecord(qid=qid, name=name, aliases=list(aliases), degree=degree)
     return EntityCatalog(records=records)
+
+
+def with_candidates(catalog, docs, T: int = 20) -> list:
+    """``docs`` with their mentions' candidates among ``catalog``'s records."""
+    lists = candidate_lists(catalog, {m.surface for doc in docs for m in doc.mentions}, T)
+    return [attach_candidates(doc, lists) for doc in docs]
 
 
 def make_store(dim: int, vectors: dict[str, list[float]]) -> EmbeddingStore:
@@ -39,14 +45,13 @@ class Corpus:
     dir: str
     manifest: dict
     catalog: EntityCatalog
-    index: object
     store: EmbeddingStore
     docs: list
 
     def run(self, method: str, **cfg_kwargs):
         cfg = RunConfig(method=method, **cfg_kwargs)
         ctx = LinkContext(catalog=self.catalog, config=cfg, store=self.store)
-        docs = [attach_candidates(doc, self.index, self.catalog, cfg.T) for doc in self.docs]
+        docs = with_candidates(self.catalog, self.docs, cfg.T)
         results = run_documents(docs, ctx)
         outcomes = [o for r in results for o in r.mentions]
         return results, outcomes, metrics_report(outcomes)
@@ -58,7 +63,6 @@ def load_corpus(out_dir: str, manifest: dict) -> Corpus:
         dir=out_dir,
         manifest=manifest,
         catalog=catalog,
-        index=build_index(catalog),
         store=load_embeddings(f"{out_dir}/embeddings.txt"),
         docs=load_dataset(f"{out_dir}/dataset.jsonl"),
     )

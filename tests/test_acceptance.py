@@ -9,7 +9,6 @@ import time
 import numpy as np
 import pytest
 
-from eigenlink.dataset import attach_candidates
 from eigenlink.eigenthemes import (
     DocumentMatrix,
     build_document_matrix,
@@ -19,13 +18,13 @@ from eigenlink.eigenthemes import (
 )
 from eigenlink.embeddings import EmbeddingStore
 from eigenlink.evaluation import mutilation, score_gap
-from eigenlink.index import generate_candidates, oracle_recall
+from eigenlink.index import candidate_lists
 from eigenlink.linalg import Subspace, truncated_svd, weighted_sscp
 from eigenlink.pipeline import LinkContext, RunConfig, run_documents
 from eigenlink.synth import SynthConfig, generate
 from eigenlink.weighting import WeightScheme
-from tests.conftest import build_corpus, load_corpus
-from tests.test_index import brute_force_match, synthetic_catalog
+from tests.conftest import build_corpus, load_corpus, with_candidates
+from tests.test_index import brute_force_match, recall, synthetic_catalog
 from tests.test_linalg import (
     bisect_eigenvalues,
     naive_weighted_sscp,
@@ -219,7 +218,7 @@ def test_criterion_5_bucket_identities(planted_run, tmp_path_factory):
     ok &= miss_report.precision_at_1["hard"] == 0.0
     ok &= miss_report.counts["not_found"] > 0
 
-    docs = [attach_candidates(d, corpus.index, corpus.catalog, 20) for d in corpus.docs]
+    docs = with_candidates(corpus.catalog, corpus.docs)
     cfg = RunConfig(method="degree")
     ctx = LinkContext(catalog=corpus.catalog, config=cfg, store=None)
     runner = lambda subset: run_documents(subset, ctx)
@@ -251,10 +250,7 @@ def test_criterion_7_invariance_suite(small_corpus, tmp_path):
     scheme = WeightScheme("none")
     ok = True
 
-    docs = [
-        attach_candidates(d, small_corpus.index, small_corpus.catalog, 20)
-        for d in small_corpus.docs
-    ]
+    docs = with_candidates(small_corpus.catalog, small_corpus.docs)
     store = small_corpus.store
 
     # row permutation: candidate scores unchanged within 1e-9
@@ -376,20 +372,15 @@ def test_criterion_8_k_plateau(plateau_corpus, multitopic_corpus):
 
 def test_criterion_9_candidate_generation_oracle():
     catalog, vocab, rng = synthetic_catalog(n=1000, seed=909)
-    from eigenlink.index import build_index
-
-    idx = build_index(catalog)
-    ok = True
-    for _ in range(500):
-        mention = " ".join(rng.sample(vocab, rng.randint(1, 3)))
-        got = generate_candidates(idx, catalog, mention, T=10**9)
-        ok &= set(got.candidates) == brute_force_match(catalog, mention)
+    mentions = [" ".join(rng.sample(vocab, rng.randint(1, 3))) for _ in range(500)]
+    lists = candidate_lists(catalog, mentions, T=10**9)
+    ok = all(set(lists[m].candidates) == brute_force_match(catalog, m) for m in mentions)
 
     tasks = []
     for _ in range(200):
         rec = catalog.get(f"Q{rng.randrange(1000)}")
         tasks.append((rec.name, rec.qid))
-    recalls = [oracle_recall(tasks, idx, catalog, T=T) for T in (1, 2, 5, 10, 20, 10**9)]
+    recalls = [recall(tasks, catalog, T=T) for T in (1, 2, 5, 10, 20, 10**9)]
     ok &= all(a <= b + 1e-12 for a, b in zip(recalls, recalls[1:]))
     report(
         9,

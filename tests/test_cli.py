@@ -10,11 +10,13 @@ import pytest
 
 from eigenlink import cli, weighting
 from eigenlink.cli import _load_context, _resolve_run_config, build_parser, main
-from eigenlink.dataset import Mention, attach_candidates, load_dataset
+from eigenlink.dataset import Mention, load_dataset
 from eigenlink.evaluation import MentionOutcome, write_predictions
-from eigenlink.index import CandidateList, build_index, tokenize
+from eigenlink.index import CandidateList
 from eigenlink.kg import EntityRecord, load_catalog
 from eigenlink.pipeline import METHODS, LinkContext, RunConfig, run_documents
+from tests.conftest import with_candidates
+from tests.test_index import reference_hits
 
 CORPUS_CFG = "docs=6,mentions_per_doc=4,candidates_per_mention=5,d=24,rank=2,seed=77"
 
@@ -426,22 +428,22 @@ def test_global_context_computed_once_per_document(
     assert len(calls) == len(load_dataset(f"{corpus_dir}/dataset.jsonl"))
 
 
-def test_link_indexes_only_mention_tokens(corpus_dir, tmp_path, monkeypatch):
-    built = []
+def test_link_collects_candidates_in_its_one_catalog_pass(corpus_dir, tmp_path, monkeypatch):
+    passes = []
+    loading = cli.load_catalog
 
-    def recording(*args):
-        built.append(build_index(*args))
-        return built[-1]
+    def recording(path, *args, **kwargs):
+        passes.append(path)
+        return loading(path, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "build_index", recording)
-    args = build_parser().parse_args(link_args(corpus_dir, str(tmp_path / "x")))
-    _load_context(args, [_resolve_run_config(args, args.method)])
-    (index,) = built
-    catalog_tokens = set(build_index(load_catalog(f"{corpus_dir}/catalog.jsonl")).postings)
-    docs = load_dataset(f"{corpus_dir}/dataset.jsonl")
-    mention_tokens = {tok for doc in docs for m in doc.mentions for tok in tokenize(m.surface)}
-    assert index.vocabulary_size == len(mention_tokens & catalog_tokens)
-    assert index.vocabulary_size < len(catalog_tokens)
+    monkeypatch.setattr(cli, "load_catalog", recording)
+    args = link_args(corpus_dir, str(tmp_path / "x"), method="avg", extra=("--T", "3"))
+    args = build_parser().parse_args(args)
+    _, docs = _load_context(args, [_resolve_run_config(args, args.method)])
+    assert passes == [f"{corpus_dir}/catalog.jsonl"]
+    catalog = load_catalog(f"{corpus_dir}/catalog.jsonl")
+    assert docs == with_candidates(catalog, load_dataset(f"{corpus_dir}/dataset.jsonl"), T=3)
+    assert any(m.candidates.truncated for doc in docs for m in doc.mentions)
 
 
 def write_jsonl(path, rows):
@@ -451,6 +453,7 @@ def write_jsonl(path, rows):
 # Mentions reach Q1 only through casefolding ("STRASSE" / "Straße"), Q2
 # only by its token-free name, Q3 and Q4 by name under whitespace
 # variants and by token, Q8 only by an alias token; Q6 is unreachable.
+# "apple york" spreads over Q3's name and alias, so it reaches nothing.
 REACH_CATALOG = [
     {"qid": "Q1", "name": "Straße", "degree": 3},
     {"qid": "Q2", "name": "!!!", "degree": 2},
@@ -467,6 +470,8 @@ REACH_MENTIONS = [
     ("New York", "Q3"),
     ("york", "Q5"),
     ("apple", "Q3"),
+    ("York Minster", "Q5"),
+    ("apple york", None),
     ("nowhere", None),
 ]
 
@@ -489,8 +494,7 @@ def test_reachable_catalog_links_as_the_full_catalog(tmp_path, method):
     catalog_path, dataset_path = reach_files(tmp_path)
     catalog = load_catalog(catalog_path)
     ctx = LinkContext(catalog=catalog, config=RunConfig(method))
-    index = build_index(catalog)
-    docs = [attach_candidates(doc, index, catalog) for doc in load_dataset(dataset_path)]
+    docs = with_candidates(catalog, load_dataset(dataset_path))
     expected = str(tmp_path / "expected.csv")
     write_predictions((o for r in run_documents(docs, ctx) for o in r.mentions), expected)
     out = str(tmp_path / "run")
@@ -531,6 +535,31 @@ def test_edges_fill_degrees_of_kept_records(tmp_path):
     assert {rec.qid: rec.degree for rec in ctx.catalog} == {"Q1": 2, "Q5": 9}
 
 
+def test_edges_degrees_order_candidates_as_stored_degrees_do(tmp_path):
+    rows = [{"qid": f"Q{i}", "name": f"york {i}"} for i in range(1, 6)]
+    edges = tmp_path / "edges.tsv"
+    edges.write_text("Q2\tQ1\nQ2\tQ3\nQ5\tQ2\nQ3\tQ5\nQ3\tQ9\nQ1\tQ2\n")
+    catalog, dataset = reach_files(tmp_path, rows)
+    args = plain_link_args(catalog, dataset, str(tmp_path / "x")) + ["--edges", str(edges)]
+    args = build_parser().parse_args(args)
+    ctx, docs = _load_context(args, [_resolve_run_config(args, args.method)])
+    lists = {m.surface: m.candidates.candidates for doc in docs for m in doc.mentions}
+    assert lists["york"] == ["Q2", "Q3", "Q5", "Q1", "Q4"]
+    stored = [{**row, "degree": ctx.catalog.get(row["qid"]).degree} for row in rows]
+    write_jsonl(tmp_path / "catalog.jsonl", stored)
+    full = load_catalog(catalog)
+    assert docs == with_candidates(full, load_dataset(dataset))
+
+
+def test_malformed_edges_are_reported_before_a_malformed_catalog(tmp_path, capsys):
+    catalog, dataset = reach_files(tmp_path, REACH_CATALOG + [{"qid": "Q9", "name": 1}])
+    edges = tmp_path / "edges.tsv"
+    edges.write_text("Q1\tQ2\nQ1\n")
+    args = plain_link_args(catalog, dataset, str(tmp_path / "x")) + ["--edges", str(edges)]
+    assert main(args) == 3
+    assert capsys.readouterr().err == "error: line 2: expected two tab-separated qids\n"
+
+
 def test_catalog_keeps_only_reachable_records(corpus_dir, tmp_path):
     padded = tmp_path / "catalog.jsonl"
     pad = [{"qid": f"P{i}", "name": f"pad entity {i}"} for i in range(50)]
@@ -542,17 +571,33 @@ def test_catalog_keeps_only_reachable_records(corpus_dir, tmp_path):
     args = build_parser().parse_args(args)
     ctx, docs = _load_context(args, [_resolve_run_config(args, args.method)])
     surfaces = {m.surface for doc in docs for m in doc.mentions}
-    tokens = {tok for surface in surfaces for tok in tokenize(surface)}
     names = {" ".join(surface.casefold().split()) for surface in surfaces}
+    full = load_catalog(str(padded))
+    hits = {rec.qid for surface in surfaces for rec in reference_hits(full, surface)}
     reachable = [
-        rec.qid
-        for rec in load_catalog(str(padded))
-        if " ".join(rec.name.casefold().split()) in names
-        or any(tokens & set(tokenize(text)) for text in [rec.name, *rec.aliases])
+        rec.qid for rec in full if rec.qid in hits or " ".join(rec.name.casefold().split()) in names
     ]
     assert len(ctx.catalog) == len(reachable)
     assert sorted(ctx.catalog.records) == sorted(reachable)
     assert not any(qid.startswith("P") for qid in ctx.catalog.records)
+
+
+@pytest.mark.parametrize(
+    "kind,row,key",
+    [
+        ("catalog", '{"qid": "Z1", "name": "z", "degree": 1, "degree": 2}', "degree"),
+        ("dataset", '{"doc_id": "z", "mentions": [{"surface": "z", "surface": "y"}]}', "surface"),
+        ("descriptions", '{"qid": "Z1", "description": "z", "description": "z"}', "description"),
+    ],
+)
+def test_repeated_key_in_a_data_row_exits_3(corpus_dir, tmp_path, capsys, kind, row, key):
+    rows = read_bytes(f"{corpus_dir}/{kind}.jsonl").decode("utf-8").splitlines(keepends=True)
+    path = tmp_path / f"{kind}.jsonl"
+    path.write_text("".join(rows) + row + "\n", encoding="utf-8")
+    args = link_args(corpus_dir, str(tmp_path / "x"), method="local", extra=text_args(corpus_dir))
+    args[args.index(f"--{kind}") + 1] = str(path)
+    assert main(args) == 3
+    assert capsys.readouterr().err == f"error: line {len(rows) + 1}: key {key!r} is given twice\n"
 
 
 @pytest.mark.parametrize("bad", ["row-list", "repeated-qid"])

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigenlink import pipeline
-from eigenlink.dataset import DocumentTask, Mention, attach_candidates
+from eigenlink.dataset import DocumentTask, Mention
 from eigenlink.eigenthemes import (
     DocumentMatrix,
     build_document_matrix,
@@ -19,11 +19,11 @@ from eigenlink.eigenthemes import (
 )
 from eigenlink.embeddings import EmbeddingStore, load_embeddings, unit_normalize
 from eigenlink.errors import ConfigError, DimensionError, EmptyDocumentError
-from eigenlink.index import CandidateList, build_index
+from eigenlink.index import CandidateList
 from eigenlink.linalg import Subspace, truncated_svd
 from eigenlink.pipeline import METHODS, LinkContext, RunConfig, link_one, run_documents
 from eigenlink.weighting import WeightScheme, build_description_store, load_descriptions
-from tests.conftest import make_catalog, make_store
+from tests.conftest import make_catalog, make_store, with_candidates
 
 NONE = WeightScheme("none")
 
@@ -438,8 +438,7 @@ def context_with_every_input(corpus, method) -> LinkContext:
 @pytest.mark.parametrize("method", METHODS)
 def test_shared_ranking_loop_contract(small_corpus, method):
     ctx = context_with_every_input(small_corpus, method)
-    for doc in small_corpus.docs:
-        doc = attach_candidates(doc, small_corpus.index, small_corpus.catalog, ctx.config.T)
+    for doc in with_candidates(small_corpus.catalog, small_corpus.docs, ctx.config.T):
         for mt, ml in zip(doc.mentions, link_one(doc, ctx).mentions):
             if ml.ranking:
                 assert ml.predicted_qid == ml.ranking[0][0]
@@ -463,10 +462,7 @@ INDEPENDENCE_SETUPS = [(method, "degree_rr") for method in METHODS] + [
 def test_linking_a_document_subset_gives_the_full_runs_results(small_corpus, method, weighting):
     ctx = context_with_every_input(small_corpus, method)
     ctx.config.weighting = weighting
-    docs = [
-        attach_candidates(doc, small_corpus.index, small_corpus.catalog, ctx.config.T)
-        for doc in small_corpus.docs
-    ]
+    docs = with_candidates(small_corpus.catalog, small_corpus.docs, ctx.config.T)
     full = run_documents(docs, ctx)
 
     @settings(max_examples=20, deadline=None)
@@ -496,7 +492,7 @@ def with_jobs(ctx: LinkContext, jobs: int) -> LinkContext:
 def test_run_rejects_documents_without_candidates(small_corpus, method, monkeypatch):
     ctx = context_with_every_input(small_corpus, method)
     first, second, *rest = small_corpus.docs
-    docs = [attach_candidates(first, small_corpus.index, small_corpus.catalog), second, *rest]
+    docs = [*with_candidates(small_corpus.catalog, [first]), second, *rest]
 
     def no_workers(*args, **kwargs):
         raise AssertionError("a worker pool started")
@@ -534,7 +530,7 @@ def recorded_pools(monkeypatch) -> list[int]:
 
 
 def first_docs(corpus, n: int) -> list[DocumentTask]:
-    return [attach_candidates(doc, corpus.index, corpus.catalog) for doc in corpus.docs[:n]]
+    return with_candidates(corpus.catalog, corpus.docs[:n])
 
 
 @pytest.mark.parametrize("jobs,workers", [(8, 3), (2, 2)])
@@ -577,7 +573,7 @@ def test_run_links_on_threads_without_child_processes(small_corpus, method, jobs
 def test_namematch_link_one_matches_run_documents():
     # "Rome" is a candidate of both; only Q1 has it as its whole name
     catalog = make_catalog([("Q1", "Rome", [], 1), ("Q2", "Rome Italy", [], 5)])
-    doc = attach_candidates(task("d", [Mention("Rome", "Q1")]), build_index(catalog), catalog)
+    (doc,) = with_candidates(catalog, [task("d", [Mention("Rome", "Q1")])])
     config = RunConfig(method="namematch")
     (expected,) = run_documents([doc], LinkContext(catalog=catalog, config=config))
     assert expected.mentions[0].predicted_qid == "Q1"

@@ -24,7 +24,7 @@ from eigenlink.evaluation import (
     write_predictions,
 )
 from eigenlink.index import CandidateList
-from tests.conftest import build_corpus
+from tests.conftest import build_corpus, with_candidates
 
 
 def outcomes_of(*mentions):
@@ -350,12 +350,6 @@ def crossing_corpus(tmp_path_factory):
     )
 
 
-def attach_all(corpus):
-    from eigenlink.dataset import attach_candidates
-
-    return [attach_candidates(d, corpus.index, corpus.catalog, 20) for d in corpus.docs]
-
-
 def runner_for(corpus, method, **cfg):
     from eigenlink.pipeline import LinkContext, RunConfig, run_documents
 
@@ -365,7 +359,7 @@ def runner_for(corpus, method, **cfg):
 
 
 def test_mutilation_full_fraction_is_plain_evaluation(crossing_corpus):
-    docs = attach_all(crossing_corpus)
+    docs = with_candidates(crossing_corpus.catalog, crossing_corpus.docs)
     runner = runner_for(crossing_corpus, "degree")
     by_fraction = mutilation(docs, runner, [1.0], seed=3, repeats=10)
     plain = p1(o for r in runner(docs) for o in r.mentions)
@@ -373,14 +367,14 @@ def test_mutilation_full_fraction_is_plain_evaluation(crossing_corpus):
 
 
 def test_mutilation_degree_zero_at_fraction_zero(crossing_corpus):
-    docs = attach_all(crossing_corpus)
+    docs = with_candidates(crossing_corpus.catalog, crossing_corpus.docs)
     runner = runner_for(crossing_corpus, "degree")
     by_fraction = mutilation(docs, runner, [0.0], seed=3, repeats=3)
     assert by_fraction[0.0] == 0.0
 
 
 def test_mutilation_eigen_degree_curves_cross(crossing_corpus):
-    docs = attach_all(crossing_corpus)
+    docs = with_candidates(crossing_corpus.catalog, crossing_corpus.docs)
     degree = mutilation(
         docs, runner_for(crossing_corpus, "degree"), [1.0, 0.0], seed=3, repeats=3
     )
@@ -396,7 +390,7 @@ def test_mutilation_eigen_degree_curves_cross(crossing_corpus):
 
 
 def test_mutilation_rejects_bad_fraction(crossing_corpus):
-    docs = attach_all(crossing_corpus)
+    docs = with_candidates(crossing_corpus.catalog, crossing_corpus.docs)
     with pytest.raises(ValueError):
         mutilation(docs, runner_for(crossing_corpus, "degree"), [1.5], seed=0)
 

@@ -1,16 +1,14 @@
+import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigenlink.index import (
-    build_index,
-    generate_candidates,
-    oracle_recall,
-    record_tokens,
-    tokenize,
-)
+from eigenlink.index import CandidateCollector, CandidateList, candidate_lists, tokenize
+from eigenlink.kg import EntityRecord, load_catalog
 from tests.conftest import make_catalog
 
 
@@ -30,17 +28,28 @@ def test_tokenize_underscore_splits():
     assert tokenize("foo_bar") == ["foo", "bar"]
 
 
-# Letters whose lowercase depends on their neighbours or changes length,
-# joiners and marks, beside plain text and the newline record_tokens joins on.
-TRICKY = st.sampled_from("aΣσςİIıß\u00ad\u0301\u200d_- .\n1")
-TRICKY_TEXT = st.text(alphabet=TRICKY | st.characters())
+def reference_hits(records, surface) -> list:
+    """Today's rule by brute force: the records where one name or one alias holds every token."""
+    want = set(tokenize(surface))
+    if not want:
+        return []
+    return [r for r in records if any(want <= set(tokenize(t)) for t in (r.name, *r.aliases))]
 
 
-@settings(max_examples=500, deadline=None)
-@given(name=TRICKY_TEXT, aliases=st.lists(TRICKY_TEXT, max_size=3))
-def test_record_tokens_are_the_union_of_each_text_tokens(name, aliases):
-    expected = set().union(*(tokenize(text) for text in (name, *aliases)))
-    assert set(record_tokens(name, aliases)) == expected
+def reference_list(records, surface, T) -> CandidateList:
+    """The hits sorted by degree descending then qid, cut to T."""
+    hits = sorted(reference_hits(records, surface), key=lambda r: (-r.degree, r.qid))
+    return CandidateList([r.qid for r in hits[:T]], truncated=len(hits) > T)
+
+
+def brute_force_match(catalog, mention) -> set[str]:
+    return {r.qid for r in reference_hits(catalog, mention)}
+
+
+def recall(tasks, catalog, T) -> float:
+    """Fraction of (mention, gold qid) tasks whose candidate list holds the gold."""
+    lists = candidate_lists(catalog, [mention for mention, _ in tasks], T)
+    return sum(gold in lists[mention].candidates for mention, gold in tasks) / len(tasks)
 
 
 @pytest.fixture
@@ -54,49 +63,72 @@ def mj_catalog():
     )
 
 
-def test_build_index_postings(mj_catalog):
-    idx = build_index(mj_catalog)
-    assert idx.postings["michael"] == ["Q2831", "Q3308285", "Q41421"]
-    assert idx.postings["jordan"] == ["Q3308285", "Q41421"]
-    assert idx.postings["jackson"] == ["Q2831"]
-    assert idx.postings["mj"] == ["Q2831"]  # alias indexed
-    assert idx.vocabulary_size == 5  # michael jordan jackson mj i
+def test_collector_hits_name_and_alias_tokens(mj_catalog):
+    lists = candidate_lists(mj_catalog, ["Michael", "jordan", "JACKSON", "mj", "i"], T=20)
+    assert lists["Michael"].candidates == ["Q2831", "Q41421", "Q3308285"]
+    assert lists["jordan"].candidates == ["Q41421", "Q3308285"]
+    assert lists["JACKSON"].candidates == ["Q2831"]
+    assert lists["mj"].candidates == ["Q2831"]  # an alias token
+    assert lists["i"].candidates == ["Q3308285"]
+
+
+def test_offer_reports_whether_the_record_is_a_hit(mj_catalog):
+    collector = CandidateCollector(["michael", "mj", "absent"], T=1)
+    assert all(collector.offer(r.qid, r.name, r.aliases, r.degree) for r in mj_catalog)
+    assert not collector.offer("Q9", "present", ["mike", "michaels"], 1)
+    assert collector.offer("Q10", "present", ["Absent minded"], 1)
+    nothing = CandidateCollector([], T=1)
+    assert not any(nothing.offer(r.qid, r.name, r.aliases, r.degree) for r in mj_catalog)
+    assert nothing.lists() == {}
+
+
+def test_surfaces_with_one_token_set_share_one_list(mj_catalog):
+    lists = candidate_lists(mj_catalog, ["Michael Jordan", "jordan-MICHAEL", "mj"], T=20)
+    assert lists["Michael Jordan"] is lists["jordan-MICHAEL"]
+    assert lists["Michael Jordan"] is not lists["mj"]
+
+
+def test_collector_rejects_T_below_one():
+    with pytest.raises(ValueError, match="T must be >= 1, got 0"):
+        CandidateCollector(["x"], T=0)
 
 
 def test_candidates_michael_jordan(mj_catalog):
-    idx = build_index(mj_catalog)
-    got = generate_candidates(idx, mj_catalog, "Michael Jordan", T=20)
+    got = candidate_lists(mj_catalog, ["Michael Jordan"], T=20)["Michael Jordan"]
     assert got.candidates == ["Q41421", "Q3308285"]  # degree order, no Jackson
     assert not got.truncated
 
 
 def test_unknown_token_gives_empty(mj_catalog):
-    idx = build_index(mj_catalog)
-    assert generate_candidates(idx, mj_catalog, "Michael Zzz", T=20).candidates == []
+    assert candidate_lists(mj_catalog, ["Michael Zzz"], T=20)["Michael Zzz"].candidates == []
 
 
 def test_empty_mention_gives_empty(mj_catalog):
-    idx = build_index(mj_catalog)
-    assert generate_candidates(idx, mj_catalog, "...", T=20).candidates == []
+    assert candidate_lists(mj_catalog, ["..."], T=20)["..."] == CandidateList([])
 
 
 def test_tokens_must_match_single_source():
     # name has "michael smith", alias has "jordan fan": the pair
     # michael+jordan spans two sources and must not match.
     catalog = make_catalog([("Q1", "Michael Smith", ["Jordan Fan"], 10)])
-    idx = build_index(catalog)
-    assert generate_candidates(idx, catalog, "Michael Jordan", T=5).candidates == []
-    assert generate_candidates(idx, catalog, "Jordan Fan", T=5).candidates == ["Q1"]
+    lists = candidate_lists(catalog, ["Michael Jordan", "Jordan Fan"], T=5)
+    assert lists["Michael Jordan"].candidates == []
+    assert lists["Jordan Fan"].candidates == ["Q1"]
 
 
 def test_degree_sort_with_qid_tiebreak_and_truncation():
     catalog = make_catalog(
         [("q1", "acme", [], 5), ("q2", "acme", [], 9), ("q3", "acme", [], 9)]
     )
-    idx = build_index(catalog)
-    got = generate_candidates(idx, catalog, "acme", T=2)
+    got = candidate_lists(catalog, ["acme"], T=2)["acme"]
     assert got.candidates == ["q2", "q3"]
     assert got.truncated
+
+
+def test_lists_past_twice_T_keep_the_best_T():
+    rows = [(f"q{i:02d}", "acme", [], i % 7) for i in range(30)]
+    got = candidate_lists(make_catalog(rows), ["acme"], T=3)["acme"]
+    assert got == CandidateList(["q06", "q13", "q20"], truncated=True)
 
 
 def synthetic_catalog(n=1000, seed=11):
@@ -113,108 +145,122 @@ def synthetic_catalog(n=1000, seed=11):
     return make_catalog(rows), vocab, rng
 
 
-def brute_force_match(catalog, mention):
-    """Oracle: direct scan, token subset against each name or alias."""
-    want = set(tokenize(mention))
-    hits = []
-    for rec in catalog:
-        sources = [rec.name] + rec.aliases
-        if any(want <= set(tokenize(src)) for src in sources):
-            hits.append(rec.qid)
-    return set(hits)
-
-
 def test_membership_matches_brute_force_scan():
     catalog, vocab, rng = synthetic_catalog()
-    idx = build_index(catalog)
-    for _ in range(300):
-        mention = " ".join(rng.sample(vocab, rng.randint(1, 3)))
-        got = generate_candidates(idx, catalog, mention, T=10**9)
-        assert set(got.candidates) == brute_force_match(catalog, mention)
+    mentions = [" ".join(rng.sample(vocab, rng.randint(1, 3))) for _ in range(300)]
+    lists = candidate_lists(catalog, mentions, T=10**9)
+    for mention in mentions:
+        assert set(lists[mention].candidates) == brute_force_match(catalog, mention)
 
 
 def test_determinism():
     catalog, vocab, rng = synthetic_catalog(n=200, seed=3)
-    idx = build_index(catalog)
     mentions = [" ".join(rng.sample(vocab, 2)) for _ in range(40)]
-    first = [generate_candidates(idx, catalog, m, T=7).candidates for m in mentions]
-    second = [
-        generate_candidates(build_index(catalog), catalog, m, T=7).candidates
-        for m in mentions
-    ]
+    first = candidate_lists(catalog, mentions, T=7)
+    second = candidate_lists(reversed(list(catalog)), reversed(mentions), T=7)
     assert first == second
 
 
 def test_oracle_recall_perfect():
     catalog = make_catalog([("Q1", "unique name", [], 1)])
-    idx = build_index(catalog)
-    assert oracle_recall([("unique name", "Q1")], idx, catalog, T=20) == 1.0
+    assert recall([("unique name", "Q1")], catalog, T=20) == 1.0
 
 
 def test_oracle_recall_planted_misses():
     catalog, vocab, rng = synthetic_catalog(n=100, seed=9)
-    idx = build_index(catalog)
     tasks = []
     for i in range(20):
         rec = catalog.get(f"Q{i}")
         gold = rec.qid if i >= 3 else "Q_absent"  # plant 3 misses
         tasks.append((rec.name, gold))
-    assert oracle_recall(tasks, idx, catalog, T=10**9) == pytest.approx(0.85)
-
-
-def test_oracle_recall_empty_tasks_rejected():
-    catalog = make_catalog([("Q1", "x", [], 1)])
-    idx = build_index(catalog)
-    with pytest.raises(ValueError):
-        oracle_recall([], idx, catalog)
+    assert recall(tasks, catalog, T=10**9) == pytest.approx(0.85)
 
 
 def test_recall_monotone_in_T():
     catalog, vocab, rng = synthetic_catalog(n=400, seed=21)
-    idx = build_index(catalog)
     tasks = []
     for i in range(120):
         rec = catalog.get(f"Q{rng.randrange(400)}")
         tasks.append((rec.name, rec.qid))
-    values = [oracle_recall(tasks, idx, catalog, T=T) for T in (1, 2, 5, 10, 20, 10**9)]
+    values = [recall(tasks, catalog, T=T) for T in (1, 2, 5, 10, 20, 10**9)]
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
 
-def test_build_index_keeps_only_requested_tokens(mj_catalog):
-    idx = build_index(mj_catalog, tokens={"michael", "mj", "absent"})
-    assert idx.postings == {"michael": ["Q2831", "Q3308285", "Q41421"], "mj": ["Q2831"]}
-    assert build_index(mj_catalog, tokens=set()).vocabulary_size == 0
-
-
-# Property test: an index restricted to the mention tokens gives the same
-# candidate lists as the full index.
+# Property tests: the collector's lists equal the brute-force reference.
 
 WORD = st.sampled_from(["ann", "bob", "cy", "dee", "eve", "Ann", "BOB", "x1", "ü"])
 PHRASE = st.lists(WORD, min_size=1, max_size=3).flatmap(
     lambda words: st.sampled_from([" ", "-", ". ", "_"]).map(lambda sep: sep.join(words))
 )
+SURFACE = st.one_of(PHRASE, st.just("zed ann"), st.just("--"), st.just(""))
 
 
 @st.composite
-def catalogs_and_mentions(draw):
-    """(catalog, mention surfaces, T); degrees tie often, some mentions match nothing."""
+def catalog_files(draw):
+    """(catalog rows, edges or None, surfaces, T); degrees tie often, some surfaces match nothing.
+
+    A row without a degree takes it from the edges, as ``--edges`` gives it.
+    """
+    n = draw(st.integers(0, 16))
     rows = []
-    for i in range(draw(st.integers(0, 12))):
-        name, aliases = draw(PHRASE), draw(st.lists(PHRASE, max_size=2))
-        rows.append((f"Q{i}", name, aliases, draw(st.integers(0, 3))))
-    surface = st.one_of(PHRASE, st.just("zed ann"), st.just("--"))
-    mentions = draw(st.lists(surface, min_size=1, max_size=6))
-    return make_catalog(rows), mentions, draw(st.integers(1, 4))
+    for i in range(n):
+        row = {"qid": f"Q{i}", "name": draw(PHRASE), "aliases": draw(st.lists(PHRASE, max_size=2))}
+        if draw(st.booleans()):
+            row["degree"] = draw(st.integers(0, 3))
+        rows.append(row)
+    qid = st.sampled_from([f"Q{i}" for i in range(n + 2)])
+    edges = draw(st.none() | st.lists(st.tuples(qid, qid), max_size=3 * n))
+    surfaces = draw(st.lists(SURFACE, min_size=1, max_size=6))
+    return rows, edges, surfaces, draw(st.integers(1, 4))
 
 
-@settings(max_examples=200, deadline=None)
-@given(case=catalogs_and_mentions())
-def test_restricted_index_gives_full_index_candidates(case):
-    catalog, mentions, T = case
-    full = build_index(catalog)
-    tokens = {tok for mention in mentions for tok in tokenize(mention)}
-    restricted = build_index(catalog, tokens)
-    assert set(restricted.postings) <= tokens
-    for mention in mentions:
-        want = generate_candidates(full, catalog, mention, T)
-        assert generate_candidates(restricted, catalog, mention, T) == want
+def final_degree(row, edges) -> int:
+    """The stored degree, or the number of distinct undirected edges at the record."""
+    if "degree" in row:
+        return row["degree"]
+    return len({frozenset(edge) for edge in edges or () if row["qid"] in edge})
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=catalog_files())
+def test_collector_lists_equal_the_brute_force_reference(case):
+    rows, edges, surfaces, T = case
+    collector = CandidateCollector(surfaces, T)
+    with tempfile.TemporaryDirectory() as tmp:
+        catalog_path, edges_path = Path(tmp) / "catalog.jsonl", Path(tmp) / "edges.tsv"
+        catalog_path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        if edges is not None:
+            edges_path.write_text("".join(f"{a}\t{b}\n" for a, b in edges))
+        hits = load_catalog(
+            str(catalog_path),
+            edges_path=None if edges is None else str(edges_path),
+            keep=collector.offer,
+        )
+    records = [
+        EntityRecord(row["qid"], row["name"], row["aliases"], final_degree(row, edges))
+        for row in rows
+    ]
+    lists = collector.lists()
+    assert set(lists) == set(surfaces)
+    for surface in surfaces:
+        assert lists[surface] == reference_list(records, surface, T)
+    assert list(hits) == [r for r in records if any(reference_hits([r], s) for s in surfaces)]
+
+
+# Letters whose lowercase depends on their neighbours or changes length,
+# joiners and marks, beside plain text and newlines.
+TRICKY = st.sampled_from("aΣσςİIıß\u00ad\u0301\u200d_- .\n1")
+TRICKY_TEXT = st.text(alphabet=TRICKY | st.characters())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(st.tuples(TRICKY_TEXT, st.lists(TRICKY_TEXT, max_size=3)), max_size=6),
+    surfaces=st.lists(TRICKY_TEXT, min_size=1, max_size=4),
+    T=st.integers(1, 3),
+)
+def test_collector_matches_the_reference_on_tricky_text(rows, surfaces, T):
+    catalog = make_catalog((f"Q{i}", name, al, i % 2) for i, (name, al) in enumerate(rows))
+    lists = candidate_lists(catalog, surfaces, T)
+    for surface in surfaces:
+        assert lists[surface] == reference_list(catalog, surface, T)

@@ -57,6 +57,48 @@ def test_bad_line_names_its_line(tmp_path, raw, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "load,rows,message",
+    [
+        (
+            load_catalog,
+            ['{"qid": "Q1", "name": "a"}', '{"qid": "Q2", "name": "b", "name": "c"}'],
+            "line 2: key 'name' is given twice",
+        ),
+        (
+            load_dataset,
+            ['{"doc_id": "d1", "mentions": []}', '{"doc_id": "d2", "mentions": [{"surface": '
+             '"x", "gold_qid": null, "gold_qid": "Q1"}]}'],
+            "line 2: key 'gold_qid' is given twice",
+        ),
+        (
+            load_descriptions,
+            ['{"qid": "Q1", "description": "a"}', '{"qid": "Q2", "qid": "Q3", "description": ""}'],
+            "line 2: key 'qid' is given twice",
+        ),
+        (
+            load_catalog,
+            ['{"qid": "Q1", "name": "a"}', '{"qid": "Q2", "n\\u0061me": "b", "name": "b"}'],
+            "line 2: key 'name' is given twice",
+        ),
+    ],
+    ids=["catalog", "dataset-mention", "descriptions", "escaped-key"],
+)
+def test_repeated_key_names_its_line_and_key(tmp_path, load, rows, message):
+    path = tmp_path / "rows.jsonl"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    with pytest.raises(FormatError) as info:
+        load(str(path))
+    assert str(info.value) == message
+
+
+def test_unique_keys_passes_objects_and_names_the_first_repeat():
+    assert jsonl.unique_keys([("a", 1), ("b", 2)]) == {"a": 1, "b": 2}
+    with pytest.raises(jsonl.RepeatedKeyError) as info:
+        jsonl.unique_keys([("a", 1), ("b", 2), ("b", 2), ("a", 1)])
+    assert info.value.key == "b"
+
+
 # é, a surrogate pair and an escaped backslash: escapes UTF-8 can hold
 GOOD_ESCAPES = b'"\\u00e9"\n"\\ud83d\\ude00"\n"\\\\ud800"\n'
 

@@ -16,10 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigenlink.cli import main
-from eigenlink.dataset import attach_candidates, load_dataset
-from eigenlink.index import build_index, tokenize
+from eigenlink.dataset import load_dataset
+from eigenlink.index import tokenize
 from eigenlink.kg import load_catalog
 from eigenlink.pipeline import METHODS
+from tests.conftest import with_candidates
 
 INPUTS = {
     "--dataset": "dataset.jsonl",
@@ -153,8 +154,7 @@ def test_degree_ties_are_ordered_by_qid_whatever_the_catalog_order(small_corpus,
     lists = []
     for corpus in (forward, backward):
         catalog = load_catalog(f"{corpus}/catalog.jsonl")
-        index = build_index(catalog)
-        attached = [attach_candidates(doc, index, catalog) for doc in docs]
+        attached = with_candidates(catalog, docs)
         lists.append([m.candidates for doc in attached for m in doc.mentions])
     assert lists[0] == lists[1]
     degrees = [[catalog.records[q].degree for q in c.candidates] for c in lists[0]]

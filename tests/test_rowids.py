@@ -10,6 +10,7 @@ from eigenlink import embeddings, jsonl
 from eigenlink.embeddings import load_embeddings
 from eigenlink.errors import EigenlinkError
 from eigenlink.kg import load_catalog
+from eigenlink.rowids import RowIds
 from eigenlink.weighting import load_descriptions
 
 MALFORMED = "malformed"
@@ -171,7 +172,7 @@ def traced_peak(load) -> int:
 def test_check_costs_at_most_32_bytes_per_dropped_row(tmp_path, kind):
     kept = [f"K{i}" for i in range(10)]
     keep = {
-        "catalog": lambda name, aliases: name.startswith("name K"),
+        "catalog": lambda qid, name, aliases, degree: name.startswith("name K"),
         "embeddings": set(kept),
     }[kind]
     load = LOADERS[kind][0]
@@ -182,3 +183,17 @@ def test_check_costs_at_most_32_bytes_per_dropped_row(tmp_path, kind):
         load(path, keep=keep)  # one-time allocations, such as lazy imports, stay out of the peaks
         peaks.append(traced_peak(lambda: load(path, keep=keep)))
     assert peaks[1] - peaks[0] <= 32 * 3 * n
+
+
+def test_extend_records_rows_as_add_does(tmp_path):
+    path = tmp_path / "ids.txt"
+    path.write_text("Q1\nQ2\nQ3\nQ2\n")
+    added, extended = (RowIds(str(path), lambda raw: raw.decode().strip(), "id") for _ in "ab")
+    for lineno, identifier in enumerate(["Q1", "Q2", "Q3", "Q2"], 1):
+        added.add(identifier, lineno)
+    extended.extend(["Q1", "Q2"], [1, 2])
+    extended.extend(["Q3", "Q2"], [3, 4])
+    assert len(extended) == len(added) == 4
+    for ids in (added, extended):
+        with pytest.raises(EigenlinkError, match=r"^line 4: duplicate id 'Q2'$"):
+            ids.check()

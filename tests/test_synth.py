@@ -7,7 +7,7 @@ import pytest
 from eigenlink.dataset import load_dataset
 from eigenlink.errors import ConfigError
 from eigenlink.evaluation import classify
-from eigenlink.index import generate_candidates
+from eigenlink.index import candidate_lists
 from eigenlink.synth import SynthConfig, generate
 from tests.conftest import build_corpus, load_corpus
 
@@ -47,10 +47,10 @@ def test_different_seed_differs(tmp_path):
 
 def test_manifest_candidates_match_generated_candidates(tmp_path_factory):
     corpus = build_corpus(tmp_path_factory, "synth_check", **SMALL)
-    for doc in corpus.manifest["documents"]:
-        for m in doc["mentions"]:
-            got = generate_candidates(corpus.index, corpus.catalog, m["surface"], T=20)
-            assert got.candidates == m["candidates"]
+    mentions = [m for doc in corpus.manifest["documents"] for m in doc["mentions"]]
+    lists = candidate_lists(corpus.catalog, [m["surface"] for m in mentions], T=20)
+    for m in mentions:
+        assert lists[m["surface"]].candidates == m["candidates"]
 
 
 def test_gold_always_present_and_easy_flags_match_buckets(tmp_path_factory):
