@@ -12,7 +12,7 @@ from .eigenthemes import (
 from .embeddings import EmbeddingStore, load_embeddings, unit_normalize
 from .index import CandidateCollector, CandidateList, candidate_lists, tokenize
 from .kg import EntityCatalog, EntityRecord, compute_degrees, load_catalog
-from .linalg import Subspace, truncated_svd, weighted_sscp
+from .linalg import Subspace, truncated_svd
 from .pipeline import LinkContext, RunConfig, link_one, run_documents
 from .synth import SynthConfig, generate
 from .weighting import WeightScheme, degree_ranking, mention_weights, reciprocal_rank_weight
@@ -53,5 +53,4 @@ __all__ = [
     "tokenize",
     "truncated_svd",
     "unit_normalize",
-    "weighted_sscp",
 ]

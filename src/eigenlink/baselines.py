@@ -2,9 +2,10 @@
 
 NameMatch resolves by exact (case-insensitive, whitespace-collapsed)
 name equality and degree. Degree takes the candidate generator's order
-at face value. Avg replaces the subspace by the weighted centroid of
-the document matrix. LocalCtxt/GlobalCtxt rank by cosine between entity
-descriptions and a context embedding.
+at face value. Both read only the lists attached to the mention, which
+carry each entity's degree. Avg replaces the subspace by the weighted
+centroid of the document matrix. LocalCtxt/GlobalCtxt rank by cosine
+between entity descriptions and a context embedding.
 """
 
 from __future__ import annotations
@@ -24,40 +25,12 @@ from .eigenthemes import (
 )
 from .errors import EmptyDocumentError
 from .index import CandidateList
-from .kg import EntityCatalog
 from .weighting import WeightScheme, context_scores, document_contexts
 
 
-def build_name_lookup(catalog: EntityCatalog) -> dict[str, list[str]]:
-    """Normalized name -> qids sorted by degree descending, qid ascending.
-
-    Only names are looked up, never aliases.
-    """
-    lookup: dict[str, list[str]] = {}
-    for rec in catalog:
-        lookup.setdefault(normalize_name(rec.name), []).append(rec.qid)
-    for qids in lookup.values():
-        qids.sort(key=lambda q: (-catalog.records[q].degree, q))
-    return lookup
-
-
-def normalize_name(name: str) -> str:
-    return " ".join(name.casefold().split())
-
-
-def name_match(
-    mention: str, catalog: EntityCatalog, name_lookup: dict[str, list[str]]
-) -> list[tuple[str, float]]:
-    """Exact-name matches ranked by degree (``name_lookup`` is ``build_name_lookup(catalog)``)."""
-    matches = name_lookup.get(normalize_name(mention), [])
-    return [(qid, float(catalog.records[qid].degree)) for qid in matches]
-
-
-def degree_baseline(
-    candidates: CandidateList, catalog: EntityCatalog
-) -> list[tuple[str, float]]:
-    """The generator's degree order, scored by the degrees themselves."""
-    return [(qid, float(catalog.records[qid].degree)) for qid in candidates.candidates]
+def degree_baseline(entities: CandidateList) -> list[tuple[str, float]]:
+    """The list's degree order, scored by the degrees themselves."""
+    return [(qid, float(degree)) for qid, degree in zip(entities.candidates, entities.degrees)]
 
 
 def avg_scores(dm: DocumentMatrix) -> np.ndarray:
@@ -82,18 +55,14 @@ def avg_scores(dm: DocumentMatrix) -> np.ndarray:
     return np.divide(dots, enorms * cnorm, out=np.zeros_like(dots), where=enorms > 0.0)
 
 
-def link_document_degree(task: DocumentTask, catalog: EntityCatalog) -> LinkResult:
-    pools = (degree_baseline(m.candidates, catalog) for m in task.mentions)
+def link_document_degree(task: DocumentTask) -> LinkResult:
+    pools = (degree_baseline(m.candidates) for m in task.mentions)
     return link_mentions(task, pools, degree_fallback=False)
 
 
-def link_document_namematch(
-    task: DocumentTask,
-    catalog: EntityCatalog,
-    name_lookup: dict[str, list[str]],
-) -> LinkResult:
+def link_document_namematch(task: DocumentTask) -> LinkResult:
     """The pool is the mention's name matches, which need not be among its candidates."""
-    pools = (name_match(m.surface, catalog, name_lookup) for m in task.mentions)
+    pools = (degree_baseline(m.name_matches) for m in task.mentions)
     return link_mentions(task, pools, degree_fallback=False)
 
 

@@ -16,7 +16,6 @@ import sys
 from typing import get_type_hints
 
 from . import jsonl
-from .baselines import normalize_name
 from .dataset import DocumentTask, attach_candidates, load_dataset
 from .embeddings import load_embeddings
 from .errors import (
@@ -128,7 +127,7 @@ def _resolve_run_config(args, method: str) -> RunConfig:
     cfg.validate()
     if args.descriptions and not args.words:
         raise ConfigError("--descriptions requires --words")
-    inputs = ("catalog", "embeddings", "words", "descriptions")
+    inputs = ("embeddings", "words", "descriptions")
     cfg.check_inputs({name for name in inputs if flags[name]})
     return cfg
 
@@ -138,27 +137,25 @@ def _load_context(args, cfgs: list[RunConfig]) -> tuple[LinkContext, list[Docume
 
     The context is configured by ``cfgs[0]``, whose ``T`` they share. The
     dataset comes first, then one pass over the catalog collects its
-    mentions' candidates. That pass makes a record only when one of the
-    methods reads the catalog, and then only for a candidate hit or a
-    record whose normalized name is a mention's (a namematch hit, which
-    may have no tokens). The stores load last and keep only the
-    candidates' entity embeddings and descriptions.
+    mentions' candidates with their degrees, and their name matches when
+    one of the methods is namematch. That pass makes no catalog record.
+    The stores load last and keep only the candidates' entity embeddings
+    and descriptions.
     """
     cfg = cfgs[0]
     docs = load_dataset(args.dataset)
     surfaces = {m.surface for doc in docs for m in doc.mentions}
-    collector = CandidateCollector(surfaces, cfg.T)
-    reads_catalog = any("catalog" in METHODS[c.method].inputs for c in cfgs)
-    names = {normalize_name(surface) for surface in surfaces}
+    names = any(c.method == "namematch" for c in cfgs)
+    collector = CandidateCollector(surfaces, cfg.T, names)
 
-    def keep(qid: str, name: str, aliases: list[str], degree: int) -> bool:
-        hit = collector.offer(qid, name, aliases, degree)
-        return reads_catalog and (hit or normalize_name(name) in names)
+    def offer(qid: str, name: str, aliases: list[str], degree: int) -> bool:
+        collector.offer(qid, name, aliases, degree)
+        return False  # linking reads what the collector keeps, so no record is made
 
-    catalog = load_catalog(args.catalog, edges_path=args.edges, keep=keep)
-    lists = collector.lists()
+    load_catalog(args.catalog, edges_path=args.edges, keep=offer)
+    lists, name_matches = collector.lists(), collector.name_matches()
     del collector
-    docs = [attach_candidates(doc, lists) for doc in docs]
+    docs = [attach_candidates(doc, lists, name_matches) for doc in docs]
     union = {qid for candidates in lists.values() for qid in candidates.candidates}
     store = load_embeddings(args.embeddings, union) if args.embeddings else None
     word_store = load_embeddings(args.words) if args.words else None
@@ -167,7 +164,6 @@ def _load_context(args, cfgs: list[RunConfig]) -> tuple[LinkContext, list[Docume
         descriptions = load_descriptions(args.descriptions, union)
         desc_store = build_description_store(descriptions, word_store)
     ctx = LinkContext(
-        catalog=catalog if reads_catalog else None,
         config=cfg,
         store=store,
         word_store=word_store,

@@ -9,8 +9,8 @@ JSONL, one document per line:
 
 ``position`` is the non-negative token index the mention occupies in
 ``tokens``, so below its length when ``tokens`` is given; it defaults to 0.
-Candidate lists are not stored; they are attached from the candidate
-lists of the documents' surfaces (``index.CandidateCollector``).
+Candidate lists and name matches are not stored; they are attached from
+those collected for the documents' surfaces (``index.CandidateCollector``).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ class Mention:
     gold_qid: str | None = None
     position: int = 0
     candidates: CandidateList | None = None
+    name_matches: CandidateList | None = None
 
 
 @dataclass
@@ -84,10 +85,19 @@ def load_dataset(path: str) -> list[DocumentTask]:
     return docs
 
 
-def attach_candidates(doc: DocumentTask, lists: Mapping[str, CandidateList]) -> DocumentTask:
+def attach_candidates(
+    doc: DocumentTask,
+    lists: Mapping[str, CandidateList],
+    name_matches: Mapping[str, CandidateList] | None = None,
+) -> DocumentTask:
     """Return a copy of the document whose mentions carry ``lists[surface]``.
 
-    Every mention with the same surface gets the same ``CandidateList``.
+    When ``name_matches`` is given, they also carry ``name_matches[surface]``.
+    Every mention with the same surface gets the same lists.
     """
-    mentions = [replace(m, candidates=lists[m.surface]) for m in doc.mentions]
+    matches = name_matches or {}
+    mentions = [
+        replace(m, candidates=lists[m.surface], name_matches=matches.get(m.surface))
+        for m in doc.mentions
+    ]
     return replace(doc, mentions=mentions)

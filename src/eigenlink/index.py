@@ -4,11 +4,13 @@ A mention's candidates are the entities for which every mention token
 occurs in the entity's name or in one of its aliases, where all tokens
 must come from a single name or a single alias (not spread across
 them). Candidates are ordered by degree descending, qid ascending on
-ties, and truncated to at most T per mention.
+ties, and truncated to at most T per mention. A mention's name matches
+are the entities whose normalized name (casefolded, whitespace
+collapsed) equals the mention's, in the same order and never truncated.
 
-Candidates are collected in one pass over the catalog: a
-``CandidateCollector`` made from the mention surfaces is offered each
-record as it is read, so no record needs to be kept for them.
+Both are collected in one pass over the catalog: a ``CandidateCollector``
+made from the mention surfaces is offered each record as it is read and
+keeps each hit's qid and degree, so no record needs to be kept for them.
 """
 
 from __future__ import annotations
@@ -27,12 +29,35 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
+def normalize_name(name: str) -> str:
+    """Casefold and collapse whitespace: the key of exact-name matching."""
+    return " ".join(name.casefold().split())
+
+
 @dataclass(slots=True)
 class CandidateList:
-    """Degree-sorted candidates for one mention, truncated to T."""
+    """Degree-sorted entities of one mention with their degrees.
+
+    A mention's candidates are cut to T; its name matches never are.
+    """
 
     candidates: list[str]
+    degrees: list[int]  # in step with ``candidates``
     truncated: bool = False
+
+
+def _sorted_list(
+    hits: list[tuple[int, str]], T: int | None, degrees: dict[int, int]
+) -> CandidateList:
+    """The ``(-degree, qid)`` hits in order, cut to T unless T is None.
+
+    Equal degrees share the int object that ``degrees`` holds for them,
+    so lists whose degrees repeat hold one object per distinct degree.
+    """
+    hits.sort()
+    kept = hits[:T]
+    shared = [degrees.setdefault(-d, -d) for d, _ in kept]
+    return CandidateList([q for _, q in kept], shared, len(hits) > len(kept))
 
 
 class CandidateCollector:
@@ -41,10 +66,12 @@ class CandidateCollector:
     The hits of each distinct mention token set are kept as
     ``(-degree, qid)`` pairs. A list that grows past 2T is sorted and cut
     to its best T + 1, so it never holds more than 2T hits and still
-    shows that it is to be truncated.
+    shows that it is to be truncated. With ``names``, the name matches of
+    each distinct normalized surface are kept the same way, uncut;
+    without it, no record's name is normalized.
     """
 
-    def __init__(self, surfaces: Iterable[str], T: int = 20):
+    def __init__(self, surfaces: Iterable[str], T: int = 20, names: bool = False):
         if T < 1:
             raise ValueError(f"T must be >= 1, got {T}")
         self.T = T
@@ -57,11 +84,15 @@ class CandidateCollector:
                 self._by_token.setdefault(min(tokens), []).append(tokens)
         self._lookup_tokens = frozenset(self._by_token)
         self._hits: dict[frozenset[str], list[tuple[int, str]]] = {}
+        self._names = {s: normalize_name(s) for s in self._token_sets} if names else None
+        self._name_hits = {name: [] for name in self._names.values()} if names else {}
 
     def offer(self, qid: str, name: str, aliases: list[str], degree: int) -> bool:
         """Add the record to the hits of each token set its name or one alias holds.
 
-        Each text is tokenized once. Returns whether the record is a hit.
+        With ``names``, a record whose normalized name is a surface's is a
+        name match too. Each text is tokenized once. Returns whether the
+        record is a hit, as a candidate or as a name match.
         """
         matched = set()
         for text in (name, *aliases):
@@ -79,23 +110,42 @@ class CandidateCollector:
             if len(hits) > 2 * self.T:
                 hits.sort()
                 del hits[self.T + 1 :]
+        if self._name_hits:
+            name_hits = self._name_hits.get(normalize_name(name))
+            if name_hits is not None:
+                name_hits.append((-degree, qid))
+                return True
         return bool(matched)
 
     def lists(self) -> dict[str, CandidateList]:
         """Each surface's candidates; surfaces with the same token set share one list."""
-        made: dict[frozenset[str], CandidateList] = {}
-        for tokens in self._token_sets.values():
-            if tokens not in made:
-                hits = sorted(self._hits.get(tokens, ()))
-                made[tokens] = CandidateList([q for _, q in hits[: self.T]], len(hits) > self.T)
+        degrees: dict[int, int] = {}
+        made = {
+            tokens: _sorted_list(self._hits.get(tokens, []), self.T, degrees)
+            for tokens in set(self._token_sets.values())
+        }
         return {surface: made[tokens] for surface, tokens in self._token_sets.items()}
+
+    def name_matches(self) -> dict[str, CandidateList] | None:
+        """Each surface's name matches, or None when they were not collected.
+
+        Surfaces with the same normalized name share one list.
+        """
+        if self._names is None:
+            return None
+        degrees: dict[int, int] = {}
+        made = {name: _sorted_list(hits, None, degrees) for name, hits in self._name_hits.items()}
+        return {surface: made[name] for surface, name in self._names.items()}
 
 
 def candidate_lists(
     records: Iterable[EntityRecord], surfaces: Iterable[str], T: int = 20
-) -> dict[str, CandidateList]:
-    """The candidates of each surface among ``records``, such as a loaded catalog's."""
-    collector = CandidateCollector(surfaces, T)
+) -> tuple[dict[str, CandidateList], dict[str, CandidateList]]:
+    """The candidate lists and the name matches of each surface among ``records``.
+
+    ``records`` may be a loaded catalog's.
+    """
+    collector = CandidateCollector(surfaces, T, names=True)
     for rec in records:
         collector.offer(rec.qid, rec.name, rec.aliases, rec.degree)
-    return collector.lists()
+    return collector.lists(), collector.name_matches()

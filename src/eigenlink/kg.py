@@ -31,8 +31,10 @@ class EntityRecord:
 class EntityCatalog:
     """Immutable-after-build store of entity records keyed by qid.
 
-    Loaded with a ``keep`` rule (as the CLI loads it), the catalog holds
-    only the records that rule accepts, such as a dataset's candidates.
+    Loaded with a ``keep`` rule, the catalog holds only the records that
+    rule accepts. Linking reads no record: the CLI's rule hands each line
+    to the candidate collector and keeps none, and library callers pass
+    the records to ``index.candidate_lists``.
     """
 
     records: dict[str, EntityRecord]
@@ -83,9 +85,10 @@ def load_catalog(
 
     When ``keep`` is given, it is called with each valid line's
     ``(qid, name, aliases, degree)``, the degree being final, and only
-    the records for which it holds are made and kept. Every line is
-    validated either way, including the check for duplicate qids across
-    the whole file.
+    the records for which it holds are made and kept; a rule that holds
+    for none reads the file in one pass without making a record, as
+    ``link`` does. Every line is validated either way, including the
+    check for duplicate qids across the whole file.
     """
     degrees = compute_degrees(load_edges(edges_path)) if edges_path is not None else {}
     records: dict[str, EntityRecord] = {}

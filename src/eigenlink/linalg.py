@@ -1,10 +1,7 @@
 """Dense numerical kernels.
 
 The truncated SVD of a (weighted) row matrix is LAPACK's thin SVD of
-W E; only its right singular vectors and singular values are kept. The
-weighted sums-of-squares-and-cross-products matrix, whose top
-eigenvectors span the same subspace, is offered as a separate kernel
-but is not on the linking path.
+W E; only its right singular vectors and singular values are kept.
 
 Products and SVDs of large matrices give different bits on different
 BLAS thread counts, so linking runs BLAS on one thread
@@ -75,8 +72,12 @@ def pin_blas_threads() -> bool:
     return False
 
 
-def _weighted_rows(E: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Validate a row matrix and its row weights and return W E."""
+def truncated_svd(E: np.ndarray, w: np.ndarray, k: int) -> Subspace:
+    """Rank-k right-singular subspace of the weighted row matrix W E.
+
+    The effective rank may come out below the requested k: singular
+    values with sigma_i^2 <= RANK_TOL_FACTOR * sigma_1^2 are dropped.
+    """
     E = np.asarray(E, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     if E.ndim != 2:
@@ -91,27 +92,7 @@ def _weighted_rows(E: np.ndarray, w: np.ndarray) -> np.ndarray:
         raise DataError("weights have non-finite entries")
     if np.any(w < 0.0):
         raise DataError("weights must be non-negative")
-    return w[:, None] * E
-
-
-def weighted_sscp(E: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Weighted sums of squares and cross products: (W E)^T (W E).
-
-    With unit weights this reduces bit-exactly to E^T E since scaling by
-    1.0 leaves rows untouched and the same product routine runs.
-    """
-    WE = _weighted_rows(E, w)
-    S = WE.T @ WE
-    return (S + S.T) / 2.0
-
-
-def truncated_svd(E: np.ndarray, w: np.ndarray, k: int) -> Subspace:
-    """Rank-k right-singular subspace of the weighted row matrix W E.
-
-    The effective rank may come out below the requested k: singular
-    values with sigma_i^2 <= RANK_TOL_FACTOR * sigma_1^2 are dropped.
-    """
-    WE = _weighted_rows(E, w)
+    WE = w[:, None] * E
     if WE.shape[0] == 0:
         raise EmptyDocumentError("cannot learn a subspace from zero rows")
     if k < 1:

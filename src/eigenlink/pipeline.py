@@ -2,8 +2,8 @@
 
 Each document is linked on its own, so ``--jobs`` documents are linked at
 once on threads of this process (LAPACK releases the GIL in eigen's SVDs).
-Linking writes no shared state: the catalog, the stores and the name
-lookup are only read. Documents are mapped in submission order, so results
+Linking writes no shared state: the stores and the lists attached to the
+mentions are only read. Documents are mapped in submission order, so results
 (and therefore every derived artifact) do not depend on the worker count.
 """
 
@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .baselines import (
-    build_name_lookup,
     link_document_avg,
     link_document_context,
     link_document_degree,
@@ -25,7 +23,6 @@ from .dataset import DocumentTask
 from .eigenthemes import LinkResult, link_document
 from .embeddings import EmbeddingStore
 from .errors import ConfigError
-from .kg import EntityCatalog
 from .linalg import pin_blas_threads
 from .weighting import CONTEXT_KINDS, WeightScheme
 
@@ -36,7 +33,7 @@ class Method(NamedTuple):
     """One entry of the method table, ``METHODS``."""
 
     link: Callable[..., LinkResult]  # calls the linker by its name here, so wrappers see it
-    inputs: frozenset[str]  # the inputs the method reads: "catalog" (records) and input files
+    inputs: frozenset[str]  # the input files the method reads besides the dataset and catalog
 
 
 @dataclass
@@ -80,8 +77,6 @@ class RunConfig:
         if self.weighting in CONTEXT_KINDS and "embeddings" in needed:
             needed = needed | TEXT_INPUTS
         missing = needed - provided
-        if "catalog" in missing:
-            raise ConfigError(f"method {self.method!r} needs the catalog")
         if "embeddings" in missing:
             raise ConfigError(f"method {self.method!r} needs entity embeddings")
         if missing:
@@ -95,13 +90,12 @@ class RunConfig:
 class LinkContext:
     """Everything needed to link documents whose candidates are attached.
 
-    ``catalog`` may hold only the dataset's candidates and name matches
-    (as the CLI loads it), so documents linked with it must come from
-    that dataset, with candidates attached from the same catalog file.
-    It may be None when the method does not read the catalog.
+    It holds no catalog: ``degree`` and ``namematch`` read the candidates
+    and name matches attached to each mention, with their degrees. The
+    stores may hold only the attached candidates' rows, so the documents
+    must be those whose candidates they were loaded for.
     """
 
-    catalog: EntityCatalog | None
     config: RunConfig
     store: EmbeddingStore | None = None
     word_store: EmbeddingStore | None = None
@@ -110,16 +104,11 @@ class LinkContext:
     def validate(self) -> None:
         self.config.validate()
         inputs = dict(
-            catalog=self.catalog,
             embeddings=self.store,
             words=self.word_store,
             descriptions=self.desc_store,
         )
         self.config.check_inputs({name for name, value in inputs.items() if value is not None})
-
-    @cached_property
-    def name_lookup(self) -> dict[str, list[str]]:
-        return build_name_lookup(self.catalog)
 
 
 def _texts(ctx: LinkContext) -> dict:
@@ -136,11 +125,11 @@ def _link_avg(doc: DocumentTask, ctx: LinkContext) -> LinkResult:
 
 
 def _link_degree(doc: DocumentTask, ctx: LinkContext) -> LinkResult:
-    return link_document_degree(doc, ctx.catalog)
+    return link_document_degree(doc)
 
 
 def _link_namematch(doc: DocumentTask, ctx: LinkContext) -> LinkResult:
-    return link_document_namematch(doc, ctx.catalog, ctx.name_lookup)
+    return link_document_namematch(doc)
 
 
 def _link_context(doc: DocumentTask, ctx: LinkContext) -> LinkResult:
@@ -150,8 +139,8 @@ def _link_context(doc: DocumentTask, ctx: LinkContext) -> LinkResult:
 METHODS: dict[str, Method] = {
     "eigen": Method(_link_eigen, frozenset({"embeddings"})),
     "avg": Method(_link_avg, frozenset({"embeddings"})),
-    "degree": Method(_link_degree, frozenset({"catalog"})),
-    "namematch": Method(_link_namematch, frozenset({"catalog"})),
+    "degree": Method(_link_degree, frozenset()),
+    "namematch": Method(_link_namematch, frozenset()),
     "local": Method(_link_context, TEXT_INPUTS),
     "global": Method(_link_context, TEXT_INPUTS),
 }
@@ -165,18 +154,18 @@ def link_one(doc: DocumentTask, ctx: LinkContext) -> LinkResult:
 def run_documents(docs: list[DocumentTask], ctx: LinkContext) -> list[LinkResult]:
     """Link all documents, preserving input order whatever ``ctx.config.jobs``.
 
-    Every mention must have its candidates, as ``attach_candidates`` gives them.
+    Every mention must have its candidates, and for namematch its name
+    matches, as ``attach_candidates`` gives them.
     """
     ctx.validate()
+    names = ctx.config.method == "namematch"
     for doc in docs:
-        if any(m.candidates is None for m in doc.mentions):
+        if any(m.candidates is None or names and m.name_matches is None for m in doc.mentions):
             raise ValueError(
                 f"document {doc.doc_id!r} has mentions without candidates; "
                 "call attach_candidates first"
             )
     pin_blas_threads()
-    if ctx.config.method == "namematch":
-        ctx.name_lookup  # built before the threads start: cached_property has no lock on 3.12+
     workers = min(ctx.config.jobs, len(docs))
     if workers <= 1:
         return [link_one(doc, ctx) for doc in docs]

@@ -25,10 +25,15 @@ def make_catalog(rows) -> EntityCatalog:
     return EntityCatalog(records=records)
 
 
-def with_candidates(catalog, docs, T: int = 20) -> list:
-    """``docs`` with their mentions' candidates among ``catalog``'s records."""
-    lists = candidate_lists(catalog, {m.surface for doc in docs for m in doc.mentions}, T)
-    return [attach_candidates(doc, lists) for doc in docs]
+def with_candidates(catalog, docs, T: int = 20, names: bool = True) -> list:
+    """``docs`` with their mentions' candidates among ``catalog``'s records.
+
+    With ``names`` the mentions carry their name matches too, as a
+    namematch run's do; without it they carry none, as other runs' do.
+    """
+    surfaces = {m.surface for doc in docs for m in doc.mentions}
+    lists, name_matches = candidate_lists(catalog, surfaces, T)
+    return [attach_candidates(doc, lists, name_matches if names else None) for doc in docs]
 
 
 def make_store(dim: int, vectors: dict[str, list[float]]) -> EmbeddingStore:
@@ -50,7 +55,7 @@ class Corpus:
 
     def run(self, method: str, **cfg_kwargs):
         cfg = RunConfig(method=method, **cfg_kwargs)
-        ctx = LinkContext(catalog=self.catalog, config=cfg, store=self.store)
+        ctx = LinkContext(config=cfg, store=self.store)
         docs = with_candidates(self.catalog, self.docs, cfg.T)
         results = run_documents(docs, ctx)
         outcomes = [o for r in results for o in r.mentions]

@@ -19,7 +19,7 @@ from eigenlink.eigenthemes import (
 from eigenlink.embeddings import EmbeddingStore
 from eigenlink.evaluation import mutilation, score_gap
 from eigenlink.index import candidate_lists
-from eigenlink.linalg import Subspace, truncated_svd, weighted_sscp
+from eigenlink.linalg import Subspace, truncated_svd
 from eigenlink.pipeline import LinkContext, RunConfig, run_documents
 from eigenlink.synth import SynthConfig, generate
 from eigenlink.weighting import WeightScheme
@@ -120,7 +120,8 @@ def test_criterion_2_weighted_sscp_identity():
             continue  # eigenvector comparison needs separated singular values
         pairs += 1
 
-        S = weighted_sscp(E, w)
+        full = truncated_svd(E, w, k=d)
+        S = (full.basis * full.strengths**2) @ full.basis.T
         worst_elem = max(worst_elem, float(np.abs(S - naive_weighted_sscp(E, w)).max()))
 
         sub = truncated_svd(E, w, k=k)
@@ -220,7 +221,7 @@ def test_criterion_5_bucket_identities(planted_run, tmp_path_factory):
 
     docs = with_candidates(corpus.catalog, corpus.docs)
     cfg = RunConfig(method="degree")
-    ctx = LinkContext(catalog=corpus.catalog, config=cfg, store=None)
+    ctx = LinkContext(config=cfg)
     runner = lambda subset: run_documents(subset, ctx)
     collapsed = mutilation(docs, runner, [0.0], seed=11, repeats=3)
     ok &= collapsed[0.0] == 0.0
@@ -373,7 +374,7 @@ def test_criterion_8_k_plateau(plateau_corpus, multitopic_corpus):
 def test_criterion_9_candidate_generation_oracle():
     catalog, vocab, rng = synthetic_catalog(n=1000, seed=909)
     mentions = [" ".join(rng.sample(vocab, rng.randint(1, 3))) for _ in range(500)]
-    lists = candidate_lists(catalog, mentions, T=10**9)
+    lists, _ = candidate_lists(catalog, mentions, T=10**9)
     ok = all(set(lists[m].candidates) == brute_force_match(catalog, m) for m in mentions)
 
     tasks = []

@@ -5,25 +5,31 @@ import pytest
 
 from eigenlink.baselines import (
     avg_scores,
-    build_name_lookup,
     degree_baseline,
     link_document_avg,
     link_document_context,
     link_document_degree,
     link_document_namematch,
-    name_match,
 )
+from eigenlink.dataset import Mention
 from eigenlink.eigenthemes import DocumentMatrix
-from eigenlink.index import CandidateList
+from eigenlink.index import CandidateList, candidate_lists
 from eigenlink.weighting import WeightScheme, build_description_store
-from tests.conftest import make_catalog, make_store
+from tests.conftest import make_catalog, make_store, with_candidates
 from tests.test_eigenthemes import mention, task, unit
 
 NONE = WeightScheme("none")
 
 
-def cl(*qids):
-    return CandidateList(candidates=list(qids))
+def cl(*pairs):
+    """A candidate list of (qid, degree) pairs, in the given order."""
+    return CandidateList([qid for qid, _ in pairs], [degree for _, degree in pairs])
+
+
+def name_match(surface, rows):
+    """The pool namematch ranks for ``surface`` among the catalog ``rows``."""
+    _, name_matches = candidate_lists(make_catalog(rows), [surface])
+    return degree_baseline(name_matches[surface])
 
 
 # ---------------------------------------------------------------------------
@@ -31,41 +37,33 @@ def cl(*qids):
 
 
 def test_namematch_unique():
-    catalog = make_catalog([("Q45", "Portugal", [], 100), ("Q1", "Spain", [], 90)])
-    ranking = name_match("Portugal", catalog, build_name_lookup(catalog))
+    ranking = name_match("Portugal", [("Q45", "Portugal", [], 100), ("Q1", "Spain", [], 90)])
     assert ranking == [("Q45", 100.0)]
 
 
 def test_namematch_highest_degree_wins():
-    catalog = make_catalog(
-        [("Q41421", "Michael Jordan", [], 900), ("Q3308285", "Michael Jordan", [], 40)]
-    )
-    ranking = name_match("Michael Jordan", catalog, build_name_lookup(catalog))
+    rows = [("Q41421", "Michael Jordan", [], 900), ("Q3308285", "Michael Jordan", [], 40)]
+    ranking = name_match("Michael Jordan", rows)
     assert [q for q, _ in ranking] == ["Q41421", "Q3308285"]
 
 
 def test_namematch_no_match():
-    catalog = make_catalog([("Q1", "Spain", [], 90)])
-    assert name_match("Atlantis", catalog, build_name_lookup(catalog)) == []
+    assert name_match("Atlantis", [("Q1", "Spain", [], 90)]) == []
 
 
 def test_namematch_case_and_whitespace_insensitive():
-    catalog = make_catalog([("Q1", "New York City", [], 5)])
-    assert name_match("  new   YORK city ", catalog, build_name_lookup(catalog)) == [("Q1", 5.0)]
+    assert name_match("  new   YORK city ", [("Q1", "New York City", [], 5)]) == [("Q1", 5.0)]
 
 
 def test_namematch_aliases_only_with_flag():
-    catalog = make_catalog([("Q1", "Rome", ["The Eternal City"], 5)])
-    assert name_match("The Eternal City", catalog, build_name_lookup(catalog)) == []
+    assert name_match("The Eternal City", [("Q1", "Rome", ["The Eternal City"], 5)]) == []
 
 
 def test_namematch_prediction_dominates_matches():
     rng = np.random.default_rng(2)
     rows = [(f"Q{i}", f"name {i % 7}", [], int(rng.integers(0, 1000))) for i in range(50)]
-    catalog = make_catalog(rows)
-    lookup = build_name_lookup(catalog)
     for i in range(7):
-        ranking = name_match(f"name {i}", catalog, lookup)
+        ranking = name_match(f"name {i}", rows)
         if ranking:
             top_degree = ranking[0][1]
             assert all(top_degree >= deg for _, deg in ranking)
@@ -73,8 +71,8 @@ def test_namematch_prediction_dominates_matches():
 
 def test_namematch_document_contract():
     catalog = make_catalog([("Q1", "Paris", [], 7)])
-    t = task("d", [mention("Paris", "Q1", ["Q1"]), mention("Nowhere", "Q9", [])])
-    result = link_document_namematch(t, catalog, build_name_lookup(catalog))
+    (t,) = with_candidates(catalog, [task("d", [Mention("Paris", "Q1"), Mention("Nowhere", "Q9")])])
+    result = link_document_namematch(t)
     assert result.mentions[0].predicted_qid == "Q1"
     assert result.mentions[1].predicted_qid is None
 
@@ -84,31 +82,27 @@ def test_namematch_document_contract():
 
 
 def test_degree_head_of_list():
-    catalog = make_catalog([("q1", "x", [], 1), ("q2", "x", [], 9), ("q3", "x", [], 5)])
-    ranking = degree_baseline(cl("q2", "q3", "q1"), catalog)
+    ranking = degree_baseline(cl(("q2", 9), ("q3", 5), ("q1", 1)))
     assert [q for q, _ in ranking] == ["q2", "q3", "q1"]
     assert ranking[0] == ("q2", 9.0)
 
 
 def test_degree_empty_list_no_prediction():
-    catalog = make_catalog([("q1", "x", [], 1)])
-    t = task("d", [mention("m", None, [])])
-    result = link_document_degree(t, catalog)
+    result = link_document_degree(task("d", [mention("m", None, [])]))
     assert result.mentions[0].predicted_qid is None
 
 
 def test_degree_zero_degrees_is_not_a_fallback():
-    catalog = make_catalog([("q1", "x", [], 0), ("q2", "x", [], 0)])
-    result = link_document_degree(task("d", [mention("m", None, ["q1", "q2"])]), catalog)
+    result = link_document_degree(task("d", [mention("m", None, ["q1", "q2"])]))
     assert result.mentions[0].predicted_qid == "q1"
     assert result.mentions[0].fallback is None
 
 
 def test_degree_deterministic():
-    catalog = make_catalog([(f"q{i}", "x", [], i) for i in range(10)])
-    t = task("d", [mention("m", None, [f"q{i}" for i in range(9, -1, -1)])])
-    r1 = link_document_degree(t, catalog)
-    r2 = link_document_degree(t, catalog)
+    candidates = cl(*((f"q{i}", i) for i in range(9, -1, -1)))
+    t = task("d", [Mention("m", None, candidates=candidates)])
+    r1 = link_document_degree(t)
+    r2 = link_document_degree(t)
     assert r1 == r2
 
 

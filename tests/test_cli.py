@@ -442,7 +442,8 @@ def test_link_collects_candidates_in_its_one_catalog_pass(corpus_dir, tmp_path, 
     _, docs = _load_context(args, [_resolve_run_config(args, args.method)])
     assert passes == [f"{corpus_dir}/catalog.jsonl"]
     catalog = load_catalog(f"{corpus_dir}/catalog.jsonl")
-    assert docs == with_candidates(catalog, load_dataset(f"{corpus_dir}/dataset.jsonl"), T=3)
+    dataset = load_dataset(f"{corpus_dir}/dataset.jsonl")
+    assert docs == with_candidates(catalog, dataset, T=3, names=False)
     assert any(m.candidates.truncated for doc in docs for m in doc.mentions)
 
 
@@ -493,7 +494,7 @@ def plain_link_args(catalog, dataset, out, method="degree"):
 def test_reachable_catalog_links_as_the_full_catalog(tmp_path, method):
     catalog_path, dataset_path = reach_files(tmp_path)
     catalog = load_catalog(catalog_path)
-    ctx = LinkContext(catalog=catalog, config=RunConfig(method))
+    ctx = LinkContext(config=RunConfig(method))
     docs = with_candidates(catalog, load_dataset(dataset_path))
     expected = str(tmp_path / "expected.csv")
     write_predictions((o for r in run_documents(docs, ctx) for o in r.mentions), expected)
@@ -531,8 +532,10 @@ def test_edges_fill_degrees_of_kept_records(tmp_path):
     edges.write_text("Q1\tQ5\nQ1\tQ6\nQ5\tQ6\n")
     args = plain_link_args(catalog, dataset, str(tmp_path / "x")) + ["--edges", str(edges)]
     args = build_parser().parse_args(args)
-    ctx, _ = _load_context(args, [_resolve_run_config(args, args.method)])
-    assert {rec.qid: rec.degree for rec in ctx.catalog} == {"Q1": 2, "Q5": 9}
+    _, docs = _load_context(args, [_resolve_run_config(args, args.method)])
+    lists = [m.candidates for doc in docs for m in doc.mentions]
+    degrees = {q: d for cl in lists for q, d in zip(cl.candidates, cl.degrees)}
+    assert degrees == {"Q1": 2, "Q5": 9}
 
 
 def test_edges_degrees_order_candidates_as_stored_degrees_do(tmp_path):
@@ -542,13 +545,15 @@ def test_edges_degrees_order_candidates_as_stored_degrees_do(tmp_path):
     catalog, dataset = reach_files(tmp_path, rows)
     args = plain_link_args(catalog, dataset, str(tmp_path / "x")) + ["--edges", str(edges)]
     args = build_parser().parse_args(args)
-    ctx, docs = _load_context(args, [_resolve_run_config(args, args.method)])
-    lists = {m.surface: m.candidates.candidates for doc in docs for m in doc.mentions}
-    assert lists["york"] == ["Q2", "Q3", "Q5", "Q1", "Q4"]
-    stored = [{**row, "degree": ctx.catalog.get(row["qid"]).degree} for row in rows]
+    _, docs = _load_context(args, [_resolve_run_config(args, args.method)])
+    lists = {m.surface: m.candidates for doc in docs for m in doc.mentions}
+    assert lists["york"].candidates == ["Q2", "Q3", "Q5", "Q1", "Q4"]
+    assert lists["york"].degrees == [3, 3, 2, 1, 0]
+    filled = load_catalog(catalog, edges_path=str(edges))
+    stored = [{**row, "degree": filled.get(row["qid"]).degree} for row in rows]
     write_jsonl(tmp_path / "catalog.jsonl", stored)
     full = load_catalog(catalog)
-    assert docs == with_candidates(full, load_dataset(dataset))
+    assert docs == with_candidates(full, load_dataset(dataset), names=False)
 
 
 def test_malformed_edges_are_reported_before_a_malformed_catalog(tmp_path, capsys):
@@ -566,20 +571,21 @@ def test_catalog_keeps_only_reachable_records(corpus_dir, tmp_path):
     padded.write_bytes(read_bytes(f"{corpus_dir}/catalog.jsonl"))
     with open(padded, "a", encoding="utf-8") as fh:
         fh.writelines(json.dumps(row) + "\n" for row in pad)
-    args = link_args(corpus_dir, str(tmp_path / "x"))
+    args = link_args(corpus_dir, str(tmp_path / "x"), method="namematch")
     args[args.index("--catalog") + 1] = str(padded)
     args = build_parser().parse_args(args)
-    ctx, docs = _load_context(args, [_resolve_run_config(args, args.method)])
+    _, docs = _load_context(args, [_resolve_run_config(args, args.method)])
     surfaces = {m.surface for doc in docs for m in doc.mentions}
     names = {" ".join(surface.casefold().split()) for surface in surfaces}
     full = load_catalog(str(padded))
     hits = {rec.qid for surface in surfaces for rec in reference_hits(full, surface)}
-    reachable = [
+    reachable = {
         rec.qid for rec in full if rec.qid in hits or " ".join(rec.name.casefold().split()) in names
-    ]
-    assert len(ctx.catalog) == len(reachable)
-    assert sorted(ctx.catalog.records) == sorted(reachable)
-    assert not any(qid.startswith("P") for qid in ctx.catalog.records)
+    }
+    mentions = [m for doc in docs for m in doc.mentions]
+    kept = {q for m in mentions for cl in (m.candidates, m.name_matches) for q in cl.candidates}
+    assert kept == reachable  # no list is cut: every mention has fewer than T candidates
+    assert not any(qid.startswith("P") for qid in kept)
 
 
 @pytest.mark.parametrize(

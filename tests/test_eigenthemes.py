@@ -33,7 +33,7 @@ def mention(surface, gold, cands, position=0):
         surface=surface,
         gold_qid=gold,
         position=position,
-        candidates=CandidateList(candidates=list(cands)),
+        candidates=CandidateList(list(cands), [0] * len(cands)),
     )
 
 
@@ -427,7 +427,6 @@ def context_with_every_input(corpus, method) -> LinkContext:
         load_descriptions(f"{corpus.dir}/descriptions.jsonl"), word_store
     )
     return LinkContext(
-        catalog=corpus.catalog,
         config=RunConfig(method=method),
         store=corpus.store,
         word_store=word_store,
@@ -542,7 +541,7 @@ def test_run_starts_at_most_one_worker_per_document(small_corpus, recorded_pools
 
 
 def test_run_takes_its_worker_count_from_the_config(small_corpus, recorded_pools):
-    ctx = LinkContext(catalog=small_corpus.catalog, config=RunConfig(method="degree", jobs=2))
+    ctx = LinkContext(config=RunConfig(method="degree", jobs=2))
     serial = run_documents(first_docs(small_corpus, 3), with_jobs(ctx, 1))
     assert recorded_pools == []
     assert run_documents(first_docs(small_corpus, 3), ctx) == serial
@@ -575,6 +574,15 @@ def test_namematch_link_one_matches_run_documents():
     catalog = make_catalog([("Q1", "Rome", [], 1), ("Q2", "Rome Italy", [], 5)])
     (doc,) = with_candidates(catalog, [task("d", [Mention("Rome", "Q1")])])
     config = RunConfig(method="namematch")
-    (expected,) = run_documents([doc], LinkContext(catalog=catalog, config=config))
+    (expected,) = run_documents([doc], LinkContext(config=config))
     assert expected.mentions[0].predicted_qid == "Q1"
-    assert link_one(doc, LinkContext(catalog=catalog, config=config)) == expected
+    assert link_one(doc, LinkContext(config=config)) == expected
+
+
+def test_namematch_rejects_documents_without_name_matches():
+    catalog = make_catalog([("Q1", "Rome", [], 1)])
+    (doc,) = with_candidates(catalog, [task("d", [Mention("Rome", "Q1")])], names=False)
+    with pytest.raises(ValueError, match="call attach_candidates first"):
+        run_documents([doc], LinkContext(config=RunConfig(method="namematch")))
+    (result,) = run_documents([doc], LinkContext(config=RunConfig(method="degree")))
+    assert result.mentions[0].predicted_qid == "Q1"

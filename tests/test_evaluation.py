@@ -30,7 +30,11 @@ from tests.conftest import build_corpus, with_candidates
 def outcomes_of(*mentions):
     """build_outcomes over one document of (gold, candidates, ranking) mentions."""
     task = DocumentTask(
-        "d", [Mention("m", gold, candidates=CandidateList(cands)) for gold, cands, _ in mentions]
+        "d",
+        [
+            Mention("m", gold, candidates=CandidateList(cands, [0] * len(cands)))
+            for gold, cands, _ in mentions
+        ],
     )
     return build_outcomes(task, [ranking for *_, ranking in mentions], [None] * len(mentions))
 
@@ -354,7 +358,7 @@ def runner_for(corpus, method, **cfg):
     from eigenlink.pipeline import LinkContext, RunConfig, run_documents
 
     config = RunConfig(method=method, **cfg)
-    ctx = LinkContext(catalog=corpus.catalog, config=config, store=corpus.store)
+    ctx = LinkContext(config=config, store=corpus.store)
     return lambda docs: run_documents(docs, ctx)
 
 

@@ -10,7 +10,7 @@ from eigenlink.errors import (
     EmptyDocumentError,
     NumericalError,
 )
-from eigenlink.linalg import pin_blas_threads, truncated_svd, weighted_sscp
+from eigenlink.linalg import pin_blas_threads, truncated_svd
 
 # ---------------------------------------------------------------------------
 # Independent oracles
@@ -86,20 +86,19 @@ def reconstruction_error(E, basis):
 
 
 # ---------------------------------------------------------------------------
-# weighted_sscp
+# truncated_svd
 
 
-def test_unit_weights_equal_plain_sscp_bitwise():
-    rng = np.random.default_rng(1)
-    E = rng.standard_normal((9, 5))
-    S = E.T @ E
-    assert np.array_equal(weighted_sscp(E, np.ones(9)), (S + S.T) / 2.0)
+def sscp_from(sub):
+    """V diag(sigma^2) V^T: the weighted SSCP matrix a full-rank subspace gives back."""
+    return (sub.basis * sub.strengths**2) @ sub.basis.T
 
 
 def test_single_row_outer_product():
     e = np.array([[1.0, 2.0, -1.0]])
-    w = np.array([3.0])
-    assert np.allclose(weighted_sscp(e, w), 9.0 * np.outer(e[0], e[0]))
+    sub = truncated_svd(e, np.array([3.0]), k=3)
+    assert sub.rank == 1
+    assert np.allclose(sscp_from(sub), 9.0 * np.outer(e[0], e[0]))
 
 
 def test_matches_naive_triple_loop():
@@ -107,28 +106,18 @@ def test_matches_naive_triple_loop():
     for _ in range(5):
         E = rng.standard_normal((6, 4))
         w = rng.uniform(0, 2, size=6)
-        assert np.abs(weighted_sscp(E, w) - naive_weighted_sscp(E, w)).max() < 1e-12
+        sub = truncated_svd(E, w, k=4)
+        assert np.abs(sscp_from(sub) - naive_weighted_sscp(E, w)).max() < 1e-12
 
 
-def test_sscp_is_symmetric():
-    rng = np.random.default_rng(9)
-    E = rng.standard_normal((20, 7))
-    S = weighted_sscp(E, rng.uniform(0, 1, 20))
-    assert np.array_equal(S, S.T)
-
-
-def test_sscp_input_validation():
+def test_svd_input_validation():
     E = np.ones((3, 2))
     with pytest.raises(DimensionError):
-        weighted_sscp(E, np.ones(4))
+        truncated_svd(E, np.ones(4), k=1)
     with pytest.raises(DataError):
-        weighted_sscp(E, np.array([1.0, -0.5, 1.0]))
+        truncated_svd(E, np.array([1.0, -0.5, 1.0]), k=1)
     with pytest.raises(DataError):
-        weighted_sscp(E, np.array([1.0, np.inf, 1.0]))
-
-
-# ---------------------------------------------------------------------------
-# truncated_svd
+        truncated_svd(E, np.array([1.0, np.inf, 1.0]), k=1)
 
 
 def test_rank_one_ensemble():

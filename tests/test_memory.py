@@ -5,15 +5,13 @@ import tracemalloc
 
 import pytest
 
-from eigenlink import cli, kg
-from eigenlink.baselines import normalize_name
+from eigenlink import cli, index, kg
 from eigenlink.cli import _load_context, _resolve_run_config, build_parser, main
-from eigenlink.errors import ConfigError
-from eigenlink.pipeline import METHODS, LinkContext, RunConfig, run_documents
-from tests.test_index import reference_hits
+from eigenlink.index import CandidateList
+from eigenlink.pipeline import METHODS
+from tests.test_index import reference_list, reference_name_matches
 
 CORPUS_CFG = "docs=30,mentions_per_doc=8,candidates_per_mention=10,d=64,seed=5"
-READS_CATALOG = {"degree", "namematch"}
 
 
 @pytest.fixture(scope="module")
@@ -67,30 +65,45 @@ def test_link_releases_the_inputs_before_the_bootstrap(corpus_dir, tmp_path, mon
 
 @pytest.mark.parametrize("method", METHODS)
 def test_catalog_is_loaded_only_for_methods_that_read_it(corpus_dir, tmp_path, method):
+    # No method reads the catalog: linking reads the lists attached to the mentions.
     args = build_parser().parse_args(run_args(corpus_dir, str(tmp_path / "x"), method=method))
     ctx, _ = _load_context(args, [_resolve_run_config(args, method)])
-    assert (ctx.catalog is not None) == (method in READS_CATALOG)
-    assert ("catalog" in METHODS[method].inputs) == (method in READS_CATALOG)
+    assert not hasattr(ctx, "catalog")
+    assert "catalog" not in METHODS[method].inputs
 
 
-@pytest.mark.parametrize("method", METHODS)
-def test_no_record_is_made_for_a_method_that_does_not_read_the_catalog(
-    corpus_dir, tmp_path, monkeypatch, method
-):
-    made = []
-    record = kg.EntityRecord
+@pytest.fixture
+def made_records(monkeypatch):
+    """The qid of every EntityRecord made, and the number of names normalized."""
+    made = {"records": [], "names": 0}
+    record, normalize_name = kg.EntityRecord, index.normalize_name
 
-    def counting(*args, **kwargs):
-        made.append(args[0])
+    def counting_record(*args, **kwargs):
+        made["records"].append(args[0])
         return record(*args, **kwargs)
 
-    monkeypatch.setattr(kg, "EntityRecord", counting)
-    args = build_parser().parse_args(run_args(corpus_dir, str(tmp_path / "x"), method=method))
-    ctx, _ = _load_context(args, [_resolve_run_config(args, method)])
-    if method in READS_CATALOG:
-        assert made and made == list(ctx.catalog.records)
+    def counting_name(name):
+        made["names"] += 1
+        return normalize_name(name)
+
+    monkeypatch.setattr(kg, "EntityRecord", counting_record)
+    monkeypatch.setattr(index, "normalize_name", counting_name)
+    return made
+
+
+@pytest.mark.parametrize("method", [*METHODS, "mutilate"])
+def test_no_record_is_made_for_a_method_that_does_not_read_the_catalog(
+    corpus_dir, tmp_path, made_records, method
+):
+    if method == "mutilate":
+        args = run_args(corpus_dir, str(tmp_path / "x"), "mutilate", "eigen,degree,namematch")
+        assert main(args) == 0
     else:
-        assert made == []
+        args = build_parser().parse_args(run_args(corpus_dir, str(tmp_path / "x"), method=method))
+        _load_context(args, [_resolve_run_config(args, method)])
+    assert made_records["records"] == []
+    # Names are normalized only when a namematch run needs its name matches.
+    assert (made_records["names"] > 0) == (method in ("namematch", "mutilate"))
 
 
 # "york" is a candidate of Q1, Q2 and Q3, "New York" of Q2 only. Q5 and
@@ -110,40 +123,28 @@ HIT_CATALOG = [
 HIT_SURFACES = ["york", "New York", "!!!", "Straße", "york minster", "new jersey city"]
 
 
-@pytest.mark.parametrize("method", sorted(READS_CATALOG))
+@pytest.mark.parametrize("method", ["degree", "namematch"])
 def test_kept_records_are_the_candidate_hits_and_the_name_hits(tmp_path, method):
+    # What link keeps of the catalog is the qid and degree of each hit, on the mentions.
     catalog, dataset = tmp_path / "catalog.jsonl", tmp_path / "dataset.jsonl"
     catalog.write_text("".join(json.dumps(row) + "\n" for row in HIT_CATALOG))
     mentions = [{"surface": surface} for surface in HIT_SURFACES]
     dataset.write_text(json.dumps({"doc_id": "d", "mentions": mentions}) + "\n")
     args = ["link", "--method", method, "--dataset", str(dataset), "--catalog", str(catalog)]
     args = build_parser().parse_args(args + ["--out", str(tmp_path / "x")])
-    ctx, _ = _load_context(args, [_resolve_run_config(args, method)])
+    _, (doc,) = _load_context(args, [_resolve_run_config(args, method)])
 
     full = kg.load_catalog(str(catalog))
-    names = {normalize_name(surface) for surface in HIT_SURFACES}
-    hits = {rec.qid for surface in HIT_SURFACES for rec in reference_hits(full, surface)}
-    hits |= {rec.qid for rec in full if normalize_name(rec.name) in names}
-    assert set(ctx.catalog.records) == hits == {"Q1", "Q2", "Q3", "Q5", "Q6"}
-
-
-@pytest.mark.parametrize("methods,kept", [("eigen,avg", False), ("eigen,degree", True)])
-def test_mutilate_keeps_the_catalog_when_any_method_reads_it(
-    corpus_dir, tmp_path, monkeypatch, methods, kept
-):
-    catalogs = []
-    linked = cli.run_documents
-
-    def recording(docs, ctx):
-        catalogs.append(ctx.catalog is not None)
-        return linked(docs, ctx)
-
-    monkeypatch.setattr(cli, "run_documents", recording)
-    assert main(run_args(corpus_dir, str(tmp_path / "x"), "mutilate", methods)) == 0
-    assert catalogs == [kept, kept]
-
-
-@pytest.mark.parametrize("method", sorted(READS_CATALOG))
-def test_run_without_the_catalog_a_method_reads_raises(method):
-    with pytest.raises(ConfigError, match="needs the catalog"):
-        run_documents([], LinkContext(catalog=None, config=RunConfig(method=method)))
+    attached = {m.surface: (m.candidates, m.name_matches) for m in doc.mentions}
+    assert attached == {
+        surface: (
+            reference_list(full, surface, 20),
+            reference_name_matches(full, surface) if method == "namematch" else None,
+        )
+        for surface in HIT_SURFACES
+    }
+    assert attached["york"][0] == CandidateList(["Q2", "Q3", "Q1"], [9, 7, 4])
+    if method == "namematch":
+        kept = {q for lists in attached.values() for cl in lists for q in cl.candidates}
+        assert kept == {"Q1", "Q2", "Q3", "Q5", "Q6"}
+        assert attached["Straße"][1] == CandidateList(["Q6"], [2])

@@ -48,7 +48,7 @@ def test_different_seed_differs(tmp_path):
 def test_manifest_candidates_match_generated_candidates(tmp_path_factory):
     corpus = build_corpus(tmp_path_factory, "synth_check", **SMALL)
     mentions = [m for doc in corpus.manifest["documents"] for m in doc["mentions"]]
-    lists = candidate_lists(corpus.catalog, [m["surface"] for m in mentions], T=20)
+    lists, _ = candidate_lists(corpus.catalog, [m["surface"] for m in mentions], T=20)
     for m in mentions:
         assert lists[m["surface"]].candidates == m["candidates"]
 

@@ -18,7 +18,7 @@ from tests.conftest import make_store
 
 
 def cl(*qids):
-    return CandidateList(candidates=list(qids))
+    return CandidateList(list(qids), [0] * len(qids))
 
 
 def test_weight_rank1():
