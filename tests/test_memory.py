@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from eigenlink import cli, index, kg
+from eigenlink import baselines, cli, index, kg
 from eigenlink.cli import _load_context, _resolve_run_config, build_parser, main
 from eigenlink.index import CandidateList
 from eigenlink.pipeline import METHODS
@@ -104,6 +104,34 @@ def test_no_record_is_made_for_a_method_that_does_not_read_the_catalog(
     assert made_records["records"] == []
     # Names are normalized only when a namematch run needs its name matches.
     assert (made_records["names"] > 0) == (method in ("namematch", "mutilate"))
+
+
+@pytest.mark.parametrize("methods,kept", [("eigen,avg", False), ("eigen,degree", True)])
+def test_mutilate_keeps_the_catalog_when_any_method_reads_it(
+    corpus_dir, tmp_path, monkeypatch, made_records, methods, kept
+):
+    # What mutilate keeps of the catalog is each candidate's degree, on the
+    # mentions: no run's context holds a catalog, and only degree reads them.
+    with open(f"{corpus_dir}/catalog.jsonl") as fh:
+        catalog = {row["qid"]: row["degree"] for row in map(json.loads, fh)}
+    reads = []
+    linked, read = cli.run_documents, baselines.degree_baseline
+
+    def recording(docs, ctx):
+        assert not hasattr(ctx, "catalog")
+        reads.append(False)
+        return linked(docs, ctx)
+
+    def reading(entities):
+        assert entities.degrees == [catalog[qid] for qid in entities.candidates]
+        reads[-1] = True
+        return read(entities)
+
+    monkeypatch.setattr(cli, "run_documents", recording)
+    monkeypatch.setattr(baselines, "degree_baseline", reading)
+    assert main(run_args(corpus_dir, str(tmp_path / "x"), "mutilate", methods)) == 0
+    assert made_records["records"] == []
+    assert reads == [False, kept]
 
 
 # "york" is a candidate of Q1, Q2 and Q3, "New York" of Q2 only. Q5 and
