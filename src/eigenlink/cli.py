@@ -137,16 +137,20 @@ def _load_context(args, cfgs: list[RunConfig]) -> tuple[LinkContext, list[Docume
 
     The context is configured by ``cfgs[0]``, whose ``T`` they share. The
     dataset comes first, then one pass over the catalog collects its
-    mentions' candidates with their degrees, and their name matches when
-    one of the methods is namematch. That pass makes no catalog record.
-    The stores load last and keep only the candidates' entity embeddings
-    and descriptions.
+    mentions' candidates, with their degrees when one of the methods is
+    degree, and their name matches when one is namematch. That pass makes
+    no catalog record. The stores load last, and only those that one of
+    the runs reads (``RunConfig.inputs``): a file given for no run is not
+    opened. They keep only the candidates' entity embeddings and
+    descriptions, keyed by the candidate lists' own qid strings.
     """
     cfg = cfgs[0]
     docs = load_dataset(args.dataset)
     surfaces = {m.surface for doc in docs for m in doc.mentions}
-    names = any(c.method == "namematch" for c in cfgs)
-    collector = CandidateCollector(surfaces, cfg.T, names)
+    methods = {c.method for c in cfgs}
+    collector = CandidateCollector(
+        surfaces, cfg.T, names="namematch" in methods, degrees="degree" in methods
+    )
 
     def offer(qid: str, name: str, aliases: list[str], degree: int) -> bool:
         collector.offer(qid, name, aliases, degree)
@@ -156,11 +160,14 @@ def _load_context(args, cfgs: list[RunConfig]) -> tuple[LinkContext, list[Docume
     lists, name_matches = collector.lists(), collector.name_matches()
     del collector
     docs = [attach_candidates(doc, lists, name_matches) for doc in docs]
-    union = {qid for candidates in lists.values() for qid in candidates.candidates}
-    store = load_embeddings(args.embeddings, union) if args.embeddings else None
-    word_store = load_embeddings(args.words) if args.words else None
+    # A dict of 20k keys takes a third of a set's memory, and its values
+    # let the stores share the lists' qid strings.
+    union = {qid: qid for candidates in lists.values() for qid in candidates.candidates}
+    reads = frozenset().union(*(c.inputs() for c in cfgs))
+    store = load_embeddings(args.embeddings, union) if "embeddings" in reads else None
+    word_store = load_embeddings(args.words) if "words" in reads else None
     desc_store = None
-    if args.descriptions:
+    if "descriptions" in reads:
         descriptions = load_descriptions(args.descriptions, union)
         desc_store = build_description_store(descriptions, word_store)
     ctx = LinkContext(

@@ -41,8 +41,14 @@ class DocumentTask:
 
 
 def load_dataset(path: str) -> list[DocumentTask]:
+    """Read and validate every document.
+
+    Each distinct token or noun string is held once across the file:
+    documents share the string objects of the words they repeat.
+    """
     docs: list[DocumentTask] = []
     seen_ids: set[str] = set()
+    shared: dict[str, str] = {}
     with open(path, "rb") as fh:
         for lineno, obj in jsonl.rows(fh):
             if not isinstance(obj, dict):
@@ -60,6 +66,10 @@ def load_dataset(path: str) -> list[DocumentTask]:
                     isinstance(words, list) and all(isinstance(t, str) for t in words)
                 ):
                     raise FormatError(f"line {lineno}: {key!r} must be a list of strings")
+            if tokens is not None:
+                tokens = [shared.setdefault(t, t) for t in tokens]
+            if nouns is not None:
+                nouns = [shared.setdefault(t, t) for t in nouns]
             raw_mentions = obj.get("mentions")
             if not isinstance(raw_mentions, list):
                 raise FormatError(f"line {lineno}: 'mentions' must be a list")

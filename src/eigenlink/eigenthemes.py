@@ -119,10 +119,10 @@ def link_mentions(
     """
     rankings, fallbacks = [], []
     for pool in pools:
-        ranking = sorted(pool, key=lambda pair: -pair[1])
-        void = not any(math.isfinite(s) and s != 0.0 for _, s in ranking)
-        rankings.append(ranking)
-        fallbacks.append("degree" if ranking and void and degree_fallback else None)
+        void = not any(math.isfinite(s) and s != 0.0 for _, s in pool)
+        fallback = "degree" if pool and void and degree_fallback else None
+        rankings.append(pool if fallback else sorted(pool, key=lambda pair: -pair[1]))
+        fallbacks.append(fallback)
     return LinkResult(build_outcomes(task, rankings, fallbacks), effective_k)
 
 

@@ -139,8 +139,9 @@ def _parse_block(ids, rests, linenos, dim: int, seen: RowIds) -> np.ndarray:
     return _check_rows(ids, rests, linenos, dim, seen)
 
 
-def _line_identifier(raw: bytes) -> str:
-    return raw.decode("utf-8").split(None, 1)[0]
+def _line_identifier(raw: bytes) -> str | None:
+    parts = raw.decode("utf-8").split(None, 1)
+    return parts[0] if parts else None
 
 
 def load_embeddings(path: str, keep: Collection[str] | None = None) -> EmbeddingStore:
@@ -149,7 +150,10 @@ def load_embeddings(path: str, keep: Collection[str] | None = None) -> Embedding
     Every row is validated (UTF-8, field count, numeric and finite values,
     unique identifier) and the row count must match the header, but only
     rows whose identifier is in ``keep`` are stored; without ``keep``
-    every row is. The file is parsed in blocks of about 64 KiB.
+    every row is. When ``keep`` is a dict, each stored row is keyed by
+    ``keep[identifier]``, so a caller that maps each identifier to itself
+    shares its string objects with the store. The file is parsed in
+    blocks of about 64 KiB.
     """
     with open(path, "rb") as fh, RowIds(path, _line_identifier, "identifier").checked() as seen:
         header = fh.readline().split()
@@ -185,7 +189,10 @@ def load_embeddings(path: str, keep: Collection[str] | None = None) -> Embedding
                 store._append(ids, values)
             else:
                 kept = [i for i, identifier in enumerate(ids) if identifier in keep]
-                store._append([ids[i] for i in kept], values[kept], reserve)
+                kept_ids = [ids[i] for i in kept]
+                if isinstance(keep, dict):
+                    kept_ids = [keep[identifier] for identifier in kept_ids]
+                store._append(kept_ids, values[kept], reserve)
         if len(seen) != count:
             raise FormatError(f"line 1: header declares {count} rows but the file has {len(seen)}")
     return store

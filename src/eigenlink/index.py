@@ -36,27 +36,28 @@ def normalize_name(name: str) -> str:
 
 @dataclass(slots=True)
 class CandidateList:
-    """Degree-sorted entities of one mention with their degrees.
+    """Degree-sorted entities of one mention, with their degrees when they were kept.
 
     A mention's candidates are cut to T; its name matches never are.
     """
 
     candidates: list[str]
-    degrees: list[int]  # in step with ``candidates``
+    degrees: list[int] | None  # in step with ``candidates``
     truncated: bool = False
 
 
 def _sorted_list(
-    hits: list[tuple[int, str]], T: int | None, degrees: dict[int, int]
+    hits: list[tuple[int, str]], T: int | None, degrees: dict[int, int] | None
 ) -> CandidateList:
     """The ``(-degree, qid)`` hits in order, cut to T unless T is None.
 
     Equal degrees share the int object that ``degrees`` holds for them,
     so lists whose degrees repeat hold one object per distinct degree.
+    With ``degrees`` None, the list keeps no degrees.
     """
     hits.sort()
     kept = hits[:T]
-    shared = [degrees.setdefault(-d, -d) for d, _ in kept]
+    shared = None if degrees is None else [degrees.setdefault(-d, -d) for d, _ in kept]
     return CandidateList([q for _, q in kept], shared, len(hits) > len(kept))
 
 
@@ -67,14 +68,18 @@ class CandidateCollector:
     ``(-degree, qid)`` pairs. A list that grows past 2T is sorted and cut
     to its best T + 1, so it never holds more than 2T hits and still
     shows that it is to be truncated. With ``names``, the name matches of
-    each distinct normalized surface are kept the same way, uncut;
-    without it, no record's name is normalized.
+    each distinct normalized surface are kept the same way, uncut, with
+    their degrees; without it, no record's name is normalized. Without
+    ``degrees``, the candidate lists keep no degrees.
     """
 
-    def __init__(self, surfaces: Iterable[str], T: int = 20, names: bool = False):
+    def __init__(
+        self, surfaces: Iterable[str], T: int = 20, names: bool = False, degrees: bool = True
+    ):
         if T < 1:
             raise ValueError(f"T must be >= 1, got {T}")
         self.T = T
+        self._degrees = degrees
         self._token_sets = {surface: frozenset(tokenize(surface)) for surface in surfaces}
         # A token set is looked up by one of its tokens only: a text that
         # holds every token of the set holds that one.
@@ -119,7 +124,7 @@ class CandidateCollector:
 
     def lists(self) -> dict[str, CandidateList]:
         """Each surface's candidates; surfaces with the same token set share one list."""
-        degrees: dict[int, int] = {}
+        degrees: dict[int, int] | None = {} if self._degrees else None
         made = {
             tokens: _sorted_list(self._hits.get(tokens, []), self.T, degrees)
             for tokens in set(self._token_sets.values())

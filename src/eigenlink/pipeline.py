@@ -66,8 +66,8 @@ class RunConfig:
     def scheme(self) -> WeightScheme:
         return WeightScheme(kind=self.weighting, delta=self.delta)
 
-    def check_inputs(self, provided: set[str]) -> None:
-        """Raise ConfigError unless ``provided`` names every input the run reads.
+    def inputs(self) -> frozenset[str]:
+        """The input files the run reads besides the dataset and catalog.
 
         Those are the method's table entry's inputs, plus "words" and
         "descriptions" for a context weighting of a method that reads
@@ -76,7 +76,11 @@ class RunConfig:
         needed = METHODS[self.method].inputs
         if self.weighting in CONTEXT_KINDS and "embeddings" in needed:
             needed = needed | TEXT_INPUTS
-        missing = needed - provided
+        return needed
+
+    def check_inputs(self, provided: set[str]) -> None:
+        """Raise ConfigError unless ``provided`` names every input in ``inputs()``."""
+        missing = self.inputs() - provided
         if "embeddings" in missing:
             raise ConfigError(f"method {self.method!r} needs entity embeddings")
         if missing:

@@ -194,7 +194,9 @@ def load_descriptions(path: str, keep: Collection[str] | None = None) -> dict[st
     """Read a JSONL file of {"qid": ..., "description": ...} records, each qid once.
 
     Every row is validated, but only the descriptions of the qids in
-    ``keep`` are returned; without ``keep`` every one is.
+    ``keep`` are returned; without ``keep`` every one is. When ``keep`` is
+    a dict, each description is keyed by ``keep[qid]``, as in
+    ``embeddings.load_embeddings``.
     """
     descriptions: dict[str, str] = {}
     with open(path, "rb") as fh, RowIds(path, line_qid, "qid").checked() as qids:
@@ -207,7 +209,7 @@ def load_descriptions(path: str, keep: Collection[str] | None = None) -> dict[st
                 raise FormatError(f"line {lineno}: need string 'qid' and 'description'")
             qids.add(qid, lineno)
             if keep is None or qid in keep:
-                descriptions[qid] = desc
+                descriptions[keep[qid] if isinstance(keep, dict) else qid] = desc
     return descriptions
 
 

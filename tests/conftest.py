@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -25,14 +25,20 @@ def make_catalog(rows) -> EntityCatalog:
     return EntityCatalog(records=records)
 
 
-def with_candidates(catalog, docs, T: int = 20, names: bool = True) -> list:
+def with_candidates(
+    catalog, docs, T: int = 20, names: bool = True, degrees: bool = True
+) -> list:
     """``docs`` with their mentions' candidates among ``catalog``'s records.
 
     With ``names`` the mentions carry their name matches too, as a
     namematch run's do; without it they carry none, as other runs' do.
+    Without ``degrees`` the candidate lists carry no degrees, as those of
+    a run without the degree method do.
     """
     surfaces = {m.surface for doc in docs for m in doc.mentions}
     lists, name_matches = candidate_lists(catalog, surfaces, T)
+    if not degrees:
+        lists = {surface: replace(cl, degrees=None) for surface, cl in lists.items()}
     return [attach_candidates(doc, lists, name_matches if names else None) for doc in docs]
 
 

@@ -252,10 +252,48 @@ def test_duplicate_embedding_identifier_exits_3(corpus_dir, tmp_path, capsys):
     count, dim = header.split()
     bad = tmp_path / "emb.txt"
     bad.write_text(f"{int(count) + 1} {dim}\n" + first + "".join(rest) + first)
-    args = link_args(corpus_dir, str(tmp_path / "x"))
+    args = link_args(corpus_dir, str(tmp_path / "x"), method="avg")
     args[args.index("--embeddings") + 1] = str(bad)
     assert main(args) == 3
     assert "duplicate identifier" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "method,unread", [("degree", ["embeddings"]), ("eigen", ["words", "descriptions"])]
+)
+def test_a_file_no_method_of_the_run_reads_is_not_opened(
+    corpus_dir, tmp_path, monkeypatch, capsys, method, unread
+):
+    malformed = tmp_path / "malformed"
+    malformed.write_bytes(b"3 x\n\xff\n")
+    opened = []
+    for name in ("load_embeddings", "load_descriptions"):
+        loader = getattr(cli, name)
+        monkeypatch.setattr(
+            cli, name, lambda path, *a, _load=loader: opened.append(path) or _load(path, *a)
+        )
+
+    def args(side, files):
+        argv = link_args(corpus_dir, str(tmp_path / side), method)
+        at = argv.index("--embeddings")
+        return argv[:at] + argv[at + 2 :] + files
+
+    read = [] if "embeddings" in unread else ["--embeddings", f"{corpus_dir}/embeddings.txt"]
+    plain = args("plain", read)
+    given = args("given", read + [arg for flag in unread for arg in (f"--{flag}", str(malformed))])
+    assert main(plain) == 0
+    printed = capsys.readouterr()
+    assert main(given) == 0
+    assert capsys.readouterr() == printed
+    assert opened == read[1:] * 2  # the entity embeddings, when read, once by each run
+    files = [tmp_path / side / "predictions.csv" for side in ("plain", "given")]
+    assert read_bytes(files[0]) == read_bytes(files[1])
+    metrics = [load_strict_json(tmp_path / side / "metrics.json") for side in ("plain", "given")]
+    # The config echo still names every file given.
+    assert {flag: metrics[1]["config"].pop(flag) for flag in unread} == dict.fromkeys(
+        unread, str(malformed)
+    )
+    assert metrics[0] == metrics[1]
 
 
 def test_malformed_embedding_row_outside_candidates_exits_3(corpus_dir, tmp_path, capsys):
@@ -443,7 +481,7 @@ def test_link_collects_candidates_in_its_one_catalog_pass(corpus_dir, tmp_path, 
     assert passes == [f"{corpus_dir}/catalog.jsonl"]
     catalog = load_catalog(f"{corpus_dir}/catalog.jsonl")
     dataset = load_dataset(f"{corpus_dir}/dataset.jsonl")
-    assert docs == with_candidates(catalog, dataset, T=3, names=False)
+    assert docs == with_candidates(catalog, dataset, T=3, names=False, degrees=False)
     assert any(m.candidates.truncated for doc in docs for m in doc.mentions)
 
 

@@ -252,6 +252,15 @@ def test_no_candidates_no_prediction():
     assert result.mentions[0].ranking == []
 
 
+def test_a_fallback_ranks_by_degree_alone():
+    # "ghost" has no embedding (-inf) and "zero" a zero vector (0): no signal
+    store = make_store(2, {"a": [1, 0], "zero": [0, 0]})
+    t = task("d", [mention("m1", None, ["a"]), mention("m2", None, ["ghost", "zero"])])
+    result = link_document(t, store, NONE)
+    assert result.mentions[1].ranking == [("ghost", -math.inf), ("zero", 0.0)]
+    assert result.mentions[1].fallback == "degree"
+
+
 def test_mention_without_embeddings_falls_back_to_top_degree():
     store = make_store(2, {"a": [1, 0]})
     t = task("d", [mention("m1", None, ["a"]), mention("m2", None, ["ghost1", "ghost2"])])

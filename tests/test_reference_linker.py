@@ -1,0 +1,288 @@
+"""`eigenlink link` against a plain linker written from PAPER.md and the README.
+
+The reference reads the raw files itself. Candidates come from the
+brute-force oracle in tests/test_index.py. Then, per document:
+
+- the document matrix is the union of the mentions' candidates that have
+  an embedding, as unit rows, each weighted by the largest weight it earns
+  from any mention: 1 under ``none``, ``rank**(-delta)`` of its position
+  in that mention's list under ``degree_rr``;
+- ``eigen`` scores a unit row e by ``||(e V_k) * sigma_k||``, from the thin
+  SVD of the weighted rows, with the directions whose
+  ``sigma_i**2 <= 1e-10 * sigma_1**2`` dropped and at most k kept;
+- ``avg`` scores it by its cosine with the weighted centroid, 0 when the
+  centroid is (near) zero;
+- a candidate without an embedding scores -inf;
+- ``degree`` scores each candidate by its degree, and ``namematch`` does
+  the same over the mention's exact name matches.
+
+Each pool is ranked by score, descending, ties keeping degree order. An
+``eigen`` or ``avg`` pool without a finite, non-zero score is ranked by
+degree alone.
+
+The context methods and weightings are not covered yet.
+"""
+
+import csv
+import json
+import math
+import os
+import shutil
+from types import SimpleNamespace
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from eigenlink.cli import main
+from tests.test_index import reference_list, reference_name_matches
+
+# Scores agree within this relative tolerance. Where two scores of one
+# ranking lie closer than it, but are not equal, the order of those two
+# is not compared.
+SCORE_RTOL = 1e-9
+RANK_TOL = 1e-10
+METHODS = ("eigen", "avg", "degree", "namematch")
+WEIGHTINGS = ("none", "degree_rr")
+
+
+def read_records(path):
+    with open(path, encoding="utf-8") as fh:
+        rows = [json.loads(line) for line in fh if line.strip()]
+    return [
+        SimpleNamespace(
+            qid=row["qid"], name=row["name"], aliases=row.get("aliases", []),
+            degree=row.get("degree", 0),
+        )
+        for row in rows
+    ]
+
+
+def read_vectors(path):
+    with open(path, encoding="utf-8") as fh:
+        next(fh)
+        return {
+            parts[0]: np.array([float(v) for v in parts[1:]])
+            for parts in map(str.split, fh)
+            if parts
+        }
+
+
+def unit(v):
+    norm = math.sqrt(float(v @ v))
+    return v / norm if norm > 1e-12 else v
+
+
+def entity_scores(method, lists, vectors, weighting, k, delta):
+    """Each embedded candidate's score in one document."""
+    weight = {}
+    for cl in lists:
+        for rank, qid in enumerate(cl.candidates, 1):
+            if qid in vectors:
+                w = 1.0 if weighting == "none" else rank ** (-delta)
+                weight[qid] = max(weight.get(qid, w), w)
+    if not weight:
+        return {}
+    ids = list(weight)
+    rows = np.array([unit(vectors[qid]) for qid in ids])
+    w = np.array([weight[qid] for qid in ids])
+    if method == "eigen":
+        _, sigma, vt = np.linalg.svd(w[:, None] * rows, full_matrices=False)
+        kept = 0 if sigma[0] <= 0 else min(k, int(np.sum(sigma**2 > RANK_TOL * sigma[0] ** 2)))
+        scores = [float(np.linalg.norm((e @ vt[:kept].T) * sigma[:kept])) for e in rows]
+    else:
+        centroid = (w[:, None] * rows).sum(axis=0) / w.sum()
+        c = math.sqrt(float(centroid @ centroid))
+        scores = [
+            0.0 if c <= 1e-12 or not e.any() else float(e @ centroid) / (np.linalg.norm(e) * c)
+            for e in rows
+        ]
+    return dict(zip(ids, scores))
+
+
+def reference_link(corpus, method, weighting, T, k, delta):
+    """{(doc_id, mention index): (predicted qid, bucket, rank of gold, ranking)}."""
+    records = read_records(f"{corpus}/catalog.jsonl")
+    degree = {r.qid: r.degree for r in records}
+    vectors = read_vectors(f"{corpus}/embeddings.txt")
+    with open(f"{corpus}/dataset.jsonl", encoding="utf-8") as fh:
+        docs = [json.loads(line) for line in fh if line.strip()]
+    out = {}
+    for doc in docs:
+        lists = [reference_list(records, m["surface"], T) for m in doc["mentions"]]
+        if method in ("eigen", "avg"):
+            score_of = entity_scores(method, lists, vectors, weighting, k, delta)
+        for i, (m, cl) in enumerate(zip(doc["mentions"], lists)):
+            if method == "namematch":
+                pool = reference_name_matches(records, m["surface"]).candidates
+            else:
+                pool = cl.candidates
+            if method in ("degree", "namematch"):
+                scored = [(qid, float(degree[qid])) for qid in pool]
+            else:
+                scored = [(qid, score_of.get(qid, -math.inf)) for qid in pool]
+            if method in ("degree", "namematch") or any(
+                math.isfinite(s) and s != 0.0 for _, s in scored
+            ):
+                scored.sort(key=lambda pair: -pair[1])
+            gold = m.get("gold_qid")
+            order = [qid for qid, _ in scored]
+            bucket = None
+            if gold is not None:
+                found = gold in cl.candidates
+                bucket = "not_found" if not found else "easy" if cl.candidates[0] == gold else "hard"
+            rank = order.index(gold) + 1 if gold in order else None
+            out[doc["doc_id"], i] = (order[0] if order else None, bucket, rank, scored)
+    return out
+
+
+def near_tie(a, b, exact):
+    """Two scores too close to order: computed scores within the tolerance of each other.
+
+    Equal ``exact`` scores (degrees) keep degree order, and -inf, which
+    marks a candidate without an embedding, is exact too.
+    """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return False
+    if a == b:
+        return not exact
+    return abs(a - b) <= SCORE_RTOL * max(abs(a), abs(b))
+
+
+def read_run(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return {(row["doc_id"], int(row["mention_idx"])): row for row in csv.DictReader(fh)}
+
+
+def check_run(got, want, exact):
+    """Compare one run's predictions.csv rows with the reference's outcomes.
+
+    ``exact`` says whether the scores are degrees rather than computed.
+    """
+    assert got.keys() == want.keys()
+    for key, (predicted, bucket, rank, scored) in want.items():
+        row = got[key]
+        assert row["bucket"] == (bucket or ""), key
+        scores = [s for _, s in scored]
+        if scored:
+            score = float(row["score"]) if row["score"] else None
+            top = scores[0] if math.isfinite(scores[0]) else None
+            assert (score is None) == (top is None), key
+            if top is not None:
+                assert math.isclose(score, top, rel_tol=SCORE_RTOL, abs_tol=1e-12), key
+        if not (len(scores) > 1 and near_tie(scores[0], scores[1], exact)):
+            assert row["predicted_qid"] == (predicted or ""), key
+        # A rank is compared when no two scores down to one past it are a near tie.
+        depth = rank if rank is not None else len(scores)
+        if not any(near_tie(a, b, exact) for a, b in zip(scores[:depth], scores[1 : depth + 1])):
+            assert row["rank_of_gold"] == ("" if rank is None else str(rank)), key
+
+
+@st.composite
+def corpora(draw):
+    """Synth settings plus extra entities named after mentions.
+
+    An extra has a zero vector, a random one or none, so pools hold
+    candidates without embeddings; a "solo" mention added to a document
+    has only extras as candidates, often none with an embedding.
+    """
+    synth = {
+        "docs": draw(st.integers(1, 3)),
+        "mentions_per_doc": draw(st.integers(1, 4)),
+        "candidates_per_mention": draw(st.integers(2, 5)),
+        "d": draw(st.sampled_from([4, 6, 8])),
+        "rank": draw(st.integers(1, 2)),
+        "seed": draw(st.integers(0, 10_000)),
+        "easy_fraction": draw(st.sampled_from([0.0, 0.5, 1.0])),
+        "miss_fraction": draw(st.sampled_from([0.0, 0.3])),
+        "doc_length": 12,
+        "vocab_size": 20,
+        "word_dim": 2,
+    }
+    extras = draw(
+        st.lists(
+            st.tuples(
+                st.booleans(),  # named after a new solo mention, or after an existing one
+                st.integers(0, 20),  # which mention
+                st.sampled_from(["{}", "{} ", "  {}"]),
+                st.booleans(),  # upper case
+                st.sampled_from([0, 10, 20, 45]),
+                st.sampled_from([None, "zero", "random"]),
+            ),
+            max_size=5,
+        )
+    )
+    run = {
+        "T": draw(st.integers(1, 6)),
+        "k": draw(st.integers(1, 4)),
+        "delta": draw(st.sampled_from([0.5, 1.0, 2.0])),
+    }
+    return synth, extras, run
+
+
+def write_corpus(path, synth, extras):
+    if os.path.isdir(path):
+        shutil.rmtree(path)
+    config = ",".join(f"{key}={value}" for key, value in synth.items())
+    assert main(["synth", "--config", config, "--out", path]) == 0
+    with open(f"{path}/dataset.jsonl", encoding="utf-8") as fh:
+        docs = [json.loads(line) for line in fh]
+    with open(f"{path}/embeddings.txt", encoding="utf-8") as fh:
+        header, *vectors = fh.readlines()
+    dim = int(header.split()[1])
+    rng = np.random.default_rng(synth["seed"])
+    catalog = []
+    for n, (solo, which, spelling, upper, degree, vector) in enumerate(extras):
+        if solo:
+            surface = f"solo{which % 2}"
+            doc = docs[which % len(docs)]
+            if all(m["surface"] != surface for m in doc["mentions"]):
+                gold = f"X{n}" if which % 3 else None
+                doc["mentions"].append({"surface": surface, "gold_qid": gold, "position": 0})
+        else:
+            mentions = [m for doc in docs for m in doc["mentions"]]
+            surface = mentions[which % len(mentions)]["surface"]
+        name = spelling.format(surface.upper() if upper else surface)
+        catalog.append({"qid": f"X{n}", "name": name, "degree": degree})
+        if vector is not None:
+            values = np.zeros(dim) if vector == "zero" else rng.standard_normal(dim)
+            vectors.append(f"X{n} " + " ".join(repr(float(v)) for v in values) + "\n")
+    with open(f"{path}/catalog.jsonl", "a", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(row) + "\n" for row in catalog)
+    with open(f"{path}/embeddings.txt", "w", encoding="utf-8") as fh:
+        fh.write(f"{len(vectors)} {dim}\n")
+        fh.writelines(vectors)
+    with open(f"{path}/dataset.jsonl", "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(doc) + "\n" for doc in docs)
+
+
+# An avg or eigen pool of a candidate without an embedding and one with a
+# zero vector has no signal, so degree order ranks it.
+NO_SIGNAL = (
+    {"docs": 1, "mentions_per_doc": 1, "candidates_per_mention": 2, "d": 4, "rank": 1,
+     "seed": 0, "easy_fraction": 0.0, "miss_fraction": 0.0, "doc_length": 12,
+     "vocab_size": 20, "word_dim": 2},
+    [(True, 0, "{}", False, 0, None), (True, 0, "{}", False, 0, "zero")],
+    {"T": 2, "k": 1, "delta": 0.5},
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=corpora())
+@example(case=NO_SIGNAL)
+def test_link_agrees_with_the_reference_linker(tmp_path_factory, case):
+    synth, extras, run = case
+    root = tmp_path_factory.getbasetemp() / "reference_linker"
+    corpus = str(root / "corpus")
+    write_corpus(corpus, synth, extras)
+    for method in METHODS:
+        for weighting in WEIGHTINGS:
+            out = str(root / f"{method}-{weighting}")
+            args = ["link", "--method", method, "--weighting", weighting, "--out", out]
+            for flag in ("dataset", "catalog"):
+                args += [f"--{flag}", f"{corpus}/{flag}.jsonl"]
+            args += ["--embeddings", f"{corpus}/embeddings.txt"]
+            args += [arg for key, value in run.items() for arg in (f"--{key}", str(value))]
+            assert main(args) == 0
+            want = reference_link(corpus, method, weighting, **run)
+            check_run(read_run(f"{out}/predictions.csv"), want, method in ("degree", "namematch"))

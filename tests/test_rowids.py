@@ -2,9 +2,12 @@
 
 import json
 import tracemalloc
+from contextlib import ExitStack
 from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eigenlink import embeddings, jsonl
 from eigenlink.embeddings import load_embeddings
@@ -197,3 +200,111 @@ def test_extend_records_rows_as_add_does(tmp_path):
     for ids in (added, extended):
         with pytest.raises(EigenlinkError, match=r"^line 4: duplicate id 'Q2'$"):
             ids.check()
+
+
+# Lines every loader skips: empty, or only whitespace, much of it not
+# JSON's (form feed, vertical tab, no-break, em and ideographic spaces).
+BLANKS = ["", " ", "\r", "\x0c", "\x0b\t", " ", "  ", "　\r"]
+INDENTS = ["", " ", "\x0c ", " "]
+BAD_MESSAGES = {
+    MALFORMED: {
+        "catalog": "missing or empty 'name'",
+        "descriptions": "need string 'qid' and 'description'",
+        "embeddings": "non-numeric value",
+    },
+    NOT_UTF8: dict.fromkeys(LOADERS, "not valid UTF-8"),
+}
+# The identifiers a loader kept, in file order.
+KEPT = {
+    "catalog": lambda catalog: list(catalog.records),
+    "descriptions": list,
+    "embeddings": lambda store: list(store.identifiers()),
+}
+
+
+@st.composite
+def keyed_files(draw):
+    """(kind, lines as bytes, the recorded identifiers with their lines, a bad line or None)."""
+    kind = draw(st.sampled_from(sorted(LOADERS)))
+    valid = LOADERS[kind][1]
+    ending = draw(st.sampled_from([b"\n", b"\r\n"]))
+    lines, recorded = [], []
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 3)) == 0:
+            lines.append(draw(st.sampled_from(BLANKS)).encode())
+        else:
+            qid = f"Q{draw(st.integers(1, 6))}"
+            lines.append((draw(st.sampled_from(INDENTS)) + valid(qid)).encode())
+            recorded.append((qid, len(lines)))
+    bad = draw(st.sampled_from([None, MALFORMED, NOT_UTF8]))
+    if bad is not None:
+        lines.append(LOADERS[kind][2].encode() if bad == MALFORMED else b"Q\xff")
+    if kind == "embeddings":
+        lines.insert(0, f"{len(recorded)} 2".encode())
+        recorded = [(qid, lineno + 1) for qid, lineno in recorded]
+    return kind, [line + ending for line in lines], recorded, bad
+
+
+def reference_outcome(kind, lines, recorded, bad):
+    """A set-based reference: the first recorded line whose identifier is on an earlier one.
+
+    Otherwise the bad line's error, or the identifiers in file order.
+    """
+    seen = set()
+    for qid, lineno in recorded:
+        if qid in seen:
+            what = "identifier" if kind == "embeddings" else "qid"
+            return f"line {lineno}: duplicate {what} {qid!r}"
+        seen.add(qid)
+    if bad is not None:
+        return f"line {len(lines)}: {BAD_MESSAGES[bad][kind]}"
+    return [qid for qid, _ in recorded]
+
+
+@pytest.fixture(scope="module")
+def keyed_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("rowids_properties") / "keyed")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=keyed_files(),
+    collide=st.sampled_from([None, lambda s: 0, len]),
+    block_bytes=st.sampled_from([1, 20, 1 << 16]),
+)
+def test_check_matches_a_set_of_every_identifier(keyed_path, case, collide, block_bytes):
+    kind, lines, recorded, bad = case
+    with open(keyed_path, "wb") as fh:
+        fh.writelines(lines)
+    with ExitStack() as stack:
+        if collide is not None:
+            stack.enter_context(patch("eigenlink.rowids.hash", collide, create=True))
+        stack.enter_context(patch.object(jsonl, "_BLOCK_BYTES", block_bytes))
+        stack.enter_context(patch.object(embeddings, "_BLOCK_BYTES", block_bytes))
+        try:
+            got = KEPT[kind](LOADERS[kind][0](keyed_path))
+        except EigenlinkError as exc:
+            got = str(exc)
+    assert got == reference_outcome(kind, lines, recorded, bad)
+
+
+def test_rowids_hold_8_bytes_a_row_and_check_sorts_in_place(tmp_path):
+    n = 100_000
+    path = tmp_path / "ids.txt"
+    path.write_text("".join(f"Q{i}\n" for i in range(n)))
+    identifiers = [f"Q{i}" for i in range(n)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ids = RowIds(str(path), lambda raw: raw.decode().strip(), "id")
+        for lineno, identifier in enumerate(identifiers, 1):
+            ids.add(identifier, lineno)
+        held = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        ids.check()
+        allocated = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert held <= 9 * n
+    assert allocated < 2 * n
