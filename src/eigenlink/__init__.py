@@ -11,7 +11,7 @@ from .eigenthemes import (
 )
 from .embeddings import EmbeddingStore, load_embeddings, unit_normalize
 from .index import CandidateCollector, CandidateList, candidate_lists, tokenize
-from .kg import EntityCatalog, EntityRecord, compute_degrees, load_catalog
+from .kg import catalog_lines, compute_degrees
 from .linalg import Subspace, truncated_svd
 from .pipeline import LinkContext, RunConfig, link_one, run_documents
 from .synth import SynthConfig, generate
@@ -25,8 +25,6 @@ __all__ = [
     "DocumentMatrix",
     "DocumentTask",
     "EmbeddingStore",
-    "EntityCatalog",
-    "EntityRecord",
     "LinkContext",
     "LinkResult",
     "Mention",
@@ -37,13 +35,13 @@ __all__ = [
     "attach_candidates",
     "build_document_matrix",
     "candidate_lists",
+    "catalog_lines",
     "compute_degrees",
     "degree_ranking",
     "generate",
     "learn_subspace",
     "link_document",
     "link_one",
-    "load_catalog",
     "load_dataset",
     "load_embeddings",
     "mention_weights",

@@ -32,8 +32,8 @@ from .evaluation import (
     score_gap,
     write_predictions,
 )
-from .index import CandidateCollector
-from .kg import load_catalog
+from .index import candidate_lists
+from .kg import catalog_lines
 from .pipeline import METHODS, LinkContext, RunConfig, run_documents
 from .synth import SynthConfig, generate
 from .weighting import WEIGHT_KINDS, build_description_store, load_descriptions
@@ -125,8 +125,6 @@ def _resolve_run_config(args, method: str) -> RunConfig:
     values.update({name: flags[name] for name in _FILE_TYPES if flags[name] is not None})
     cfg = RunConfig(**{**values, "method": method})
     cfg.validate()
-    if args.descriptions and not args.words:
-        raise ConfigError("--descriptions requires --words")
     inputs = ("embeddings", "words", "descriptions")
     cfg.check_inputs({name for name in inputs if flags[name]})
     return cfg
@@ -138,8 +136,8 @@ def _load_context(args, cfgs: list[RunConfig]) -> tuple[LinkContext, list[Docume
     The context is configured by ``cfgs[0]``, whose ``T`` they share. The
     dataset comes first, then one pass over the catalog collects its
     mentions' candidates, with their degrees when one of the methods is
-    degree, and their name matches when one is namematch. That pass makes
-    no catalog record. The stores load last, and only those that one of
+    degree, and their name matches when one is namematch. That pass keeps
+    no catalog line. The stores load last, and only those that one of
     the runs reads (``RunConfig.inputs``): a file given for no run is not
     opened. They keep only the candidates' entity embeddings and
     descriptions, keyed by the candidate lists' own qid strings.
@@ -148,17 +146,13 @@ def _load_context(args, cfgs: list[RunConfig]) -> tuple[LinkContext, list[Docume
     docs = load_dataset(args.dataset)
     surfaces = {m.surface for doc in docs for m in doc.mentions}
     methods = {c.method for c in cfgs}
-    collector = CandidateCollector(
-        surfaces, cfg.T, names="namematch" in methods, degrees="degree" in methods
+    lists, name_matches = candidate_lists(
+        catalog_lines(args.catalog, args.edges),
+        surfaces,
+        cfg.T,
+        names="namematch" in methods,
+        degrees="degree" in methods,
     )
-
-    def offer(qid: str, name: str, aliases: list[str], degree: int) -> bool:
-        collector.offer(qid, name, aliases, degree)
-        return False  # linking reads what the collector keeps, so no record is made
-
-    load_catalog(args.catalog, edges_path=args.edges, keep=offer)
-    lists, name_matches = collector.lists(), collector.name_matches()
-    del collector
     docs = [attach_candidates(doc, lists, name_matches) for doc in docs]
     # A dict of 20k keys takes a third of a set's memory, and its values
     # let the stores share the lists' qid strings.

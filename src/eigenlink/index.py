@@ -8,9 +8,10 @@ ties, and truncated to at most T per mention. A mention's name matches
 are the entities whose normalized name (casefolded, whitespace
 collapsed) equals the mention's, in the same order and never truncated.
 
-Both are collected in one pass over the catalog: a ``CandidateCollector``
-made from the mention surfaces is offered each record as it is read and
-keeps each hit's qid and degree, so no record needs to be kept for them.
+Both are collected in one pass over the catalog: ``candidate_lists``
+hands each of ``kg.catalog_lines``' lines to a ``CandidateCollector``
+made from the mention surfaces, which keeps each hit's qid and degree
+and nothing of the other lines.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from typing import Iterable
-
-from .kg import EntityRecord
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -62,14 +61,14 @@ def _sorted_list(
 
 
 class CandidateCollector:
-    """The candidate lists of a fixed set of mention surfaces, filled one record at a time.
+    """The candidate lists of a fixed set of mention surfaces, filled one catalog line at a time.
 
     The hits of each distinct mention token set are kept as
     ``(-degree, qid)`` pairs. A list that grows past 2T is sorted and cut
     to its best T + 1, so it never holds more than 2T hits and still
     shows that it is to be truncated. With ``names``, the name matches of
     each distinct normalized surface are kept the same way, uncut, with
-    their degrees; without it, no record's name is normalized. Without
+    their degrees; without it, no name is normalized. Without
     ``degrees``, the candidate lists keep no degrees.
     """
 
@@ -92,12 +91,11 @@ class CandidateCollector:
         self._names = {s: normalize_name(s) for s in self._token_sets} if names else None
         self._name_hits = {name: [] for name in self._names.values()} if names else {}
 
-    def offer(self, qid: str, name: str, aliases: list[str], degree: int) -> bool:
-        """Add the record to the hits of each token set its name or one alias holds.
+    def offer(self, qid: str, name: str, aliases: list[str], degree: int) -> None:
+        """Add the entity to the hits of each token set its name or one alias holds.
 
-        With ``names``, a record whose normalized name is a surface's is a
-        name match too. Each text is tokenized once. Returns whether the
-        record is a hit, as a candidate or as a name match.
+        With ``names``, an entity whose normalized name is a surface's is a
+        name match too. Each text is tokenized once.
         """
         matched = set()
         for text in (name, *aliases):
@@ -119,8 +117,6 @@ class CandidateCollector:
             name_hits = self._name_hits.get(normalize_name(name))
             if name_hits is not None:
                 name_hits.append((-degree, qid))
-                return True
-        return bool(matched)
 
     def lists(self) -> dict[str, CandidateList]:
         """Each surface's candidates; surfaces with the same token set share one list."""
@@ -144,13 +140,20 @@ class CandidateCollector:
 
 
 def candidate_lists(
-    records: Iterable[EntityRecord], surfaces: Iterable[str], T: int = 20
-) -> tuple[dict[str, CandidateList], dict[str, CandidateList]]:
-    """The candidate lists and the name matches of each surface among ``records``.
+    lines: Iterable[tuple[str, str, list[str], int]],
+    surfaces: Iterable[str],
+    T: int = 20,
+    names: bool = True,
+    degrees: bool = True,
+) -> tuple[dict[str, CandidateList], dict[str, CandidateList] | None]:
+    """The candidate lists and the name matches of each surface among the catalog ``lines``.
 
-    ``records`` may be a loaded catalog's.
+    ``lines`` are ``(qid, name, aliases, degree)`` tuples, as
+    ``kg.catalog_lines`` yields them, read once. ``names`` and ``degrees``
+    are the ``CandidateCollector``'s: without ``names`` the name matches
+    are None.
     """
-    collector = CandidateCollector(surfaces, T, names=True)
-    for rec in records:
-        collector.offer(rec.qid, rec.name, rec.aliases, rec.degree)
+    collector = CandidateCollector(surfaces, T, names=names, degrees=degrees)
+    for qid, name, aliases, degree in lines:
+        collector.offer(qid, name, aliases, degree)
     return collector.lists(), collector.name_matches()

@@ -1,56 +1,23 @@
 """Entity catalog ingestion.
 
-The catalog is a pre-extracted JSONL artifact: one record per line with
-the entity identifier, canonical name, aliases and knowledge-graph
-degree. Identifiers are opaque strings; nothing Wikidata-specific is
-assumed. Degrees may be stored in the catalog or recomputed from an
-edge list, with stored values taking precedence.
+The catalog is a pre-extracted JSONL artifact: one entity per line with
+its identifier, canonical name, aliases and knowledge-graph degree.
+Identifiers are opaque strings; nothing Wikidata-specific is assumed.
+Degrees may be stored in the catalog or recomputed from an edge list,
+with stored values taking precedence.
+
+The catalog is read as a stream: ``catalog_lines`` yields each validated
+line as a plain tuple and keeps none of them, so a consumer such as
+``index.candidate_lists`` holds only what it takes from each line.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from . import jsonl
 from .errors import FormatError, IntegrityError
 from .rowids import RowIds, line_qid
-
-
-@dataclass(slots=True)
-class EntityRecord:
-    """One knowledge-graph entity: identifier, names and degree."""
-
-    qid: str
-    name: str
-    aliases: list[str] = field(default_factory=list)
-    degree: int = 0
-
-
-@dataclass
-class EntityCatalog:
-    """Immutable-after-build store of entity records keyed by qid.
-
-    Loaded with a ``keep`` rule, the catalog holds only the records that
-    rule accepts. Linking reads no record: the CLI's rule hands each line
-    to the candidate collector and keeps none, and library callers pass
-    the records to ``index.candidate_lists``.
-    """
-
-    records: dict[str, EntityRecord]
-
-    @property
-    def count(self) -> int:
-        return len(self.records)
-
-    def get(self, qid: str) -> EntityRecord | None:
-        return self.records.get(qid)
-
-    def __iter__(self) -> Iterator[EntityRecord]:
-        return iter(self.records.values())
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 def _parse_record(obj: dict, lineno: int) -> tuple[str, str, list[str], int | None]:
@@ -72,35 +39,24 @@ def _parse_record(obj: dict, lineno: int) -> tuple[str, str, list[str], int | No
     return qid, name, aliases, degree
 
 
-def load_catalog(
-    path: str,
-    edges_path: str | None = None,
-    keep: Callable[[str, str, list[str], int], bool] | None = None,
-) -> EntityCatalog:
-    """Load a JSONL entity catalog.
+def catalog_lines(
+    path: str, edges_path: str | None = None
+) -> Iterator[tuple[str, str, list[str], int]]:
+    """Each valid line of a JSONL entity catalog, as ``(qid, name, aliases, degree)``.
 
     When ``edges_path`` is given, the edge list is read first and its
-    degrees fill in records that do not carry an explicit ``degree``
-    field; explicit values always win.
-
-    When ``keep`` is given, it is called with each valid line's
-    ``(qid, name, aliases, degree)``, the degree being final, and only
-    the records for which it holds are made and kept; a rule that holds
-    for none reads the file in one pass without making a record, as
-    ``link`` does. Every line is validated either way, including the
-    check for duplicate qids across the whole file.
+    degrees fill in lines that do not carry an explicit ``degree``
+    field; explicit values always win, and the degree yielded is final.
+    Every line is validated, including the check for duplicate qids
+    across the whole file, which runs when the file ends or before any
+    error a later line raises, so the first error in file order wins.
     """
     degrees = compute_degrees(load_edges(edges_path)) if edges_path is not None else {}
-    records: dict[str, EntityRecord] = {}
     with open(path, "rb") as fh, RowIds(path, line_qid, "qid").checked() as qids:
         for lineno, obj in jsonl.rows(fh):
             qid, name, aliases, degree = _parse_record(obj, lineno)
             qids.add(qid, lineno)
-            if degree is None:
-                degree = degrees.get(qid, 0)
-            if keep is None or keep(qid, name, aliases, degree):
-                records[qid] = EntityRecord(qid, name, aliases, degree)
-    return EntityCatalog(records=records)
+            yield qid, name, aliases, degrees.get(qid, 0) if degree is None else degree
 
 
 def load_edges(path: str) -> list[tuple[str, str]]:

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -12,23 +13,34 @@ from eigenlink.dataset import attach_candidates, load_dataset
 from eigenlink.embeddings import EmbeddingStore, load_embeddings
 from eigenlink.evaluation import metrics_report
 from eigenlink.index import candidate_lists
-from eigenlink.kg import EntityCatalog, EntityRecord, load_catalog
+from eigenlink.kg import catalog_lines
 from eigenlink.pipeline import LinkContext, RunConfig, run_documents
 from eigenlink.synth import SynthConfig, generate
 
 
-def make_catalog(rows) -> EntityCatalog:
+class Line(NamedTuple):
+    """One catalog line as ``kg.catalog_lines`` yields it, with attribute access."""
+
+    qid: str
+    name: str
+    aliases: list[str]
+    degree: int
+
+
+def make_catalog(rows) -> list[Line]:
     """rows: iterable of (qid, name, aliases, degree)."""
-    records = {}
-    for qid, name, aliases, degree in rows:
-        records[qid] = EntityRecord(qid=qid, name=name, aliases=list(aliases), degree=degree)
-    return EntityCatalog(records=records)
+    return [Line(qid, name, list(aliases), degree) for qid, name, aliases, degree in rows]
+
+
+def read_catalog(path: str, edges_path: str | None = None) -> list[Line]:
+    """Every line of the catalog file, read through ``kg.catalog_lines``."""
+    return list(map(Line._make, catalog_lines(path, edges_path)))
 
 
 def with_candidates(
     catalog, docs, T: int = 20, names: bool = True, degrees: bool = True
 ) -> list:
-    """``docs`` with their mentions' candidates among ``catalog``'s records.
+    """``docs`` with their mentions' candidates among the ``catalog`` lines.
 
     With ``names`` the mentions carry their name matches too, as a
     namematch run's do; without it they carry none, as other runs' do.
@@ -36,10 +48,8 @@ def with_candidates(
     a run without the degree method do.
     """
     surfaces = {m.surface for doc in docs for m in doc.mentions}
-    lists, name_matches = candidate_lists(catalog, surfaces, T)
-    if not degrees:
-        lists = {surface: replace(cl, degrees=None) for surface, cl in lists.items()}
-    return [attach_candidates(doc, lists, name_matches if names else None) for doc in docs]
+    lists, name_matches = candidate_lists(catalog, surfaces, T, names=names, degrees=degrees)
+    return [attach_candidates(doc, lists, name_matches) for doc in docs]
 
 
 def make_store(dim: int, vectors: dict[str, list[float]]) -> EmbeddingStore:
@@ -55,7 +65,7 @@ class Corpus:
 
     dir: str
     manifest: dict
-    catalog: EntityCatalog
+    catalog: list[Line]
     store: EmbeddingStore
     docs: list
 
@@ -69,11 +79,10 @@ class Corpus:
 
 
 def load_corpus(out_dir: str, manifest: dict) -> Corpus:
-    catalog = load_catalog(f"{out_dir}/catalog.jsonl")
     return Corpus(
         dir=out_dir,
         manifest=manifest,
-        catalog=catalog,
+        catalog=read_catalog(f"{out_dir}/catalog.jsonl"),
         store=load_embeddings(f"{out_dir}/embeddings.txt"),
         docs=load_dataset(f"{out_dir}/dataset.jsonl"),
     )

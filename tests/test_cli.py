@@ -13,9 +13,8 @@ from eigenlink.cli import _load_context, _resolve_run_config, build_parser, main
 from eigenlink.dataset import Mention, load_dataset
 from eigenlink.evaluation import MentionOutcome, write_predictions
 from eigenlink.index import CandidateList
-from eigenlink.kg import EntityRecord, load_catalog
 from eigenlink.pipeline import METHODS, LinkContext, RunConfig, run_documents
-from tests.conftest import with_candidates
+from tests.conftest import read_catalog, with_candidates
 from tests.test_index import reference_hits
 
 CORPUS_CFG = "docs=6,mentions_per_doc=4,candidates_per_mention=5,d=24,rank=2,seed=77"
@@ -150,13 +149,13 @@ def test_jobs_count_does_not_change_outputs(corpus_dir, tmp_path, method, kind):
     assert read_bytes(f"{out1}/metrics.json") == read_bytes(f"{out2}/metrics.json")
 
 
-SLOTTED = (EntityRecord, Mention, CandidateList, MentionOutcome)
+SLOTTED = (Mention, CandidateList, MentionOutcome)
 
 
 @pytest.mark.parametrize("method", ["eigen", "degree"])
 def test_slotted_records_cross_to_workers_unchanged(corpus_dir, tmp_path, method):
     assert all("__slots__" in vars(cls) for cls in SLOTTED)
-    record = EntityRecord("Q1", "Rome", ["Roma"], 3)
+    record = CandidateList(["Q1"], [3])
     assert not hasattr(record, "__dict__")
     assert pickle.loads(pickle.dumps(record)) == record
     # --jobs 2 links on threads, which share the records unpickled; the
@@ -259,7 +258,12 @@ def test_duplicate_embedding_identifier_exits_3(corpus_dir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "method,unread", [("degree", ["embeddings"]), ("eigen", ["words", "descriptions"])]
+    "method,unread",
+    [
+        ("degree", ["embeddings"]),
+        ("eigen", ["words", "descriptions"]),
+        ("degree", ["embeddings", "descriptions"]),  # --descriptions without --words
+    ],
 )
 def test_a_file_no_method_of_the_run_reads_is_not_opened(
     corpus_dir, tmp_path, monkeypatch, capsys, method, unread
@@ -468,18 +472,18 @@ def test_global_context_computed_once_per_document(
 
 def test_link_collects_candidates_in_its_one_catalog_pass(corpus_dir, tmp_path, monkeypatch):
     passes = []
-    loading = cli.load_catalog
+    reading = cli.catalog_lines
 
     def recording(path, *args, **kwargs):
         passes.append(path)
-        return loading(path, *args, **kwargs)
+        return reading(path, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "load_catalog", recording)
+    monkeypatch.setattr(cli, "catalog_lines", recording)
     args = link_args(corpus_dir, str(tmp_path / "x"), method="avg", extra=("--T", "3"))
     args = build_parser().parse_args(args)
     _, docs = _load_context(args, [_resolve_run_config(args, args.method)])
     assert passes == [f"{corpus_dir}/catalog.jsonl"]
-    catalog = load_catalog(f"{corpus_dir}/catalog.jsonl")
+    catalog = read_catalog(f"{corpus_dir}/catalog.jsonl")
     dataset = load_dataset(f"{corpus_dir}/dataset.jsonl")
     assert docs == with_candidates(catalog, dataset, T=3, names=False, degrees=False)
     assert any(m.candidates.truncated for doc in docs for m in doc.mentions)
@@ -531,7 +535,7 @@ def plain_link_args(catalog, dataset, out, method="degree"):
 @pytest.mark.parametrize("method", ["namematch", "degree"])
 def test_reachable_catalog_links_as_the_full_catalog(tmp_path, method):
     catalog_path, dataset_path = reach_files(tmp_path)
-    catalog = load_catalog(catalog_path)
+    catalog = read_catalog(catalog_path)
     ctx = LinkContext(config=RunConfig(method))
     docs = with_candidates(catalog, load_dataset(dataset_path))
     expected = str(tmp_path / "expected.csv")
@@ -587,10 +591,10 @@ def test_edges_degrees_order_candidates_as_stored_degrees_do(tmp_path):
     lists = {m.surface: m.candidates for doc in docs for m in doc.mentions}
     assert lists["york"].candidates == ["Q2", "Q3", "Q5", "Q1", "Q4"]
     assert lists["york"].degrees == [3, 3, 2, 1, 0]
-    filled = load_catalog(catalog, edges_path=str(edges))
-    stored = [{**row, "degree": filled.get(row["qid"]).degree} for row in rows]
+    filled = read_catalog(catalog, edges_path=str(edges))
+    stored = [{**row, "degree": line.degree} for row, line in zip(rows, filled)]
     write_jsonl(tmp_path / "catalog.jsonl", stored)
-    full = load_catalog(catalog)
+    full = read_catalog(catalog)
     assert docs == with_candidates(full, load_dataset(dataset), names=False)
 
 
@@ -615,7 +619,7 @@ def test_catalog_keeps_only_reachable_records(corpus_dir, tmp_path):
     _, docs = _load_context(args, [_resolve_run_config(args, args.method)])
     surfaces = {m.surface for doc in docs for m in doc.mentions}
     names = {" ".join(surface.casefold().split()) for surface in surfaces}
-    full = load_catalog(str(padded))
+    full = read_catalog(str(padded))
     hits = {rec.qid for surface in surfaces for rec in reference_hits(full, surface)}
     reachable = {
         rec.qid for rec in full if rec.qid in hits or " ".join(rec.name.casefold().split()) in names
@@ -1167,5 +1171,10 @@ def test_context_weighting_is_ignored_by_methods_without_embeddings(corpus_dir, 
 
 def test_context_weighting_without_words_still_exits_4_for_eigen(corpus_dir, tmp_path, capsys):
     args = link_args(corpus_dir, str(tmp_path / "x"), method="eigen")
-    assert main(args + ["--weighting", "local_ctxt_rr"]) == 4
-    assert capsys.readouterr().err.startswith("error: context-based methods")
+    args += ["--weighting", "local_ctxt_rr"]
+    for extra in ([], ["--descriptions", f"{corpus_dir}/descriptions.jsonl"]):
+        assert main(args + extra) == 4
+        assert capsys.readouterr().err == (
+            "error: context-based methods and weightings need word embeddings "
+            "and entity descriptions\n"
+        )

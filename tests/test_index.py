@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigenlink.index import CandidateCollector, CandidateList, candidate_lists, tokenize
-from eigenlink.kg import EntityRecord, load_catalog
-from tests.conftest import make_catalog
+from eigenlink.kg import catalog_lines
+from tests.conftest import Line, make_catalog
 
 
 def test_tokenize_whitespace():
@@ -93,18 +93,29 @@ def test_collector_hits_name_and_alias_tokens(mj_catalog):
     assert lists["i"].candidates == ["Q3308285"]
 
 
-def test_offer_reports_whether_the_record_is_a_hit(mj_catalog):
-    collector = CandidateCollector(["michael", "mj", "absent"], T=1)
-    assert all(collector.offer(r.qid, r.name, r.aliases, r.degree) for r in mj_catalog)
-    assert not collector.offer("Q9", "present", ["mike", "michaels"], 1)
-    assert collector.offer("Q10", "present", ["Absent minded"], 1)
+def test_offer_keeps_only_hits(mj_catalog):
+    collector = CandidateCollector(["michael", "mj", "absent"], T=5)
+    for line in mj_catalog:
+        collector.offer(*line)
+    collector.offer("Q9", "present", ["mike", "michaels"], 1)
+    collector.offer("Q10", "present", ["Absent minded"], 1)
+    assert {s: cl.candidates for s, cl in collector.lists().items()} == {
+        "michael": ["Q2831", "Q41421", "Q3308285"],
+        "mj": ["Q2831"],
+        "absent": ["Q10"],
+    }
     nothing = CandidateCollector([], T=1, names=True)
-    assert not any(nothing.offer(r.qid, r.name, r.aliases, r.degree) for r in mj_catalog)
+    for line in mj_catalog:
+        nothing.offer(*line)
     assert nothing.lists() == nothing.name_matches() == {}
     by_name = CandidateCollector(["!!!", "MICHAEL  JORDAN"], T=1, names=True)
-    assert not by_name.offer("Q8", "!!", [], 1)
-    assert by_name.offer("Q9", "!!!", [], 1)  # a name match, though it has no token
-    assert by_name.offer("Q41421", "michael jordan", [], 9)
+    by_name.offer("Q8", "!!", [], 1)
+    by_name.offer("Q9", "!!!", [], 1)  # a name match, though it has no token
+    by_name.offer("Q41421", "michael jordan", [], 9)
+    assert by_name.name_matches() == {
+        "!!!": CandidateList(["Q9"], [1]),
+        "MICHAEL  JORDAN": CandidateList(["Q41421"], [9]),
+    }
     assert CandidateCollector(["!!!"], T=1).name_matches() is None
 
 
@@ -198,7 +209,7 @@ def test_oracle_recall_planted_misses():
     catalog, vocab, rng = synthetic_catalog(n=100, seed=9)
     tasks = []
     for i in range(20):
-        rec = catalog.get(f"Q{i}")
+        rec = catalog[i]
         gold = rec.qid if i >= 3 else "Q_absent"  # plant 3 misses
         tasks.append((rec.name, gold))
     assert recall(tasks, catalog, T=10**9) == pytest.approx(0.85)
@@ -208,7 +219,7 @@ def test_recall_monotone_in_T():
     catalog, vocab, rng = synthetic_catalog(n=400, seed=21)
     tasks = []
     for i in range(120):
-        rec = catalog.get(f"Q{rng.randrange(400)}")
+        rec = catalog[rng.randrange(400)]
         tasks.append((rec.name, rec.qid))
     values = [recall(tasks, catalog, T=T) for T in (1, 2, 5, 10, 20, 10**9)]
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
@@ -256,30 +267,20 @@ def final_degree(row, edges) -> int:
 @given(case=catalog_files())
 def test_collector_lists_equal_the_brute_force_reference(case):
     rows, edges, surfaces, T = case
-    collector = CandidateCollector(surfaces, T, names=True)
     with tempfile.TemporaryDirectory() as tmp:
         catalog_path, edges_path = Path(tmp) / "catalog.jsonl", Path(tmp) / "edges.tsv"
         catalog_path.write_text("".join(json.dumps(row) + "\n" for row in rows))
         if edges is not None:
             edges_path.write_text("".join(f"{a}\t{b}\n" for a, b in edges))
-        hits = load_catalog(
-            str(catalog_path),
-            edges_path=None if edges is None else str(edges_path),
-            keep=collector.offer,
-        )
+        lines = catalog_lines(str(catalog_path), None if edges is None else str(edges_path))
+        lists, name_matches = candidate_lists(lines, surfaces, T)
     records = [
-        EntityRecord(row["qid"], row["name"], row["aliases"], final_degree(row, edges))
-        for row in rows
+        Line(row["qid"], row["name"], row["aliases"], final_degree(row, edges)) for row in rows
     ]
-    lists, name_matches = collector.lists(), collector.name_matches()
     assert set(lists) == set(name_matches) == set(surfaces)
     for surface in surfaces:
         assert lists[surface] == reference_list(records, surface, T)
         assert name_matches[surface] == reference_name_matches(records, surface)
-    named = {qid for s in surfaces for qid in reference_name_matches(records, s).candidates}
-    assert list(hits) == [
-        r for r in records if r.qid in named or any(reference_hits([r], s) for s in surfaces)
-    ]
 
 
 # Letters whose lowercase depends on their neighbours or changes length,

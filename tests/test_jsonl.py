@@ -12,8 +12,9 @@ from eigenlink.cli import _read_config_file
 from eigenlink.dataset import load_dataset
 from eigenlink.errors import EigenlinkError, FormatError
 from eigenlink.evaluation import read_predictions
-from eigenlink.kg import load_catalog, load_edges
+from eigenlink.kg import load_edges
 from eigenlink.weighting import load_descriptions
+from tests.conftest import read_catalog
 
 
 def read_rows(path):
@@ -61,7 +62,7 @@ def test_bad_line_names_its_line(tmp_path, raw, message):
     "load,rows,message",
     [
         (
-            load_catalog,
+            read_catalog,
             ['{"qid": "Q1", "name": "a"}', '{"qid": "Q2", "name": "b", "name": "c"}'],
             "line 2: key 'name' is given twice",
         ),
@@ -77,7 +78,7 @@ def test_bad_line_names_its_line(tmp_path, raw, message):
             "line 2: key 'qid' is given twice",
         ),
         (
-            load_catalog,
+            read_catalog,
             ['{"qid": "Q1", "name": "a"}', '{"qid": "Q2", "n\\u0061me": "b", "name": "b"}'],
             "line 2: key 'name' is given twice",
         ),
@@ -152,7 +153,7 @@ def test_crlf_edge_list_parses_like_lf(tmp_path):
 
 VALID_FILES = {
     "catalog": (
-        load_catalog,
+        read_catalog,
         '{"qid": "Q1", "name": "acme corp", "aliases": ["acme"], "degree": 3}\n'
         '{"qid": "Q2", "name": "beta labs", "degree": 1}\n',
     ),

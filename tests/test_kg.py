@@ -4,7 +4,7 @@ import random
 import pytest
 
 from eigenlink.errors import FormatError, IntegrityError
-from eigenlink.kg import compute_degrees, load_catalog, load_edges
+from eigenlink.kg import catalog_lines, compute_degrees, load_edges
 
 
 def write_lines(path, rows):
@@ -22,30 +22,29 @@ def test_load_two_entities(tmp_path):
             {"qid": "Q3308285", "name": "Michael Jordan", "degree": 40},
         ],
     )
-    catalog = load_catalog(str(path))
-    assert catalog.count == 2
-    assert catalog.get("Q41421").degree == 900
-    assert catalog.get("Q3308285").aliases == []
-    assert catalog.get("Q3308285").name == "Michael Jordan"
+    assert list(catalog_lines(str(path))) == [
+        ("Q41421", "Michael Jordan", ["MJ"], 900),
+        ("Q3308285", "Michael Jordan", [], 40),
+    ]
 
 
 def test_empty_file(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
-    assert load_catalog(str(path)).count == 0
+    assert list(catalog_lines(str(path))) == []
 
 
 def test_missing_degree_defaults_to_zero(tmp_path):
     path = tmp_path / "catalog.jsonl"
     write_lines(path, [{"qid": "Q1", "name": "x"}])
-    assert load_catalog(str(path)).get("Q1").degree == 0
+    assert list(catalog_lines(str(path))) == [("Q1", "x", [], 0)]
 
 
 def test_duplicate_qid_rejected(tmp_path):
     path = tmp_path / "catalog.jsonl"
     write_lines(path, [{"qid": "Q1", "name": "a"}, {"qid": "Q1", "name": "b"}])
     with pytest.raises(IntegrityError):
-        load_catalog(str(path))
+        list(catalog_lines(str(path)))
 
 
 @pytest.mark.parametrize(
@@ -63,7 +62,7 @@ def test_malformed_records_rejected(tmp_path, row):
     path = tmp_path / "catalog.jsonl"
     write_lines(path, [row])
     with pytest.raises(FormatError) as exc:
-        load_catalog(str(path))
+        list(catalog_lines(str(path)))
     assert "line 1" in str(exc.value)
 
 
@@ -71,7 +70,7 @@ def test_invalid_json_reports_line_number(tmp_path):
     path = tmp_path / "catalog.jsonl"
     path.write_text('{"qid": "Q1", "name": "ok"}\n{{{\n')
     with pytest.raises(FormatError) as exc:
-        load_catalog(str(path))
+        list(catalog_lines(str(path)))
     assert "line 2" in str(exc.value)
 
 
@@ -88,13 +87,9 @@ def test_thousand_record_roundtrip(tmp_path):
     ]
     path = tmp_path / "catalog.jsonl"
     write_lines(path, rows)
-    catalog = load_catalog(str(path))
-    assert catalog.count == 1000
-    for i in rng.sample(range(1000), 25):
-        rec = catalog.get(f"Q{i}")
-        assert rec.name == rows[i]["name"]
-        assert rec.aliases == rows[i].get("aliases", [])
-        assert rec.degree == rows[i]["degree"]
+    assert list(catalog_lines(str(path))) == [
+        (row["qid"], row["name"], row["aliases"], row["degree"]) for row in rows
+    ]
 
 
 def test_degrees_path_graph():
@@ -156,10 +151,9 @@ def test_edge_list_file_and_supplied_degree_precedence(tmp_path):
     edges_path.write_text("a\tb\nb\tc\n")
     assert load_edges(str(edges_path)) == [("a", "b"), ("b", "c")]
 
-    catalog = load_catalog(str(catalog_path), edges_path=str(edges_path))
-    assert catalog.get("a").degree == 99  # explicit value wins
-    assert catalog.get("b").degree == 2
-    assert catalog.get("c").degree == 1
+    lines = catalog_lines(str(catalog_path), edges_path=str(edges_path))
+    # the explicit value wins
+    assert list(lines) == [("a", "a", [], 99), ("b", "b", [], 2), ("c", "c", [], 1)]
 
 
 def test_bad_edge_line(tmp_path):

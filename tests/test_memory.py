@@ -10,6 +10,7 @@ from eigenlink import baselines, cli, index, kg
 from eigenlink.cli import _load_context, _resolve_run_config, build_parser, main
 from eigenlink.index import CandidateList
 from eigenlink.pipeline import METHODS
+from tests.conftest import read_catalog
 from tests.test_index import reference_list, reference_name_matches
 
 CORPUS_CFG = "docs=30,mentions_per_doc=8,candidates_per_mention=10,d=64,seed=5"
@@ -74,42 +75,37 @@ def test_catalog_is_loaded_only_for_methods_that_read_it(corpus_dir, tmp_path, m
 
 
 @pytest.fixture
-def made_records(monkeypatch):
-    """The qid of every EntityRecord made, and the number of names normalized."""
-    made = {"records": [], "names": 0}
-    record, normalize_name = kg.EntityRecord, index.normalize_name
-
-    def counting_record(*args, **kwargs):
-        made["records"].append(args[0])
-        return record(*args, **kwargs)
+def normalized_names(monkeypatch):
+    """The number of names normalized, counted as they are."""
+    made = {"names": 0}
+    normalize_name = index.normalize_name
 
     def counting_name(name):
         made["names"] += 1
         return normalize_name(name)
 
-    monkeypatch.setattr(kg, "EntityRecord", counting_record)
     monkeypatch.setattr(index, "normalize_name", counting_name)
     return made
 
 
 @pytest.mark.parametrize("method", [*METHODS, "mutilate"])
 def test_no_record_is_made_for_a_method_that_does_not_read_the_catalog(
-    corpus_dir, tmp_path, made_records, method
+    corpus_dir, tmp_path, normalized_names, method
 ):
+    # No catalog line is kept for any method (test_the_catalog_pass_holds_8_bytes_a_line).
     if method == "mutilate":
         args = run_args(corpus_dir, str(tmp_path / "x"), "mutilate", "eigen,degree,namematch")
         assert main(args) == 0
     else:
         args = build_parser().parse_args(run_args(corpus_dir, str(tmp_path / "x"), method=method))
         _load_context(args, [_resolve_run_config(args, method)])
-    assert made_records["records"] == []
     # Names are normalized only when a namematch run needs its name matches.
-    assert (made_records["names"] > 0) == (method in ("namematch", "mutilate"))
+    assert (normalized_names["names"] > 0) == (method in ("namematch", "mutilate"))
 
 
 @pytest.mark.parametrize("methods,kept", [("eigen,avg", False), ("eigen,degree", True)])
 def test_mutilate_keeps_the_catalog_when_any_method_reads_it(
-    corpus_dir, tmp_path, monkeypatch, made_records, methods, kept
+    corpus_dir, tmp_path, monkeypatch, methods, kept
 ):
     # What mutilate keeps of the catalog is each candidate's degree, on the
     # mentions: no run's context holds a catalog, and only degree reads them.
@@ -131,7 +127,6 @@ def test_mutilate_keeps_the_catalog_when_any_method_reads_it(
     monkeypatch.setattr(cli, "run_documents", recording)
     monkeypatch.setattr(baselines, "degree_baseline", reading)
     assert main(run_args(corpus_dir, str(tmp_path / "x"), "mutilate", methods)) == 0
-    assert made_records["records"] == []
     assert reads == [False, kept]
 
 
@@ -163,7 +158,7 @@ def test_kept_records_are_the_candidate_hits_and_the_name_hits(tmp_path, method)
     args = build_parser().parse_args(args + ["--out", str(tmp_path / "x")])
     _, (doc,) = _load_context(args, [_resolve_run_config(args, method)])
 
-    full = kg.load_catalog(str(catalog))
+    full = read_catalog(str(catalog))
     attached = {m.surface: (m.candidates, m.name_matches) for m in doc.mentions}
     # Candidate degrees are kept only for a degree run, which reads them.
     degrees = method == "degree"
@@ -180,3 +175,27 @@ def test_kept_records_are_the_candidate_hits_and_the_name_hits(tmp_path, method)
         kept = {q for lists in attached.values() for cl in lists for q in cl.candidates}
         assert kept == {"Q1", "Q2", "Q3", "Q5", "Q6"}
         assert attached["Straße"][1] == CandidateList(["Q6"], [2])
+
+
+def catalog_pass_peak(path) -> int:
+    """The tracemalloc peak of one catalog pass that makes HIT_SURFACES' candidates."""
+    tracemalloc.start()
+    try:
+        index.candidate_lists(kg.catalog_lines(path), HIT_SURFACES)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_catalog_pass_holds_8_bytes_a_line(tmp_path):
+    # Past its hits, the pass keeps of each line only the duplicate check's hash.
+    n = 5000
+    peaks = []
+    for lines in (n, 4 * n):
+        path = tmp_path / f"catalog-{lines}.jsonl"
+        misses = [{"qid": f"M{i}", "name": f"miss {i}", "degree": i % 7} for i in range(lines)]
+        rows = HIT_CATALOG + misses[len(HIT_CATALOG) :]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        catalog_pass_peak(str(path))  # one-time allocations stay out of the peaks
+        peaks.append(catalog_pass_peak(str(path)))
+    assert peaks[1] - peaks[0] <= 9 * 3 * n

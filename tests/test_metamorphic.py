@@ -18,9 +18,8 @@ from hypothesis import strategies as st
 from eigenlink.cli import main
 from eigenlink.dataset import load_dataset
 from eigenlink.index import tokenize
-from eigenlink.kg import load_catalog
 from eigenlink.pipeline import METHODS
-from tests.conftest import with_candidates
+from tests.conftest import read_catalog, with_candidates
 
 INPUTS = {
     "--dataset": "dataset.jsonl",
@@ -153,11 +152,12 @@ def test_degree_ties_are_ordered_by_qid_whatever_the_catalog_order(small_corpus,
     docs = load_dataset(f"{forward}/dataset.jsonl")
     lists = []
     for corpus in (forward, backward):
-        catalog = load_catalog(f"{corpus}/catalog.jsonl")
+        catalog = read_catalog(f"{corpus}/catalog.jsonl")
         attached = with_candidates(catalog, docs)
         lists.append([m.candidates for doc in attached for m in doc.mentions])
     assert lists[0] == lists[1]
-    degrees = [[catalog.records[q].degree for q in c.candidates] for c in lists[0]]
+    degree_of = {line.qid: line.degree for line in catalog}
+    degrees = [[degree_of[q] for q in c.candidates] for c in lists[0]]
     assert any(len(set(d)) < len(d) for d in degrees)  # the ties are real
     for candidates, degree in zip(lists[0], degrees):
         order = list(zip((-x for x in degree), candidates.candidates))

@@ -11,6 +11,7 @@ KNOWN_MISSING = {
     ("eigenlink.linalg", "symmetric_eigh"),
     ("eigenlink.index", "build_index"),
     ("eigenlink.linalg", "weighted_sscp"),
+    ("eigenlink.kg", "load_catalog"),
 }
 
 

@@ -3,30 +3,42 @@
 The reference reads the raw files itself. Candidates come from the
 brute-force oracle in tests/test_index.py. Then, per document:
 
+- each mention's context vector is the mean word vector of the document
+  tokens within ``window`` positions of the mention's own, which is not
+  one of them (local), or of the document's ``nouns``, else of all its
+  tokens (global; synth tokens hold no function words); tokens without
+  a word vector add nothing, and a context without any is empty;
+- a description's vector is the mean word vector of its tokens, split
+  as mentions are; a description without a known word has none;
 - the document matrix is the union of the mentions' candidates that have
   an embedding, as unit rows, each weighted by the largest weight it earns
   from any mention: 1 under ``none``, ``rank**(-delta)`` of its position
-  in that mention's list under ``degree_rr``;
+  in that mention's list under ``degree_rr``, and of its position when
+  the list is ranked by context cosine under ``local_ctxt_rr`` and
+  ``global_ctxt_rr``;
 - ``eigen`` scores a unit row e by ``||(e V_k) * sigma_k||``, from the thin
   SVD of the weighted rows, with the directions whose
   ``sigma_i**2 <= 1e-10 * sigma_1**2`` dropped and at most k kept;
 - ``avg`` scores it by its cosine with the weighted centroid, 0 when the
   centroid is (near) zero;
 - a candidate without an embedding scores -inf;
+- ``local`` and ``global`` score each candidate by the cosine of its
+  description vector with the mention's context vector, -inf without a
+  description vector; an empty context scores every candidate 0, so the
+  context ranking of a ``*_ctxt_rr`` weighting is then the degree order;
 - ``degree`` scores each candidate by its degree, and ``namematch`` does
   the same over the mention's exact name matches.
 
 Each pool is ranked by score, descending, ties keeping degree order. An
-``eigen`` or ``avg`` pool without a finite, non-zero score is ranked by
-degree alone.
-
-The context methods and weightings are not covered yet.
+``eigen``, ``avg``, ``local`` or ``global`` pool without a finite,
+non-zero score is ranked by degree alone.
 """
 
 import csv
 import json
 import math
 import os
+import re
 import shutil
 from types import SimpleNamespace
 
@@ -42,8 +54,16 @@ from tests.test_index import reference_list, reference_name_matches
 # is not compared.
 SCORE_RTOL = 1e-9
 RANK_TOL = 1e-10
-METHODS = ("eigen", "avg", "degree", "namematch")
-WEIGHTINGS = ("none", "degree_rr")
+# Each method with the weightings it is compared under: local, global,
+# degree and namematch read no weighting.
+WEIGHTINGS = ("none", "degree_rr", "local_ctxt_rr", "global_ctxt_rr")
+RUNS = [
+    *((method, w) for method in ("eigen", "avg") for w in WEIGHTINGS),
+    *((method, w) for method in ("degree", "namematch") for w in WEIGHTINGS[:2]),
+    ("local", "none"),
+    ("global", "none"),
+]
+CONTEXT_MODE = {"local_ctxt_rr": "local", "global_ctxt_rr": "global"}
 
 
 def read_records(path):
@@ -68,16 +88,69 @@ def read_vectors(path):
         }
 
 
+def mean_vector(tokens, words):
+    """The mean of the tokens' word vectors, or None when no token has one."""
+    vecs = [words[t] for t in tokens if t in words]
+    return np.mean(vecs, axis=0) if vecs else None
+
+
+def read_descriptions(path, words):
+    """Each description's vector: the mean word vector of its lowercased alphanumeric runs."""
+    with open(path, encoding="utf-8") as fh:
+        rows = [json.loads(line) for line in fh if line.strip()]
+    vectors = {}
+    for row in rows:
+        vec = mean_vector(re.findall(r"[^\W_]+", row["description"].lower()), words)
+        if vec is not None:
+            vectors[row["qid"]] = vec
+    return vectors
+
+
+def context_vector(doc, mention, words, mode, window):
+    tokens = doc["tokens"]
+    if mode == "global":
+        return mean_vector(doc.get("nouns", tokens), words)
+    at = mention.get("position", 0)
+    return mean_vector(tokens[max(0, at - window) : at] + tokens[at + 1 : at + window + 1], words)
+
+
 def unit(v):
     norm = math.sqrt(float(v @ v))
     return v / norm if norm > 1e-12 else v
 
 
-def entity_scores(method, lists, vectors, weighting, k, delta):
-    """Each embedded candidate's score in one document."""
+def cosine(a, b):
+    return float(a @ b) / (math.sqrt(float(a @ a)) * math.sqrt(float(b @ b)))
+
+
+def context_pool(candidates, context, descriptions):
+    """(qid, cosine of its description with the context), in degree order.
+
+    An empty context scores every candidate 0; otherwise a candidate
+    without a description vector scores -inf.
+    """
+    if context is None:
+        return [(qid, 0.0) for qid in candidates]
+    return [
+        (qid, cosine(descriptions[qid], context) if qid in descriptions else -math.inf)
+        for qid in candidates
+    ]
+
+
+def ranked(pool):
+    """The pool's qids by score descending, ties keeping degree order."""
+    return [qid for qid, _ in sorted(pool, key=lambda pair: -pair[1])]
+
+
+def entity_scores(method, orders, vectors, weighting, k, delta):
+    """Each embedded candidate's score in one document.
+
+    ``orders`` gives each mention's candidates in the order its weights
+    are read from.
+    """
     weight = {}
-    for cl in lists:
-        for rank, qid in enumerate(cl.candidates, 1):
+    for order in orders:
+        for rank, qid in enumerate(order, 1):
             if qid in vectors:
                 w = 1.0 if weighting == "none" else rank ** (-delta)
                 weight[qid] = max(weight.get(qid, w), w)
@@ -100,25 +173,37 @@ def entity_scores(method, lists, vectors, weighting, k, delta):
     return dict(zip(ids, scores))
 
 
-def reference_link(corpus, method, weighting, T, k, delta):
+def reference_link(corpus, method, weighting, T, k, delta, window):
     """{(doc_id, mention index): (predicted qid, bucket, rank of gold, ranking)}."""
     records = read_records(f"{corpus}/catalog.jsonl")
     degree = {r.qid: r.degree for r in records}
     vectors = read_vectors(f"{corpus}/embeddings.txt")
+    words = read_vectors(f"{corpus}/words.txt")
+    descriptions = read_descriptions(f"{corpus}/descriptions.jsonl", words)
     with open(f"{corpus}/dataset.jsonl", encoding="utf-8") as fh:
         docs = [json.loads(line) for line in fh if line.strip()]
+    mode = method if method in ("local", "global") else CONTEXT_MODE.get(weighting)
     out = {}
     for doc in docs:
         lists = [reference_list(records, m["surface"], T) for m in doc["mentions"]]
+        contexts = [
+            mode and context_vector(doc, m, words, mode, window) for m in doc["mentions"]
+        ]
         if method in ("eigen", "avg"):
-            score_of = entity_scores(method, lists, vectors, weighting, k, delta)
-        for i, (m, cl) in enumerate(zip(doc["mentions"], lists)):
+            orders = [
+                ranked(context_pool(cl.candidates, c, descriptions)) if mode else cl.candidates
+                for cl, c in zip(lists, contexts)
+            ]
+            score_of = entity_scores(method, orders, vectors, weighting, k, delta)
+        for i, (m, cl, context) in enumerate(zip(doc["mentions"], lists, contexts)):
             if method == "namematch":
                 pool = reference_name_matches(records, m["surface"]).candidates
             else:
                 pool = cl.candidates
             if method in ("degree", "namematch"):
                 scored = [(qid, float(degree[qid])) for qid in pool]
+            elif method in ("local", "global"):
+                scored = context_pool(pool, context, descriptions)
             else:
                 scored = [(qid, score_of.get(qid, -math.inf)) for qid in pool]
             if method in ("degree", "namematch") or any(
@@ -180,11 +265,13 @@ def check_run(got, want, exact):
 
 @st.composite
 def corpora(draw):
-    """Synth settings plus extra entities named after mentions.
+    """Synth settings plus extra entities named after mentions, and the documents' nouns.
 
     An extra has a zero vector, a random one or none, so pools hold
-    candidates without embeddings; a "solo" mention added to a document
-    has only extras as candidates, often none with an embedding.
+    candidates without embeddings, and a description of known words, of
+    unknown ones or none; a "solo" mention added to a document has only
+    extras as candidates, often none with an embedding or description.
+    The documents carry no nouns, some of their tokens, or none at all.
     """
     synth = {
         "docs": draw(st.integers(1, 3)),
@@ -208,19 +295,23 @@ def corpora(draw):
                 st.booleans(),  # upper case
                 st.sampled_from([0, 10, 20, 45]),
                 st.sampled_from([None, "zero", "random"]),
+                st.sampled_from([None, "known", "unknown"]),  # description
             ),
             max_size=5,
         )
     )
+    nouns = draw(st.sampled_from([None, "some", "empty"]))
     run = {
         "T": draw(st.integers(1, 6)),
         "k": draw(st.integers(1, 4)),
         "delta": draw(st.sampled_from([0.5, 1.0, 2.0])),
+        "window": draw(st.integers(1, 3)),
     }
-    return synth, extras, run
+    return synth, (extras, nouns), run
 
 
-def write_corpus(path, synth, extras):
+def write_corpus(path, synth, additions):
+    extras, nouns = additions
     if os.path.isdir(path):
         shutil.rmtree(path)
     config = ",".join(f"{key}={value}" for key, value in synth.items())
@@ -231,8 +322,8 @@ def write_corpus(path, synth, extras):
         header, *vectors = fh.readlines()
     dim = int(header.split()[1])
     rng = np.random.default_rng(synth["seed"])
-    catalog = []
-    for n, (solo, which, spelling, upper, degree, vector) in enumerate(extras):
+    catalog, descriptions = [], []
+    for n, (solo, which, spelling, upper, degree, vector, about) in enumerate(extras):
         if solo:
             surface = f"solo{which % 2}"
             doc = docs[which % len(docs)]
@@ -247,8 +338,15 @@ def write_corpus(path, synth, extras):
         if vector is not None:
             values = np.zeros(dim) if vector == "zero" else rng.standard_normal(dim)
             vectors.append(f"X{n} " + " ".join(repr(float(v)) for v in values) + "\n")
-    with open(f"{path}/catalog.jsonl", "a", encoding="utf-8") as fh:
-        fh.writelines(json.dumps(row) + "\n" for row in catalog)
+        if about is not None:
+            text = f"W{n:03d}, w{which % 20:03d}." if about == "known" else "no such words"
+            descriptions.append({"qid": f"X{n}", "description": text})
+    for doc in docs:
+        if nouns is not None:
+            doc["nouns"] = doc["tokens"][::3] if nouns == "some" else []
+    for name, rows in (("catalog", catalog), ("descriptions", descriptions)):
+        with open(f"{path}/{name}.jsonl", "a", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(row) + "\n" for row in rows)
     with open(f"{path}/embeddings.txt", "w", encoding="utf-8") as fh:
         fh.write(f"{len(vectors)} {dim}\n")
         fh.writelines(vectors)
@@ -262,27 +360,36 @@ NO_SIGNAL = (
     {"docs": 1, "mentions_per_doc": 1, "candidates_per_mention": 2, "d": 4, "rank": 1,
      "seed": 0, "easy_fraction": 0.0, "miss_fraction": 0.0, "doc_length": 12,
      "vocab_size": 20, "word_dim": 2},
-    [(True, 0, "{}", False, 0, None), (True, 0, "{}", False, 0, "zero")],
-    {"T": 2, "k": 1, "delta": 0.5},
+    ([(True, 0, "{}", False, 0, None, None), (True, 0, "{}", False, 0, "zero", "known")], None),
+    {"T": 2, "k": 1, "delta": 0.5, "window": 1},
+)
+
+
+# An empty global context beside a top-degree candidate without a description.
+NO_CONTEXT = (
+    NO_SIGNAL[0],
+    ([(True, 0, "{}", False, 45, None, None), (True, 0, "{}", False, 0, "random", "known")],
+     "empty"),
+    NO_SIGNAL[2],
 )
 
 
 @settings(max_examples=25, deadline=None)
 @given(case=corpora())
 @example(case=NO_SIGNAL)
+@example(case=NO_CONTEXT)
 def test_link_agrees_with_the_reference_linker(tmp_path_factory, case):
-    synth, extras, run = case
+    synth, additions, run = case
     root = tmp_path_factory.getbasetemp() / "reference_linker"
     corpus = str(root / "corpus")
-    write_corpus(corpus, synth, extras)
-    for method in METHODS:
-        for weighting in WEIGHTINGS:
-            out = str(root / f"{method}-{weighting}")
-            args = ["link", "--method", method, "--weighting", weighting, "--out", out]
-            for flag in ("dataset", "catalog"):
-                args += [f"--{flag}", f"{corpus}/{flag}.jsonl"]
-            args += ["--embeddings", f"{corpus}/embeddings.txt"]
-            args += [arg for key, value in run.items() for arg in (f"--{key}", str(value))]
-            assert main(args) == 0
-            want = reference_link(corpus, method, weighting, **run)
-            check_run(read_run(f"{out}/predictions.csv"), want, method in ("degree", "namematch"))
+    write_corpus(corpus, synth, additions)
+    for method, weighting in RUNS:
+        out = str(root / f"{method}-{weighting}")
+        args = ["link", "--method", method, "--weighting", weighting, "--out", out]
+        for flag in ("dataset", "catalog", "descriptions"):
+            args += [f"--{flag}", f"{corpus}/{flag}.jsonl"]
+        args += ["--embeddings", f"{corpus}/embeddings.txt", "--words", f"{corpus}/words.txt"]
+        args += [arg for key, value in run.items() for arg in (f"--{key}", str(value))]
+        assert main(args) == 0
+        want = reference_link(corpus, method, weighting, **run)
+        check_run(read_run(f"{out}/predictions.csv"), want, method in ("degree", "namematch"))

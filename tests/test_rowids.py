@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from eigenlink import embeddings, jsonl
 from eigenlink.embeddings import load_embeddings
 from eigenlink.errors import EigenlinkError
-from eigenlink.kg import load_catalog
+from eigenlink.kg import catalog_lines
 from eigenlink.rowids import RowIds
 from eigenlink.weighting import load_descriptions
+from tests.conftest import read_catalog
 
 MALFORMED = "malformed"
 NOT_UTF8 = "not-utf8"
@@ -22,7 +23,7 @@ NOT_UTF8 = "not-utf8"
 # loader, a valid row for a qid, a malformed row; embedding files start with a header
 LOADERS = {
     "catalog": (
-        load_catalog,
+        read_catalog,
         lambda qid: json.dumps({"qid": qid, "name": f"name {qid}"}),
         '{"qid": "Q9"}',
     ),
@@ -174,17 +175,16 @@ def traced_peak(load) -> int:
 @pytest.mark.parametrize("kind", ["catalog", "embeddings"])
 def test_check_costs_at_most_32_bytes_per_dropped_row(tmp_path, kind):
     kept = [f"K{i}" for i in range(10)]
-    keep = {
-        "catalog": lambda qid, name, aliases, degree: name.startswith("name K"),
-        "embeddings": set(kept),
+    load = {
+        "catalog": lambda path: [line for line in catalog_lines(path) if line[0] in kept],
+        "embeddings": lambda path: load_embeddings(path, keep=set(kept)),
     }[kind]
-    load = LOADERS[kind][0]
     n = 5000
     peaks = []
     for padding in (n, 4 * n):
         path = write(tmp_path, kind, kept + [f"Q{i:07d}" for i in range(padding)])
-        load(path, keep=keep)  # one-time allocations, such as lazy imports, stay out of the peaks
-        peaks.append(traced_peak(lambda: load(path, keep=keep)))
+        load(path)  # one-time allocations, such as lazy imports, stay out of the peaks
+        peaks.append(traced_peak(lambda: load(path)))
     assert peaks[1] - peaks[0] <= 32 * 3 * n
 
 
@@ -216,7 +216,7 @@ BAD_MESSAGES = {
 }
 # The identifiers a loader kept, in file order.
 KEPT = {
-    "catalog": lambda catalog: list(catalog.records),
+    "catalog": lambda lines: [line.qid for line in lines],
     "descriptions": list,
     "embeddings": lambda store: list(store.identifiers()),
 }

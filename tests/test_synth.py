@@ -177,7 +177,7 @@ def test_emitted_files_parse(tmp_path):
     out = tmp_path / "corpus"
     manifest = generate(SynthConfig(**SMALL), str(out))
     corpus = load_corpus(str(out), manifest)
-    assert corpus.catalog.count == len(corpus.store)
+    assert len(corpus.catalog) == len(corpus.store)
     docs = load_dataset(str(out / "dataset.jsonl"))
     assert len(docs) == SMALL["docs"]
     with open(out / "manifest.json") as fh:
