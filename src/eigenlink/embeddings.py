@@ -134,7 +134,7 @@ def _parse_block(ids, rests, linenos, dim: int, seen: RowIds) -> np.ndarray:
         except ValueError:
             values = None
         if values is not None and values.shape == (len(ids), dim) and np.isfinite(values).all():
-            seen.extend(ids, linenos)
+            seen.extend(ids, linenos[0], linenos[-1])
             return values
     return _check_rows(ids, rests, linenos, dim, seen)
 

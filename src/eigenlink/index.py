@@ -92,31 +92,47 @@ class CandidateCollector:
         self._name_hits = {name: [] for name in self._names.values()} if names else {}
 
     def offer(self, qid: str, name: str, aliases: list[str], degree: int) -> None:
-        """Add the entity to the hits of each token set its name or one alias holds.
+        """``collect`` one entity."""
+        self.collect([(qid, name, aliases, degree)])
+
+    def collect(self, lines: Iterable[tuple[str, str, list[str], int]]) -> None:
+        """Add each ``(qid, name, aliases, degree)`` entity to the hits of each token
+        set its name or one alias holds.
 
         With ``names``, an entity whose normalized name is a surface's is a
-        name match too. Each text is tokenized once.
+        name match too. The name and aliases are tokenized together first,
+        and only an entity with a lookup token is tokenized text by text,
+        so the loop makes no Python-level call for any other entity.
         """
-        matched = set()
-        for text in (name, *aliases):
-            found = _TOKEN_RE.findall(text.lower())  # tokenize(text), inlined for speed
-            if self._lookup_tokens.isdisjoint(found):
+        findall = _TOKEN_RE.findall
+        disjoint = self._lookup_tokens.isdisjoint
+        by_token, all_hits, name_hits = self._by_token, self._hits, self._name_hits
+        T = self.T
+        for qid, name, aliases, degree in lines:
+            if name_hits:
+                hits = name_hits.get(" ".join(name.casefold().split()))  # normalize_name(name)
+                if hits is not None:
+                    hits.append((-degree, qid))
+            # The tokens of the name and aliases joined by " ", which splits
+            # tokens. Whitespace is not alphanumeric, so when all else is,
+            # they are the whitespace-split words, found without the regex.
+            text = (" ".join((name, *aliases)) if aliases else name).lower()
+            words = text.split()
+            if disjoint(words if "".join(words).isalnum() else findall(text)):
                 continue
-            found = set(found)
-            for token in found:
-                for tokens in self._by_token.get(token, ()):
-                    if tokens <= found:
-                        matched.add(tokens)
-        for tokens in matched:
-            hits = self._hits.setdefault(tokens, [])
-            hits.append((-degree, qid))
-            if len(hits) > 2 * self.T:
-                hits.sort()
-                del hits[self.T + 1 :]
-        if self._name_hits:
-            name_hits = self._name_hits.get(normalize_name(name))
-            if name_hits is not None:
-                name_hits.append((-degree, qid))
+            matched = set()
+            for text in (name, *aliases):
+                found = set(findall(text.lower()))  # tokenize(text), inlined
+                for token in found:
+                    for tokens in by_token.get(token, ()):
+                        if tokens <= found:
+                            matched.add(tokens)
+            for tokens in matched:
+                hits = all_hits.setdefault(tokens, [])
+                hits.append((-degree, qid))
+                if len(hits) > 2 * T:
+                    hits.sort()
+                    del hits[T + 1 :]
 
     def lists(self) -> dict[str, CandidateList]:
         """Each surface's candidates; surfaces with the same token set share one list."""
@@ -154,6 +170,5 @@ def candidate_lists(
     are None.
     """
     collector = CandidateCollector(surfaces, T, names=names, degrees=degrees)
-    for qid, name, aliases, degree in lines:
-        collector.offer(qid, name, aliases, degree)
+    collector.collect(lines)
     return collector.lists(), collector.name_matches()

@@ -14,7 +14,7 @@ from typing import Any, BinaryIO, Callable, Iterable, Iterator
 
 from .errors import FormatError
 
-# Bytes read and decoded at a time by ``rows``.
+# Bytes read and decoded at a time by ``blocks``.
 _BLOCK_BYTES = 1 << 16
 
 
@@ -100,12 +100,13 @@ def _value(text: str, lineno: int) -> Any:
         raise FormatError(f"line {lineno}: {exc}") from None
 
 
-def rows(fh: BinaryIO) -> Iterator[tuple[int, Any]]:
-    """(line number, JSON value) of each non-blank line of binary ``fh``.
+def blocks(fh: BinaryIO) -> Iterator[tuple[int, Iterable[str]]]:
+    """(first line number, texts of its lines) of each block of binary ``fh``.
 
-    The file is read and decoded in blocks of about 64 KiB; a block
-    that is not UTF-8 is decoded again line by line, so that the rows
-    before its bad line still come first.
+    The file is read and decoded in blocks of about 64 KiB, split on
+    ``\\n``; a text may keep its ``\\r`` or be blank. A block that is not
+    UTF-8 is decoded again line by line, so that the lines before its bad
+    line still come first.
     """
     start = 1
     while block := fh.readlines(_BLOCK_BYTES):
@@ -113,10 +114,16 @@ def rows(fh: BinaryIO) -> Iterator[tuple[int, Any]]:
             texts: Iterable[str] = b"".join(block).decode("utf-8").split("\n")
         except UnicodeDecodeError:
             texts = (decode(raw, lineno) for lineno, raw in enumerate(block, start))
+        yield start, texts
+        start += len(block)
+
+
+def rows(fh: BinaryIO) -> Iterator[tuple[int, Any]]:
+    """(line number, JSON value) of each non-blank line of binary ``fh``, read in ``blocks``."""
+    for start, texts in blocks(fh):
         for lineno, text in enumerate(texts, start):
             if text and not text.isspace():
                 yield lineno, _value(text.strip(), lineno)
-        start += len(block)
 
 
 def write_rows(path: str, values: Iterable[Any]) -> None:

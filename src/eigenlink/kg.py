@@ -50,13 +50,54 @@ def catalog_lines(
     Every line is validated, including the check for duplicate qids
     across the whole file, which runs when the file ends or before any
     error a later line raises, so the first error in file order wins.
+
+    The file is read a block at a time (``jsonl.blocks``). A line that is
+    one plain valid record, as nearly every line is, is checked inline
+    with exact types; any other line goes through ``jsonl._value`` and
+    ``_parse_record`` for its value or its message. A block's qids are
+    recorded at its end, or before its bad line's error is raised.
     """
     degrees = compute_degrees(load_edges(edges_path)) if edges_path is not None else {}
+    scan = jsonl._scan
     with open(path, "rb") as fh, RowIds(path, line_qid, "qid").checked() as qids:
-        for lineno, obj in jsonl.rows(fh):
-            qid, name, aliases, degree = _parse_record(obj, lineno)
-            qids.add(qid, lineno)
-            yield qid, name, aliases, degrees.get(qid, 0) if degree is None else degree
+        for start, texts in jsonl.blocks(fh):
+            block_qids: list[str] = []
+            last = 0
+            try:
+                for lineno, text in enumerate(texts, start):
+                    if not (text := text.strip()):
+                        continue
+                    plain = False
+                    if "\\u" not in text:  # only jsonl._value checks what an escape makes
+                        try:  # of the JSON values, only an object takes a str key
+                            obj, end = scan(text, 0)
+                            qid, name = obj["qid"], obj["name"]
+                            aliases, degree = obj.get("aliases", []), obj.get("degree")
+                            "".join(aliases)  # a TypeError unless every alias is a str
+                        except (StopIteration, ValueError, RecursionError, LookupError,
+                                TypeError, FormatError):
+                            pass
+                        else:
+                            plain = (
+                                end == len(text)
+                                and type(qid) is str
+                                and type(name) is str
+                                and type(aliases) is list
+                                and qid != ""
+                                and name != ""
+                                and (
+                                    type(degree) is int and degree >= 0
+                                    or degree is None and "degree" not in obj
+                                )
+                            )
+                    if not plain:
+                        obj = jsonl._value(text, lineno)
+                        qid, name, aliases, degree = _parse_record(obj, lineno)
+                    block_qids.append(qid)
+                    last = lineno
+                    yield qid, name, aliases, degrees.get(qid, 0) if degree is None else degree
+            finally:  # before an error, so that a repeat among these lines comes first
+                qids.extend(block_qids, start, last)
 
 
 def load_edges(path: str) -> list[tuple[str, str]]:

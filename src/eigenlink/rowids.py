@@ -23,7 +23,7 @@ from .errors import EigenlinkError, IntegrityError
 
 def line_qid(raw: bytes) -> str | None:
     """The ``qid`` of one valid line of a JSONL file keyed by qid; None for a blank line."""
-    # stripped as jsonl.rows strips it: str.strip() removes more than JSON whitespace
+    # stripped as the loaders strip it: str.strip() removes more than JSON whitespace
     text = raw.decode("utf-8").strip()
     return json.loads(text)["qid"] if text else None
 
@@ -51,12 +51,16 @@ class RowIds:
         self._first = self._first or lineno
         self._last = lineno
 
-    def extend(self, identifiers: list[str], linenos: list[int]) -> None:
-        """Record valid rows, as ``add`` on each pair in turn."""
+    def extend(self, identifiers: list[str], first: int, last: int) -> None:
+        """Record valid rows, as ``add`` on each in turn.
+
+        They lie on the lines ``first`` to ``last``, the last row on
+        ``last``; each line between is a row or one the loader skips.
+        """
         if identifiers:
             self._hashes.extend(map(hash, identifiers))
-            self._first = self._first or linenos[0]
-            self._last = linenos[-1]
+            self._first = self._first or first
+            self._last = last
 
     def __len__(self) -> int:
         return len(self._hashes)

@@ -95,11 +95,12 @@ def global_context_vector(
     word_store: EmbeddingStore,
     nouns: list[str] | None = None,
 ) -> np.ndarray | None:
-    """Mean embedding of the document's noun-ish tokens."""
+    """Mean embedding of the document's noun-ish tokens: ``nouns`` when given,
+    else the tokens whose lowercase form is not in ``STOPWORDS``."""
     if nouns is not None:
         picked = nouns
     else:
-        picked = [t for t in doc_tokens if t not in STOPWORDS]
+        picked = [t for t in doc_tokens if t.lower() not in STOPWORDS]
     return _mean_vector(picked, word_store)
 
 

@@ -5,9 +5,10 @@ brute-force oracle in tests/test_index.py. Then, per document:
 
 - each mention's context vector is the mean word vector of the document
   tokens within ``window`` positions of the mention's own, which is not
-  one of them (local), or of the document's ``nouns``, else of all its
-  tokens (global; synth tokens hold no function words); tokens without
-  a word vector add nothing, and a context without any is empty;
+  one of them (local), or of the document's ``nouns``, else of its
+  tokens whose lowercase form is not a function word (global; the
+  function words are ``weighting.STOPWORDS``, read as data); tokens
+  without a word vector add nothing, and a context without any is empty;
 - a description's vector is the mean word vector of its tokens, split
   as mentions are; a description without a known word has none;
 - the document matrix is the union of the mentions' candidates that have
@@ -47,6 +48,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eigenlink.cli import main
+from eigenlink.weighting import STOPWORDS
 from tests.test_index import reference_list, reference_name_matches
 
 # Scores agree within this relative tolerance. Where two scores of one
@@ -109,7 +111,8 @@ def read_descriptions(path, words):
 def context_vector(doc, mention, words, mode, window):
     tokens = doc["tokens"]
     if mode == "global":
-        return mean_vector(doc.get("nouns", tokens), words)
+        nouns = doc.get("nouns", [t for t in tokens if t.lower() not in STOPWORDS])
+        return mean_vector(nouns, words)
     at = mention.get("position", 0)
     return mean_vector(tokens[max(0, at - window) : at] + tokens[at + 1 : at + window + 1], words)
 
@@ -272,6 +275,8 @@ def corpora(draw):
     unknown ones or none; a "solo" mention added to a document has only
     extras as candidates, often none with an embedding or description.
     The documents carry no nouns, some of their tokens, or none at all.
+    Function words in mixed case, each with a word vector, take the place
+    of some document tokens.
     """
     synth = {
         "docs": draw(st.integers(1, 3)),
@@ -301,17 +306,23 @@ def corpora(draw):
         )
     )
     nouns = draw(st.sampled_from([None, "some", "empty"]))
+    function_words = draw(
+        st.lists(
+            st.tuples(st.integers(0, 50), st.sampled_from(["The", "the", "IN", "Of", "and"])),
+            max_size=4,
+        )
+    )
     run = {
         "T": draw(st.integers(1, 6)),
         "k": draw(st.integers(1, 4)),
         "delta": draw(st.sampled_from([0.5, 1.0, 2.0])),
         "window": draw(st.integers(1, 3)),
     }
-    return synth, (extras, nouns), run
+    return synth, (extras, nouns, function_words), run
 
 
 def write_corpus(path, synth, additions):
-    extras, nouns = additions
+    extras, nouns, function_words = additions
     if os.path.isdir(path):
         shutil.rmtree(path)
     config = ",".join(f"{key}={value}" for key, value in synth.items())
@@ -341,6 +352,18 @@ def write_corpus(path, synth, additions):
         if about is not None:
             text = f"W{n:03d}, w{which % 20:03d}." if about == "known" else "no such words"
             descriptions.append({"qid": f"X{n}", "description": text})
+    with open(f"{path}/words.txt", encoding="utf-8") as fh:
+        word_header, *word_vectors = fh.readlines()
+    word_dim = int(word_header.split()[1])
+    for at, word in function_words:
+        doc = docs[at % len(docs)]
+        doc["tokens"][at % len(doc["tokens"])] = word
+        if not any(line.startswith(word + " ") for line in word_vectors):
+            values = rng.standard_normal(word_dim)
+            word_vectors.append(word + " " + " ".join(repr(float(v)) for v in values) + "\n")
+    with open(f"{path}/words.txt", "w", encoding="utf-8") as fh:
+        fh.write(f"{len(word_vectors)} {word_dim}\n")
+        fh.writelines(word_vectors)
     for doc in docs:
         if nouns is not None:
             doc["nouns"] = doc["tokens"][::3] if nouns == "some" else []
@@ -360,7 +383,8 @@ NO_SIGNAL = (
     {"docs": 1, "mentions_per_doc": 1, "candidates_per_mention": 2, "d": 4, "rank": 1,
      "seed": 0, "easy_fraction": 0.0, "miss_fraction": 0.0, "doc_length": 12,
      "vocab_size": 20, "word_dim": 2},
-    ([(True, 0, "{}", False, 0, None, None), (True, 0, "{}", False, 0, "zero", "known")], None),
+    ([(True, 0, "{}", False, 0, None, None), (True, 0, "{}", False, 0, "zero", "known")], None,
+     []),
     {"T": 2, "k": 1, "delta": 0.5, "window": 1},
 )
 
@@ -369,7 +393,7 @@ NO_SIGNAL = (
 NO_CONTEXT = (
     NO_SIGNAL[0],
     ([(True, 0, "{}", False, 45, None, None), (True, 0, "{}", False, 0, "random", "known")],
-     "empty"),
+     "empty", []),
     NO_SIGNAL[2],
 )
 

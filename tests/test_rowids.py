@@ -194,8 +194,8 @@ def test_extend_records_rows_as_add_does(tmp_path):
     added, extended = (RowIds(str(path), lambda raw: raw.decode().strip(), "id") for _ in "ab")
     for lineno, identifier in enumerate(["Q1", "Q2", "Q3", "Q2"], 1):
         added.add(identifier, lineno)
-    extended.extend(["Q1", "Q2"], [1, 2])
-    extended.extend(["Q3", "Q2"], [3, 4])
+    extended.extend(["Q1", "Q2"], 1, 2)
+    extended.extend(["Q3", "Q2"], 3, 4)
     assert len(extended) == len(added) == 4
     for ids in (added, extended):
         with pytest.raises(EigenlinkError, match=r"^line 4: duplicate id 'Q2'$"):

@@ -146,6 +146,13 @@ def test_global_context_uses_noun_approximation(word_store):
     assert np.allclose(vec, [0, 0.5, 0.5])
 
 
+def test_global_context_drops_function_words_in_any_case():
+    # a token is noun-ish unless its lowercase form is a stopword
+    store = make_store(2, {"The": [1, 0], "IN": [1, 0], "Paris": [0, 1]})
+    assert np.allclose(global_context_vector(["The", "Paris", "IN"], store), [0, 1])
+    assert global_context_vector(["The", "IN"], store) is None
+
+
 def test_global_context_explicit_noun_list(word_store):
     vec = global_context_vector(["c", "c"], word_store, nouns=["b"])
     assert np.allclose(vec, [0, 1, 0])
