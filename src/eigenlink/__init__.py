@@ -10,7 +10,7 @@ from .eigenthemes import (
     score_candidate,
 )
 from .embeddings import EmbeddingStore, load_embeddings, unit_normalize
-from .index import CandidateCollector, CandidateList, candidate_lists, tokenize
+from .index import CandidateList, candidate_lists, tokenize
 from .kg import catalog_lines, compute_degrees
 from .linalg import Subspace, truncated_svd
 from .pipeline import LinkContext, RunConfig, link_one, run_documents
@@ -20,7 +20,6 @@ from .weighting import WeightScheme, degree_ranking, mention_weights, reciprocal
 __version__ = "0.1.0"
 
 __all__ = [
-    "CandidateCollector",
     "CandidateList",
     "DocumentMatrix",
     "DocumentTask",

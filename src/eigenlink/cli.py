@@ -26,6 +26,7 @@ from .errors import (
     IntegrityError,
 )
 from .evaluation import (
+    check_fractions,
     metrics_report,
     mutilation,
     read_predictions,
@@ -291,11 +292,10 @@ def cmd_mutilate(args) -> int:
         raise ConfigError(f"bad fractions list: {args.fractions!r}") from exc
     if not fractions:
         raise ConfigError("need at least one fraction")
-    for i, fraction in enumerate(fractions):
-        if not 0.0 <= fraction <= 1.0:
-            raise ConfigError(f"fractions must lie in [0, 1], got {fraction}")
-        if fraction in fractions[:i]:
-            raise ConfigError(f"fraction {fraction} is listed twice")
+    try:
+        check_fractions(fractions)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if args.repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {args.repeats}")
 
@@ -313,11 +313,13 @@ def cmd_mutilate(args) -> int:
         by_fraction = mutilation(docs, runner, fractions, seed=cfg.seed, repeats=args.repeats)
         curves[method] = [by_fraction[f] for f in fractions]
 
+    config = _echo_config(base_cfg, args, {"methods": methods, "repeats": args.repeats})
+    del config["method"]  # the run's methods are listed under "methods"
     os.makedirs(args.out, exist_ok=True)
     payload = {
         "format": MUTILATION_FORMAT,
         "version": FORMAT_VERSION,
-        "config": _echo_config(base_cfg, args, {"methods": methods, "repeats": args.repeats}),
+        "config": config,
         "seed": base_cfg.seed,
         "fractions": fractions,
         "p1_overall": curves,

@@ -10,7 +10,7 @@ JSONL, one document per line:
 ``position`` is the non-negative token index the mention occupies in
 ``tokens``, so below its length when ``tokens`` is given; it defaults to 0.
 Candidate lists and name matches are not stored; they are attached from
-those collected for the documents' surfaces (``index.CandidateCollector``).
+those made for the documents' surfaces (``index.candidate_lists``).
 """
 
 from __future__ import annotations

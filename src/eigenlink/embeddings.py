@@ -8,7 +8,7 @@ of one dense matrix.
 from __future__ import annotations
 
 import math
-from collections.abc import Collection
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -144,15 +144,15 @@ def _line_identifier(raw: bytes) -> str | None:
     return parts[0] if parts else None
 
 
-def load_embeddings(path: str, keep: Collection[str] | None = None) -> EmbeddingStore:
+def load_embeddings(path: str, keep: Mapping[str, str] | None = None) -> EmbeddingStore:
     """Load a text embedding file, keeping only the identifiers in ``keep``.
 
     Every row is validated (UTF-8, field count, numeric and finite values,
     unique identifier) and the row count must match the header, but only
     rows whose identifier is in ``keep`` are stored; without ``keep``
-    every row is. When ``keep`` is a dict, each stored row is keyed by
-    ``keep[identifier]``, so a caller that maps each identifier to itself
-    shares its string objects with the store. The file is parsed in
+    every row is. Each kept row is keyed by ``keep[identifier]``, so a
+    caller that maps each identifier to itself shares its string objects
+    with the store. The file is parsed in
     blocks of about 64 KiB.
     """
     with open(path, "rb") as fh, RowIds(path, _line_identifier, "identifier").checked() as seen:
@@ -189,10 +189,7 @@ def load_embeddings(path: str, keep: Collection[str] | None = None) -> Embedding
                 store._append(ids, values)
             else:
                 kept = [i for i, identifier in enumerate(ids) if identifier in keep]
-                kept_ids = [ids[i] for i in kept]
-                if isinstance(keep, dict):
-                    kept_ids = [keep[identifier] for identifier in kept_ids]
-                store._append(kept_ids, values[kept], reserve)
+                store._append([keep[ids[i]] for i in kept], values[kept], reserve)
         if len(seen) != count:
             raise FormatError(f"line 1: header declares {count} rows but the file has {len(seen)}")
     return store

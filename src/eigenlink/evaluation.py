@@ -195,6 +195,19 @@ def _percentile(ordered: np.ndarray, q: float) -> float:
     return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
 
 
+def check_fractions(fractions: Sequence[float]) -> None:
+    """Raise ValueError for a fraction outside [0, 1] or one listed twice.
+
+    ``mutilation`` seeds a fraction's draws with ``round(f * 1000)``, so
+    two fractions that agree to 1/1000 count as the same one.
+    """
+    for i, f in enumerate(fractions):
+        if not 0.0 <= f <= 1.0:
+            raise ValueError(f"fractions must lie in [0, 1], got {f}")
+        if round(f * 1000) in [round(g * 1000) for g in fractions[:i]]:
+            raise ValueError(f"fraction {f} is listed twice")
+
+
 def mutilation(
     docs: Sequence[DocumentTask],
     runner: Callable[[list[DocumentTask]], list],
@@ -207,12 +220,11 @@ def mutilation(
     ``runner`` links documents as ``run_documents`` does, into results
     whose ``mentions`` are outcomes. Hard and not-found mentions always
     stay. Each (fraction, repeat) pair subsamples independently from a
-    seed derived from the root seed; fraction 1.0 short-circuits to the
-    unmodified dataset.
+    seed derived from the root seed and ``round(f * 1000)``; fraction 1.0
+    short-circuits to the unmodified dataset. ``fractions`` must pass
+    ``check_fractions``.
     """
-    for f in fractions:
-        if not 0.0 <= f <= 1.0:
-            raise ValueError(f"fractions must lie in [0, 1], got {f}")
+    check_fractions(fractions)
     easy_slots = [
         (di, mi)
         for di, doc in enumerate(docs)

@@ -9,9 +9,8 @@ are the entities whose normalized name (casefolded, whitespace
 collapsed) equals the mention's, in the same order and never truncated.
 
 Both are collected in one pass over the catalog: ``candidate_lists``
-hands each of ``kg.catalog_lines``' lines to a ``CandidateCollector``
-made from the mention surfaces, which keeps each hit's qid and degree
-and nothing of the other lines.
+reads ``kg.catalog_lines``' lines once against the mention surfaces,
+keeping each hit's qid and degree and nothing of the other lines.
 """
 
 from __future__ import annotations
@@ -60,101 +59,6 @@ def _sorted_list(
     return CandidateList([q for _, q in kept], shared, len(hits) > len(kept))
 
 
-class CandidateCollector:
-    """The candidate lists of a fixed set of mention surfaces, filled one catalog line at a time.
-
-    The hits of each distinct mention token set are kept as
-    ``(-degree, qid)`` pairs. A list that grows past 2T is sorted and cut
-    to its best T + 1, so it never holds more than 2T hits and still
-    shows that it is to be truncated. With ``names``, the name matches of
-    each distinct normalized surface are kept the same way, uncut, with
-    their degrees; without it, no name is normalized. Without
-    ``degrees``, the candidate lists keep no degrees.
-    """
-
-    def __init__(
-        self, surfaces: Iterable[str], T: int = 20, names: bool = False, degrees: bool = True
-    ):
-        if T < 1:
-            raise ValueError(f"T must be >= 1, got {T}")
-        self.T = T
-        self._degrees = degrees
-        self._token_sets = {surface: frozenset(tokenize(surface)) for surface in surfaces}
-        # A token set is looked up by one of its tokens only: a text that
-        # holds every token of the set holds that one.
-        self._by_token: dict[str, list[frozenset[str]]] = {}
-        for tokens in set(self._token_sets.values()):
-            if tokens:
-                self._by_token.setdefault(min(tokens), []).append(tokens)
-        self._lookup_tokens = frozenset(self._by_token)
-        self._hits: dict[frozenset[str], list[tuple[int, str]]] = {}
-        self._names = {s: normalize_name(s) for s in self._token_sets} if names else None
-        self._name_hits = {name: [] for name in self._names.values()} if names else {}
-
-    def offer(self, qid: str, name: str, aliases: list[str], degree: int) -> None:
-        """``collect`` one entity."""
-        self.collect([(qid, name, aliases, degree)])
-
-    def collect(self, lines: Iterable[tuple[str, str, list[str], int]]) -> None:
-        """Add each ``(qid, name, aliases, degree)`` entity to the hits of each token
-        set its name or one alias holds.
-
-        With ``names``, an entity whose normalized name is a surface's is a
-        name match too. The name and aliases are tokenized together first,
-        and only an entity with a lookup token is tokenized text by text,
-        so the loop makes no Python-level call for any other entity.
-        """
-        findall = _TOKEN_RE.findall
-        disjoint = self._lookup_tokens.isdisjoint
-        by_token, all_hits, name_hits = self._by_token, self._hits, self._name_hits
-        T = self.T
-        for qid, name, aliases, degree in lines:
-            if name_hits:
-                hits = name_hits.get(" ".join(name.casefold().split()))  # normalize_name(name)
-                if hits is not None:
-                    hits.append((-degree, qid))
-            # The tokens of the name and aliases joined by " ", which splits
-            # tokens. Whitespace is not alphanumeric, so when all else is,
-            # they are the whitespace-split words, found without the regex.
-            text = (" ".join((name, *aliases)) if aliases else name).lower()
-            words = text.split()
-            if disjoint(words if "".join(words).isalnum() else findall(text)):
-                continue
-            matched = set()
-            for text in (name, *aliases):
-                found = set(findall(text.lower()))  # tokenize(text), inlined
-                for token in found:
-                    for tokens in by_token.get(token, ()):
-                        if tokens <= found:
-                            matched.add(tokens)
-            for tokens in matched:
-                hits = all_hits.setdefault(tokens, [])
-                hits.append((-degree, qid))
-                if len(hits) > 2 * T:
-                    hits.sort()
-                    del hits[T + 1 :]
-
-    def lists(self) -> dict[str, CandidateList]:
-        """Each surface's candidates; surfaces with the same token set share one list."""
-        degrees: dict[int, int] | None = {} if self._degrees else None
-        made = {
-            tokens: _sorted_list(self._hits.get(tokens, []), self.T, degrees)
-            for tokens in set(self._token_sets.values())
-        }
-        return {surface: made[tokens] for surface, tokens in self._token_sets.items()}
-
-    def name_matches(self) -> dict[str, CandidateList] | None:
-        """Each surface's name matches, or None when they were not collected.
-
-        Surfaces with the same normalized name share one list.
-        """
-        if self._names is None:
-            return None
-        degrees: dict[int, int] = {}
-        made = {name: _sorted_list(hits, None, degrees) for name, hits in self._name_hits.items()}
-        return {surface: made[name] for surface, name in self._names.items()}
-
-
 def candidate_lists(
     lines: Iterable[tuple[str, str, list[str], int]],
     surfaces: Iterable[str],
@@ -165,10 +69,70 @@ def candidate_lists(
     """The candidate lists and the name matches of each surface among the catalog ``lines``.
 
     ``lines`` are ``(qid, name, aliases, degree)`` tuples, as
-    ``kg.catalog_lines`` yields them, read once. ``names`` and ``degrees``
-    are the ``CandidateCollector``'s: without ``names`` the name matches
-    are None.
+    ``kg.catalog_lines`` yields them, read once; no line is kept. The hits
+    of each distinct mention token set are kept as ``(-degree, qid)``
+    pairs. A list that grows past 2T is sorted and cut to its best T + 1,
+    so it never holds more than 2T hits and still shows that it is to be
+    truncated. Surfaces with the same token set share one list. With
+    ``names``, the name matches of each distinct normalized surface are
+    kept the same way, uncut, and surfaces with the same normalized name
+    share one list; without it, no name is normalized and the name
+    matches are None. Without ``degrees``, the candidate lists keep no
+    degrees.
+
+    The name and aliases of an entity are tokenized together first, and
+    only an entity with a lookup token is tokenized text by text, so the
+    loop makes no Python-level call for any other entity.
     """
-    collector = CandidateCollector(surfaces, T, names=names, degrees=degrees)
-    collector.collect(lines)
-    return collector.lists(), collector.name_matches()
+    if T < 1:
+        raise ValueError(f"T must be >= 1, got {T}")
+    token_sets = {surface: frozenset(tokenize(surface)) for surface in surfaces}
+    # A token set is looked up by one of its tokens only: a text that
+    # holds every token of the set holds that one.
+    by_token: dict[str, list[frozenset[str]]] = {}
+    for tokens in set(token_sets.values()):
+        if tokens:
+            by_token.setdefault(min(tokens), []).append(tokens)
+    all_hits: dict[frozenset[str], list[tuple[int, str]]] = {}
+    surface_names = {s: normalize_name(s) for s in token_sets} if names else None
+    name_hits = {name: [] for name in surface_names.values()} if names else {}
+
+    findall = _TOKEN_RE.findall
+    disjoint = frozenset(by_token).isdisjoint
+    for qid, name, aliases, degree in lines:
+        if name_hits:
+            hits = name_hits.get(" ".join(name.casefold().split()))  # normalize_name(name)
+            if hits is not None:
+                hits.append((-degree, qid))
+        # The tokens of the name and aliases joined by " ", which splits
+        # tokens. Whitespace is not alphanumeric, so when all else is,
+        # they are the whitespace-split words, found without the regex.
+        text = (" ".join((name, *aliases)) if aliases else name).lower()
+        words = text.split()
+        if disjoint(words if "".join(words).isalnum() else findall(text)):
+            continue
+        matched = set()
+        for text in (name, *aliases):
+            found = set(findall(text.lower()))  # tokenize(text), inlined
+            for token in found:
+                for tokens in by_token.get(token, ()):
+                    if tokens <= found:
+                        matched.add(tokens)
+        for tokens in matched:
+            hits = all_hits.setdefault(tokens, [])
+            hits.append((-degree, qid))
+            if len(hits) > 2 * T:
+                hits.sort()
+                del hits[T + 1 :]
+
+    list_degrees: dict[int, int] | None = {} if degrees else None
+    made = {
+        tokens: _sorted_list(all_hits.get(tokens, []), T, list_degrees)
+        for tokens in set(token_sets.values())
+    }
+    lists = {surface: made[tokens] for surface, tokens in token_sets.items()}
+    if surface_names is None:
+        return lists, None
+    name_degrees: dict[int, int] = {}
+    by_name = {name: _sorted_list(hits, None, name_degrees) for name, hits in name_hits.items()}
+    return lists, {surface: by_name[name] for surface, name in surface_names.items()}

@@ -9,7 +9,7 @@ coherence between entity descriptions and the mention context.
 from __future__ import annotations
 
 import math
-from collections.abc import Collection
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,12 +191,12 @@ def mention_weights(
     return {qid: reciprocal_rank_weight(rank, scheme.delta) for qid, rank in ranking.items()}
 
 
-def load_descriptions(path: str, keep: Collection[str] | None = None) -> dict[str, str]:
+def load_descriptions(path: str, keep: Mapping[str, str] | None = None) -> dict[str, str]:
     """Read a JSONL file of {"qid": ..., "description": ...} records, each qid once.
 
     Every row is validated, but only the descriptions of the qids in
-    ``keep`` are returned; without ``keep`` every one is. When ``keep`` is
-    a dict, each description is keyed by ``keep[qid]``, as in
+    ``keep`` are returned; without ``keep`` every one is. Each kept
+    description is keyed by ``keep[qid]``, as in
     ``embeddings.load_embeddings``.
     """
     descriptions: dict[str, str] = {}
@@ -210,7 +210,7 @@ def load_descriptions(path: str, keep: Collection[str] | None = None) -> dict[st
                 raise FormatError(f"line {lineno}: need string 'qid' and 'description'")
             qids.add(qid, lineno)
             if keep is None or qid in keep:
-                descriptions[keep[qid] if isinstance(keep, dict) else qid] = desc
+                descriptions[qid if keep is None else keep[qid]] = desc
     return descriptions
 
 

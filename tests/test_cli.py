@@ -904,6 +904,8 @@ def test_mutilate_degree_collapses_to_zero(corpus_dir, tmp_path):
     assert payload["format"] == "eigenlink-mutilation"
     assert payload["fractions"] == [1.0, 0.0]
     assert payload["p1_overall"]["degree"][1] == 0.0
+    assert "method" not in payload["config"]
+    assert payload["config"]["methods"] == ["degree"]
 
 
 def mutilate_args(corpus_dir, out, methods):
@@ -978,8 +980,15 @@ def test_mutilate_repeated_method_exits_4_before_loading(corpus_dir, tmp_path, c
         (["--methods", " , "], "need at least one method"),
         (["--methods", "degree", "--fractions", "0.5,0.5"], "fraction 0.5 is listed twice"),
         (["--methods", "degree", "--fractions", "0.0,-0.0"], "fraction -0.0 is listed twice"),
+        (["--methods", "degree", "--fractions", "0.5,0.5004"], "fraction 0.5004 is listed twice"),
     ],
-    ids=["no-method", "blank-methods", "repeated-fraction", "signed-zero-fraction"],
+    ids=[
+        "no-method",
+        "blank-methods",
+        "repeated-fraction",
+        "signed-zero-fraction",
+        "fraction-within-a-thousandth",
+    ],
 )
 def test_mutilate_empty_methods_or_repeated_fraction_exits_4_before_loading(
     corpus_dir, tmp_path, capsys, flags, message

@@ -192,7 +192,7 @@ def test_loader_error_names_file_line(tmp_path, body, error, message):
         load_embeddings(str(path))
     # rows outside the kept identifiers are validated all the same
     with pytest.raises(error, match=re.escape(message)):
-        load_embeddings(str(path), keep={"q2"})
+        load_embeddings(str(path), keep={"q2": "q2"})
 
 
 @pytest.mark.parametrize("bad_row", ["q9 1 y 0", "q0 1 0 0"], ids=["non-numeric", "duplicate"])
@@ -203,7 +203,7 @@ def test_loader_error_line_in_later_block(tmp_path, bad_row):
     path.write_text("5000 3\n" + "\n".join(rows) + "\n")
     assert path.stat().st_size > 1.5 * embeddings._BLOCK_BYTES  # the bad row is in a later block
     with pytest.raises(EigenlinkError, match="^line 4502: "):
-        load_embeddings(str(path), keep={"q1"})
+        load_embeddings(str(path), keep={"q1": "q1"})
 
 
 def test_loader_accepts_blank_lines_tabs_and_runs_of_spaces(tmp_path):
@@ -219,11 +219,11 @@ def test_loader_accepts_blank_lines_tabs_and_runs_of_spaces(tmp_path):
 def test_loader_keeps_only_requested_rows(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("3 2\nq1 1 2\nq2 3 4\nq3 5 6\n")
-    store = load_embeddings(str(path), keep={"q3", "q1", "absent"})
+    store = load_embeddings(str(path), keep={"q3": "q3", "q1": "q1", "absent": "absent"})
     assert list(store.identifiers()) == ["q1", "q3"]
     assert np.array_equal(store.get("q3"), [5.0, 6.0])
     assert "q2" not in store
-    assert len(load_embeddings(str(path), keep=set())) == 0
+    assert len(load_embeddings(str(path), keep={})) == 0
 
 
 # Property tests: the block parser against a float()-per-token reference.
@@ -267,7 +267,7 @@ def test_block_parser_matches_float_reference(scratch_path, case, block_bytes, k
     text, tokens = case
     with open(scratch_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
-    keep = {i for i, k in zip(tokens, keep_mask) if k}
+    keep = {i: i for i, k in zip(tokens, keep_mask) if k}
     with patch.object(embeddings, "_BLOCK_BYTES", block_bytes):
         store = load_embeddings(scratch_path, keep=keep)
     assert list(store.identifiers()) == [i for i in tokens if i in keep]

@@ -397,6 +397,9 @@ def test_mutilation_rejects_bad_fraction(crossing_corpus):
     docs = with_candidates(crossing_corpus.catalog, crossing_corpus.docs)
     with pytest.raises(ValueError):
         mutilation(docs, runner_for(crossing_corpus, "degree"), [1.5], seed=0)
+    # fractions that agree to 1/1000 would share their draws
+    with pytest.raises(ValueError, match="fraction 0.5004 is listed twice"):
+        mutilation(docs, runner_for(crossing_corpus, "degree"), [0.5, 0.5004], seed=0)
 
 
 # ---------------------------------------------------------------------------

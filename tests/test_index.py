@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigenlink.index import CandidateCollector, CandidateList, candidate_lists, tokenize
+from eigenlink.index import CandidateList, candidate_lists, tokenize
 from eigenlink.kg import catalog_lines
 from tests.conftest import Line, make_catalog
 
@@ -94,29 +94,28 @@ def test_collector_hits_name_and_alias_tokens(mj_catalog):
 
 
 def test_offer_keeps_only_hits(mj_catalog):
-    collector = CandidateCollector(["michael", "mj", "absent"], T=5)
-    for line in mj_catalog:
-        collector.offer(*line)
-    collector.offer("Q9", "present", ["mike", "michaels"], 1)
-    collector.offer("Q10", "present", ["Absent minded"], 1)
-    assert {s: cl.candidates for s, cl in collector.lists().items()} == {
+    lines = [
+        *mj_catalog,
+        ("Q9", "present", ["mike", "michaels"], 1),
+        ("Q10", "present", ["Absent minded"], 1),
+    ]
+    lists, _ = candidate_lists(lines, ["michael", "mj", "absent"], T=5, names=False)
+    assert {s: cl.candidates for s, cl in lists.items()} == {
         "michael": ["Q2831", "Q41421", "Q3308285"],
         "mj": ["Q2831"],
         "absent": ["Q10"],
     }
-    nothing = CandidateCollector([], T=1, names=True)
-    for line in mj_catalog:
-        nothing.offer(*line)
-    assert nothing.lists() == nothing.name_matches() == {}
-    by_name = CandidateCollector(["!!!", "MICHAEL  JORDAN"], T=1, names=True)
-    by_name.offer("Q8", "!!", [], 1)
-    by_name.offer("Q9", "!!!", [], 1)  # a name match, though it has no token
-    by_name.offer("Q41421", "michael jordan", [], 9)
-    assert by_name.name_matches() == {
+    assert candidate_lists(mj_catalog, [], T=1, names=True) == ({}, {})
+    by_name = [
+        ("Q8", "!!", [], 1),
+        ("Q9", "!!!", [], 1),  # a name match, though it has no token
+        ("Q41421", "michael jordan", [], 9),
+    ]
+    assert candidate_lists(by_name, ["!!!", "MICHAEL  JORDAN"], T=1, names=True)[1] == {
         "!!!": CandidateList(["Q9"], [1]),
         "MICHAEL  JORDAN": CandidateList(["Q41421"], [9]),
     }
-    assert CandidateCollector(["!!!"], T=1).name_matches() is None
+    assert candidate_lists([], ["!!!"], T=1, names=False)[1] is None
 
 
 def test_surfaces_with_one_token_set_share_one_list(mj_catalog):
@@ -130,7 +129,7 @@ def test_surfaces_with_one_token_set_share_one_list(mj_catalog):
 
 def test_collector_rejects_T_below_one():
     with pytest.raises(ValueError, match="T must be >= 1, got 0"):
-        CandidateCollector(["x"], T=0)
+        candidate_lists([], ["x"], T=0)
 
 
 def test_candidates_michael_jordan(mj_catalog):

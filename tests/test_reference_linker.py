@@ -36,18 +36,23 @@ non-zero score is ranked by degree alone.
 """
 
 import csv
+import importlib.util
 import json
 import math
 import os
 import re
 import shutil
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eigenlink.cli import main
+from eigenlink.pipeline import RunConfig
+from eigenlink.synth import SynthConfig, generate
 from eigenlink.weighting import STOPWORDS
 from tests.test_index import reference_list, reference_name_matches
 
@@ -398,15 +403,8 @@ NO_CONTEXT = (
 )
 
 
-@settings(max_examples=25, deadline=None)
-@given(case=corpora())
-@example(case=NO_SIGNAL)
-@example(case=NO_CONTEXT)
-def test_link_agrees_with_the_reference_linker(tmp_path_factory, case):
-    synth, additions, run = case
-    root = tmp_path_factory.getbasetemp() / "reference_linker"
-    corpus = str(root / "corpus")
-    write_corpus(corpus, synth, additions)
+def check_all_runs(corpus, root, run):
+    """Link ``corpus`` with every entry of RUNS and compare each with the reference."""
     for method, weighting in RUNS:
         out = str(root / f"{method}-{weighting}")
         args = ["link", "--method", method, "--weighting", weighting, "--out", out]
@@ -417,3 +415,35 @@ def test_link_agrees_with_the_reference_linker(tmp_path_factory, case):
         assert main(args) == 0
         want = reference_link(corpus, method, weighting, **run)
         check_run(read_run(f"{out}/predictions.csv"), want, method in ("degree", "namematch"))
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=corpora())
+@example(case=NO_SIGNAL)
+@example(case=NO_CONTEXT)
+def test_link_agrees_with_the_reference_linker(tmp_path_factory, case):
+    synth, additions, run = case
+    root = tmp_path_factory.getbasetemp() / "reference_linker"
+    corpus = str(root / "corpus")
+    write_corpus(corpus, synth, additions)
+    check_all_runs(corpus, root, run)
+
+
+def bench_workloads():
+    """perfbench's workload table, loaded from perfbench/workloads.py by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.WORKLOADS
+
+
+# bulk-avg is left out: the brute-force candidates tokenize every catalog
+# record for each mention, 2,000 mentions by 80,000 records.
+@pytest.mark.parametrize("name", ["eigen-d64", "eigen-d300-ctx"])
+def test_link_agrees_with_the_reference_linker_on_bench_corpora(tmp_path, name):
+    corpus = str(tmp_path / "corpus")
+    generate(SynthConfig(seed=1, **bench_workloads()[name]["synth"]), corpus)
+    defaults = RunConfig()
+    run = {key: getattr(defaults, key) for key in ("T", "k", "delta", "window")}
+    check_all_runs(corpus, tmp_path, run)

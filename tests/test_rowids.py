@@ -177,7 +177,7 @@ def test_check_costs_at_most_32_bytes_per_dropped_row(tmp_path, kind):
     kept = [f"K{i}" for i in range(10)]
     load = {
         "catalog": lambda path: [line for line in catalog_lines(path) if line[0] in kept],
-        "embeddings": lambda path: load_embeddings(path, keep=set(kept)),
+        "embeddings": lambda path: load_embeddings(path, keep={q: q for q in kept}),
     }[kind]
     n = 5000
     peaks = []

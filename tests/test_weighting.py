@@ -189,14 +189,14 @@ def test_load_descriptions_keeps_only_requested(tmp_path):
     path = tmp_path / "desc.jsonl"
     rows = [f'{{"qid": "Q{i}", "description": "text {i}"}}' for i in (1, 2, 3)]
     path.write_text("\n".join(rows) + "\n")
-    assert load_descriptions(str(path), keep={"Q3", "Q1", "absent"}) == {
+    assert load_descriptions(str(path), keep={"Q3": "Q3", "Q1": "Q1", "absent": "absent"}) == {
         "Q1": "text 1",
         "Q3": "text 3",
     }
     # a repeat on a dropped line is still an error
     path.write_text("\n".join(rows + [rows[1]]) + "\n")
     with pytest.raises(IntegrityError, match="^line 4: duplicate qid 'Q2'$"):
-        load_descriptions(str(path), keep={"Q1"})
+        load_descriptions(str(path), keep={"Q1": "Q1"})
 
 
 @pytest.mark.parametrize(
