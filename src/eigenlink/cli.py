@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import logging
 import os
@@ -142,6 +143,10 @@ def _load_context(args, cfgs: list[RunConfig]) -> tuple[LinkContext, list[Docume
     the runs reads (``RunConfig.inputs``): a file given for no run is not
     opened. They keep only the candidates' entity embeddings and
     descriptions, keyed by the candidate lists' own qid strings.
+
+    It ends by freezing every object made so far out of the cyclic
+    garbage collector (``gc.freeze``), so that collections while linking
+    do not walk the documents, lists and stores; ``main`` unfreezes them.
     """
     cfg = cfgs[0]
     docs = load_dataset(args.dataset)
@@ -171,6 +176,7 @@ def _load_context(args, cfgs: list[RunConfig]) -> tuple[LinkContext, list[Docume
         word_store=word_store,
         desc_store=desc_store,
     )
+    gc.freeze()
     return ctx, docs
 
 
@@ -380,6 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the objects ``_load_context`` froze are unfrozen when it ends."""
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     try:
         args = build_parser().parse_args(argv)
@@ -396,6 +403,8 @@ def main(argv=None) -> int:
     except EigenlinkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        gc.unfreeze()
 
 
 if __name__ == "__main__":

@@ -56,26 +56,23 @@ def build_document_matrix(
     contexts: list[np.ndarray | None] = [None] * len(task.mentions)
     if scheme.kind in CONTEXT_KINDS:
         contexts = document_contexts(task, CONTEXT_KINDS[scheme.kind], word_store, window)
-    entity_ids: list[str] = []
-    weight_of: dict[str, float] = {}
+    stored = store.identifiers()
+    weight_of: dict[str, float] = {}  # in first-seen order
     for mention, context in zip(task.mentions, contexts):
         weights = mention_weights(scheme, mention.candidates, context, desc_store)
         for qid in mention.candidates.candidates:
-            if qid not in store:
-                continue
-            w = weights[qid]
-            if qid not in weight_of:
-                entity_ids.append(qid)
-                weight_of[qid] = w
-            elif w > weight_of[qid]:
-                weight_of[qid] = w
+            if qid in stored:
+                w = weights[qid]
+                if qid not in weight_of or w > weight_of[qid]:
+                    weight_of[qid] = w
 
-    if not entity_ids:
+    if not weight_of:
         raise EmptyDocumentError(
             f"document {task.doc_id!r} has no candidates with embeddings"
         )
+    entity_ids = list(weight_of)
     rows = unit_normalize_rows(store.rows(entity_ids))
-    weights_vec = np.array([weight_of[qid] for qid in entity_ids], dtype=np.float64)
+    weights_vec = np.fromiter(weight_of.values(), dtype=np.float64, count=len(weight_of))
     return DocumentMatrix(entity_ids=entity_ids, matrix=rows, weights=weights_vec)
 
 
@@ -103,6 +100,11 @@ def score_candidate(subspace: Subspace, e: np.ndarray, rescale: bool = True) -> 
     return float(scores) if e.ndim == 1 else scores
 
 
+def _descending(pair: tuple[str, float]) -> float:
+    """Sort key of a scored pair: minus its score, so a stable sort ranks by score descending."""
+    return -pair[1]
+
+
 def link_mentions(
     task: DocumentTask,
     pools: Iterable[list[tuple[str, float]]],
@@ -117,11 +119,17 @@ def link_mentions(
     degree order and is reported as a degree fallback. Each mention's
     ranking and fallback become its outcome record (``build_outcomes``).
     """
+    lo, hi = -math.inf, math.inf
     rankings, fallbacks = [], []
     for pool in pools:
-        void = not any(math.isfinite(s) and s != 0.0 for _, s in pool)
-        fallback = "degree" if pool and void and degree_fallback else None
-        rankings.append(pool if fallback else sorted(pool, key=lambda pair: -pair[1]))
+        fallback = None
+        if degree_fallback and pool:
+            for _, s in pool:
+                if s != 0.0 and lo < s < hi:  # a finite, non-zero score: a signal
+                    break
+            else:
+                fallback = "degree"
+        rankings.append(pool if fallback else sorted(pool, key=_descending))
         fallbacks.append(fallback)
     return LinkResult(build_outcomes(task, rankings, fallbacks), effective_k)
 
@@ -130,10 +138,8 @@ def pools_from(
     task: DocumentTask, score_of: dict[str, float]
 ) -> Iterable[list[tuple[str, float]]]:
     """Each mention's candidates scored from one per-document dict; missing ones get -inf."""
-    return (
-        [(qid, score_of.get(qid, -math.inf)) for qid in m.candidates.candidates]
-        for m in task.mentions
-    )
+    get, missing = score_of.get, -math.inf
+    return ([(qid, get(qid, missing)) for qid in m.candidates.candidates] for m in task.mentions)
 
 
 def link_document(

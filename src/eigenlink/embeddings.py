@@ -85,13 +85,24 @@ def unit_normalize(v: np.ndarray) -> np.ndarray:
     return v / norm
 
 
+def _squared_norms(m: np.ndarray) -> np.ndarray:
+    """Each row's dot product with itself, as an (n, 1) column."""
+    return np.matmul(m[:, None, :], m[:, :, None])[:, 0]
+
+
 def unit_normalize_rows(m: np.ndarray) -> np.ndarray:
     """``unit_normalize`` of each row of ``m``, bit for bit, in one pass.
 
     Each row's squared norm is its own dot product, as in ``unit_normalize``.
     """
-    norms = np.sqrt(np.matmul(m[:, None, :], m[:, :, None]))[:, 0]
+    norms = np.sqrt(_squared_norms(m))
     return np.divide(m, norms, out=m.copy(), where=norms > _NORM_EPS)
+
+
+def _norms_finite(m: np.ndarray) -> bool:
+    """Whether no row's squared norm overflows, which would zero it in ``unit_normalize_rows``."""
+    with np.errstate(over="ignore"):
+        return bool(np.isfinite(_squared_norms(m)).all())
 
 
 def _parse_values(rests: list[str]) -> np.ndarray:
@@ -116,6 +127,8 @@ def _check_rows(ids, rests, linenos, dim: int, seen: RowIds) -> np.ndarray:
             )
         if not np.all(np.isfinite(row)):
             raise DataError(f"line {lineno}: non-finite value")
+        if not _norms_finite(row):
+            raise DataError(f"line {lineno}: values too large, their squared norm overflows")
         seen.add(identifier, lineno)
         rows.append(row)
     return np.concatenate(rows)
@@ -133,7 +146,8 @@ def _parse_block(ids, rests, linenos, dim: int, seen: RowIds) -> np.ndarray:
             values = _parse_values(rests)
         except ValueError:
             values = None
-        if values is not None and values.shape == (len(ids), dim) and np.isfinite(values).all():
+        # A row with a NaN or an infinity has a non-finite squared norm too.
+        if values is not None and values.shape == (len(ids), dim) and _norms_finite(values):
             seen.extend(ids, linenos[0], linenos[-1])
             return values
     return _check_rows(ids, rests, linenos, dim, seen)
@@ -147,12 +161,12 @@ def _line_identifier(raw: bytes) -> str | None:
 def load_embeddings(path: str, keep: Mapping[str, str] | None = None) -> EmbeddingStore:
     """Load a text embedding file, keeping only the identifiers in ``keep``.
 
-    Every row is validated (UTF-8, field count, numeric and finite values,
-    unique identifier) and the row count must match the header, but only
-    rows whose identifier is in ``keep`` are stored; without ``keep``
-    every row is. Each kept row is keyed by ``keep[identifier]``, so a
-    caller that maps each identifier to itself shares its string objects
-    with the store. The file is parsed in
+    Every row is validated (UTF-8, field count, numeric and finite values
+    whose squared norm is finite too, unique identifier) and the row count
+    must match the header, but only rows whose identifier is in ``keep``
+    are stored; without ``keep`` every row is. Each kept row is keyed by
+    ``keep[identifier]``, so a caller that maps each identifier to itself
+    shares its string objects with the store. The file is parsed in
     blocks of about 64 KiB.
     """
     with open(path, "rb") as fh, RowIds(path, _line_identifier, "identifier").checked() as seen:

@@ -72,20 +72,26 @@ def build_outcomes(
     rankings: Sequence[list[tuple[str, float]]],
     fallbacks: Sequence[str | None],
 ) -> list[MentionOutcome]:
-    """One document's outcome records, from each mention's ranking and fallback."""
+    """One document's outcome records, from each mention's ranking and fallback.
+
+    The qids of a ranking are distinct, so gold's rank is its first
+    position. The non-gold mean is that of the finite non-gold scores in
+    ranking order, summed and divided by their count as ``np.mean`` does.
+    """
+    lo, hi = -math.inf, math.inf
     outcomes: list[MentionOutcome] = []
     mentions = zip(task.mentions, rankings, fallbacks, strict=True)
     for idx, (mention, ranking, fallback) in enumerate(mentions):
         gold = mention.gold_qid
-        rank_of_gold = None
-        gold_score = None
-        nongold: list[float] = []
-        for pos, (qid, score) in enumerate(ranking if gold is not None else (), start=1):
-            if qid == gold:
-                rank_of_gold = pos
-                gold_score = _finite(score)
-            elif math.isfinite(score):
-                nongold.append(score)
+        rank_of_gold = gold_score = nongold_mean = None
+        if gold is not None:
+            for pos, (qid, score) in enumerate(ranking, start=1):
+                if qid == gold:
+                    rank_of_gold, gold_score = pos, _finite(score)
+                    break
+            nongold = [score for qid, score in ranking if qid != gold and lo < score < hi]
+            if nongold:
+                nongold_mean = float(np.add.reduce(np.array(nongold))) / len(nongold)
         outcomes.append(
             MentionOutcome(
                 doc_id=task.doc_id,
@@ -98,7 +104,7 @@ def build_outcomes(
                 # The prediction heads the ranking.
                 predicted_score=_finite(ranking[0][1]) if ranking else None,
                 gold_score=gold_score,
-                nongold_mean=float(np.mean(nongold)) if nongold else None,
+                nongold_mean=nongold_mean,
                 ranking=ranking,
                 fallback=fallback,
             )

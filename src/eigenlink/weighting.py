@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,6 +64,12 @@ def reciprocal_rank_weight(rank: int, delta: float) -> float:
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
     return float(rank) ** (-delta)
+
+
+@lru_cache(maxsize=256)
+def rank_weights(n: int, delta: float) -> tuple[float, ...]:
+    """The weights of ranks 1..n, ``reciprocal_rank_weight`` of each, made once per (n, delta)."""
+    return tuple(reciprocal_rank_weight(rank, delta) for rank in range(1, n + 1))
 
 
 def degree_ranking(candidates: CandidateList) -> dict[str, int]:
@@ -179,16 +186,20 @@ def mention_weights(
     context: np.ndarray | None = None,
     desc_store: EmbeddingStore | None = None,
 ) -> dict[str, float]:
-    """Weights for one mention's candidates; the context kinds rank by its context vector."""
-    if scheme.kind == "none":
-        return {qid: 1.0 for qid in candidates.candidates}
-    if scheme.kind == "degree_rr":
-        ranking = degree_ranking(candidates)
-    elif desc_store is None:
+    """Weights for one mention's candidates; the context kinds rank by its context vector.
+
+    ``none`` weighs every candidate 1 (rank**-0) and ``degree_rr`` by its
+    position in the list, both from one ``rank_weights`` tuple.
+    """
+    qids = candidates.candidates
+    if scheme.kind in ("none", "degree_rr"):
+        delta = 0.0 if scheme.kind == "none" else scheme.delta
+        return dict(zip(qids, rank_weights(len(qids), delta)))
+    if desc_store is None:
         raise ConfigError(f"weighting kind {scheme.kind!r} needs entity descriptions")
-    else:
-        ranking = context_ranking(candidates, context, desc_store)
-    return {qid: reciprocal_rank_weight(rank, scheme.delta) for qid, rank in ranking.items()}
+    ranking = context_ranking(candidates, context, desc_store)
+    weights = rank_weights(len(qids), scheme.delta)
+    return {qid: weights[rank - 1] for qid, rank in ranking.items()}
 
 
 def load_descriptions(path: str, keep: Mapping[str, str] | None = None) -> dict[str, str]:

@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import pickle
@@ -11,6 +12,7 @@ import pytest
 from eigenlink import cli, weighting
 from eigenlink.cli import _load_context, _resolve_run_config, build_parser, main
 from eigenlink.dataset import Mention, load_dataset
+from eigenlink.errors import DataError
 from eigenlink.evaluation import MentionOutcome, write_predictions
 from eigenlink.index import CandidateList
 from eigenlink.pipeline import METHODS, LinkContext, RunConfig, run_documents
@@ -313,6 +315,56 @@ def test_malformed_embedding_row_outside_candidates_exits_3(corpus_dir, tmp_path
     assert main(args) == 3
     err = capsys.readouterr().err
     assert err == f"error: line {len(rows) + 2}: non-numeric value\n"
+
+
+@pytest.mark.parametrize("flag,method", [("--embeddings", "eigen"), ("--words", "local")])
+def test_embedding_row_whose_squared_norm_overflows_exits_3(
+    corpus_dir, tmp_path, capsys, flag, method
+):
+    # Each value is finite, but the row's squared norm is not: normalizing it
+    # would give a zero row, so the file is rejected instead.
+    args = link_args(corpus_dir, str(tmp_path / "x"), method, extra=text_args(corpus_dir))
+    with open(args[args.index(flag) + 1]) as fh:
+        header, first, *rest = fh.readlines()
+    identifier, _, *values = first.split()
+    bad = tmp_path / "vectors.txt"
+    bad.write_text(header + " ".join([identifier, "1e160", *values]) + "\n" + "".join(rest))
+    args[args.index(flag) + 1] = str(bad)
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err == "error: line 2: values too large, their squared norm overflows\n"
+
+
+def test_setup_is_frozen_out_of_the_collector_only_while_a_command_runs(
+    corpus_dir, tmp_path, monkeypatch
+):
+    frozen = []
+    link = cli.run_documents
+
+    def linking(docs, ctx):
+        frozen.append(gc.get_freeze_count())
+        if ctx.config.method == "avg":
+            raise DataError("bad input found while linking")
+        return link(docs, ctx)
+
+    monkeypatch.setattr(cli, "run_documents", linking)
+    assert main(link_args(corpus_dir, str(tmp_path / "link"))) == 0
+    assert frozen[0] > 0  # linking ran with setup's objects frozen
+    assert gc.get_freeze_count() == 0
+    mutilate = link_args(corpus_dir, str(tmp_path / "mutilate"))
+    mutilate[:3] = ["mutilate", "--methods", "eigen,degree", "--repeats", "1"]
+    assert main(mutilate) == 0
+    assert gc.get_freeze_count() == 0
+    # An error raised after the freeze still unfreezes.
+    assert main(link_args(corpus_dir, str(tmp_path / "avg"), method="avg")) == 3
+    assert frozen[-1] > 0
+    assert gc.get_freeze_count() == 0
+    bad = tmp_path / "emb.txt"
+    bad.write_text("1 2\nq1 nan 0\n")
+    args = link_args(corpus_dir, str(tmp_path / "bad"), method="eigen")
+    args[args.index("--embeddings") + 1] = str(bad)
+    assert main(args) == 3
+    assert gc.get_freeze_count() == 0
 
 
 def test_numerical_failure_names_document_and_exits_1(corpus_dir, tmp_path, capsys, monkeypatch):

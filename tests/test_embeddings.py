@@ -142,6 +142,7 @@ def test_store_rows_survive_growth_and_pickling():
 
 
 ROWS = "q1 1 0 0\nq2 0 1 0\n"
+OVERFLOW = "values too large, their squared norm overflows"
 
 
 @pytest.mark.parametrize(
@@ -157,6 +158,10 @@ ROWS = "q1 1 0 0\nq2 0 1 0\n"
         ("3 3\n" + ROWS + "q3 1 nan 0\n", DataError, "line 4: non-finite value"),
         ("3 3\n" + ROWS + "q3 -inf 0 0\n", DataError, "line 4: non-finite value"),
         ("3 3\n" + ROWS + "q3 1e999 0 0\n", DataError, "line 4: non-finite value"),
+        ("3 3\n" + ROWS + "q3 1e160 0 0\n", DataError, f"line 4: {OVERFLOW}"),
+        ("3 3\n" + ROWS + "q3 -1e154 1e154 0\n", DataError, f"line 4: {OVERFLOW}"),
+        ("3 3\nq1 1e160 0 0\nq2 x 0 0\nq3 0 0 1\n", DataError, f"line 2: {OVERFLOW}"),
+        ("3 3\nq1 x 0 0\nq2 1e160 0 0\nq3 0 0 1\n", FormatError, "line 2: non-numeric value"),
         ("3 3\n" + ROWS + "\nq1 0 0 1\n", IntegrityError, "line 5: duplicate identifier 'q1'"),
         ("3 3\n" + ROWS, FormatError, "line 1: header declares 3 rows but the file has 2"),
         ("1 3\n" + ROWS, FormatError, "line 1: header declares 1 rows but the file has 2"),
@@ -176,6 +181,10 @@ ROWS = "q1 1 0 0\nq2 0 1 0\n"
         "nan",
         "negative-infinity",
         "overflow-to-infinity",
+        "squared-norm-overflow",
+        "squared-norm-overflow-of-a-sum",
+        "squared-norm-overflow-before-non-numeric",
+        "non-numeric-before-squared-norm-overflow",
         "duplicate-identifier",
         "header-count-above-rows",
         "header-count-below-rows",
@@ -195,7 +204,11 @@ def test_loader_error_names_file_line(tmp_path, body, error, message):
         load_embeddings(str(path), keep={"q2": "q2"})
 
 
-@pytest.mark.parametrize("bad_row", ["q9 1 y 0", "q0 1 0 0"], ids=["non-numeric", "duplicate"])
+@pytest.mark.parametrize(
+    "bad_row",
+    ["q9 1 y 0", "q0 1 0 0", "q4500 1e160 0 7"],
+    ids=["non-numeric", "duplicate", "overflow"],
+)
 def test_loader_error_line_in_later_block(tmp_path, bad_row):
     rows = [f"q{i} {i}.25 -1e-3 7" for i in range(5000)]
     rows[4500] = bad_row
@@ -268,12 +281,21 @@ def test_block_parser_matches_float_reference(scratch_path, case, block_bytes, k
     with open(scratch_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     keep = {i: i for i, k in zip(tokens, keep_mask) if k}
+    reference = {i: np.array([float(t) for t in tokens[i]], dtype=np.float64) for i in tokens}
+    # A row whose squared norm overflows is an error on the first such row's line.
+    overflowing = [i for i, row in reference.items() if not embeddings._norms_finite(row[None, :])]
     with patch.object(embeddings, "_BLOCK_BYTES", block_bytes):
+        if overflowing:
+            lines = text.splitlines()
+            first = overflowing[0]
+            lineno = next(n for n, line in enumerate(lines[1:], 2) if line.split()[:1] == [first])
+            with pytest.raises(DataError, match=f"^line {lineno}: values too large"):
+                load_embeddings(scratch_path, keep=keep)
+            return
         store = load_embeddings(scratch_path, keep=keep)
     assert list(store.identifiers()) == [i for i in tokens if i in keep]
     for identifier in store.identifiers():
-        reference = np.array([float(t) for t in tokens[identifier]], dtype=np.float64)
-        assert store.get(identifier).tobytes() == reference.tobytes()
+        assert store.get(identifier).tobytes() == reference[identifier].tobytes()
 
 
 MUTATION = st.tuples(
