@@ -43,19 +43,25 @@ class EmbeddingStore:
             raise IntegrityError(f"duplicate identifier {identifier!r}")
         self._append([identifier], vec[None, :])
 
-    def _append(self, identifiers: list[str], rows: np.ndarray, reserve: int = 0) -> None:
+    def _append(
+        self, identifiers: list[str], rows: np.ndarray, reserve: int = 0, own: bool = False
+    ) -> None:
         """Append rows for new identifiers.
 
         When the capacity runs out it doubles, or grows to ``reserve``
-        rows if that is more.
+        rows if that is more. With ``own``, an empty store takes ``rows``,
+        an (m, d) float64 matrix no one else holds, as its matrix uncopied.
         """
         n = len(self._row)
         end = n + len(identifiers)
-        if end > len(self._matrix):
-            grown = np.empty((max(end, 2 * len(self._matrix), reserve), self.dim))
-            grown[:n] = self._matrix[:n]
-            self._matrix = grown
-        self._matrix[n:end] = rows
+        if own and n == 0:
+            self._matrix = rows
+        else:
+            if end > len(self._matrix):
+                grown = np.empty((max(end, 2 * len(self._matrix), reserve), self.dim))
+                grown[:n] = self._matrix[:n]
+                self._matrix = grown
+            self._matrix[n:end] = rows
         self._row.update(zip(identifiers, range(n, end)))
 
     def get(self, identifier: str) -> np.ndarray | None:

@@ -13,11 +13,15 @@ line as a plain tuple and keeps none of them, so a consumer such as
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable, Iterator
 
 from . import jsonl
 from .errors import FormatError, IntegrityError
 from .rowids import RowIds, line_qid
+
+# The largest degree that converts to a float, as the degree baseline scores it.
+_MAX_DEGREE = int(sys.float_info.max)
 
 
 def _parse_record(obj: dict, lineno: int) -> tuple[str, str, list[str], int | None]:
@@ -36,6 +40,8 @@ def _parse_record(obj: dict, lineno: int) -> tuple[str, str, list[str], int | No
     degree = obj.get("degree")
     if "degree" in obj and (not isinstance(degree, int) or isinstance(degree, bool) or degree < 0):
         raise FormatError(f"line {lineno}: 'degree' must be a non-negative integer")
+    if "degree" in obj and degree > _MAX_DEGREE:
+        raise FormatError(f"line {lineno}: 'degree' is above the largest float (about 1.8e308)")
     return qid, name, aliases, degree
 
 
@@ -58,7 +64,7 @@ def catalog_lines(
     recorded at its end, or before its bad line's error is raised.
     """
     degrees = compute_degrees(load_edges(edges_path)) if edges_path is not None else {}
-    scan = jsonl._scan
+    scan, max_degree = jsonl._scan, _MAX_DEGREE
     with open(path, "rb") as fh, RowIds(path, line_qid, "qid").checked() as qids:
         for start, texts in jsonl.blocks(fh):
             block_qids: list[str] = []
@@ -86,7 +92,7 @@ def catalog_lines(
                                 and qid != ""
                                 and name != ""
                                 and (
-                                    type(degree) is int and degree >= 0
+                                    type(degree) is int and 0 <= degree <= max_degree
                                     or degree is None and "degree" not in obj
                                 )
                             )

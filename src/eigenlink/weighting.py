@@ -9,7 +9,8 @@ coherence between entity descriptions and the mention context.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from array import array
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -18,11 +19,14 @@ import numpy as np
 from . import jsonl
 from .dataset import DocumentTask
 from .embeddings import EmbeddingStore
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, DataError, FormatError
 from .index import CandidateList, tokenize
 from .rowids import RowIds, line_qid
 
 WEIGHT_KINDS = ("none", "degree_rr", "local_ctxt_rr", "global_ctxt_rr")
+
+# Floats of word rows gathered at a time when averaging (2 MiB).
+_GATHER_FLOATS = 1 << 18
 
 # The context mode each context weighting ranks by.
 CONTEXT_KINDS = {"local_ctxt_rr": "local", "global_ctxt_rr": "global"}
@@ -77,12 +81,58 @@ def degree_ranking(candidates: CandidateList) -> dict[str, int]:
     return {qid: i + 1 for i, qid in enumerate(candidates.candidates)}
 
 
-def _mean_vector(tokens: list[str], word_store: EmbeddingStore) -> np.ndarray | None:
-    vecs = [word_store.get(t) for t in tokens]
-    vecs = [v for v in vecs if v is not None]
-    if not vecs:
-        return None
-    return np.mean(vecs, axis=0)
+def _sum_rows(matrix: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """The sum of ``matrix``'s rows ``span`` in order, gathered a step at a time."""
+    dim = matrix.shape[1]
+    # numpy sums a single column pairwise, so at d = 1 the rows are summed at
+    # once; they take no more memory than their row indices.
+    step = max(2, len(span) if dim == 1 else _GATHER_FLOATS // dim)
+    total = np.add.reduce(matrix[span[:step]], axis=0)
+    for lo in range(step, len(span), step - 1):  # the running sum leads each later step
+        total = np.add.reduce(np.vstack((total, matrix[span[lo : lo + step - 1]])), axis=0)
+    return total
+
+
+def mean_vectors(
+    token_lists: Iterable[list[str]], word_store: EmbeddingStore
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each list's mean word vector over its tokens in ``word_store``, with np.mean's bits.
+
+    Returns the positions of the lists that hold a known token and their
+    means, one row each, in list order. Each known token is kept as its
+    8-byte row index. Lists with the same known-token count n are averaged
+    together: their rows are gathered into a (g, n, d) block, at most
+    ``_GATHER_FLOATS`` floats at a time, and ``np.add.reduce`` over n
+    sums each list in token order, as ``np.mean(vecs, axis=0)`` does.
+    """
+    row, matrix, dim = word_store._row, word_store._matrix, word_store.dim
+    ids, counts = array("q"), array("q")
+    for tokens in token_lists:
+        before = len(ids)
+        ids.extend([r for t in tokens if (r := row.get(t)) is not None])
+        counts.append(len(ids) - before)
+    ids = np.frombuffer(ids, dtype=np.int64)
+    if len(counts) == 1 and counts[0]:  # one list, as for a context vector
+        return np.zeros(1, dtype=np.intp), (_sum_rows(matrix, ids) / counts[0])[None]
+    counts = np.frombuffer(counts, dtype=np.int64)
+    kept = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[kept]
+    counts = counts[kept]
+    means = np.empty((len(kept), dim))
+    order = np.argsort(counts, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(counts[order])) + 1) if len(kept) else []
+    for group in groups:
+        n = int(counts[group[0]])
+        step = _GATHER_FLOATS // (n * dim)
+        if not step:  # each list is longer than a step
+            for i in group:
+                means[i] = _sum_rows(matrix, ids[starts[i] : starts[i] + n]) / n
+            continue
+        offsets = np.arange(n)
+        for lo in range(0, len(group), step):
+            part = group[lo : lo + step]
+            means[part] = np.add.reduce(matrix[ids[starts[part, None] + offsets]], axis=1) / n
+    return kept, means
 
 
 def local_context_vector(
@@ -94,7 +144,8 @@ def local_context_vector(
     """Mean embedding of the tokens within +-window of the mention slot."""
     lo = max(0, position - window)
     context = doc_tokens[lo:position] + doc_tokens[position + 1 : position + 1 + window]
-    return _mean_vector(context, word_store)
+    kept, means = mean_vectors([context], word_store)
+    return means[0] if len(kept) else None
 
 
 def global_context_vector(
@@ -108,7 +159,8 @@ def global_context_vector(
         picked = nouns
     else:
         picked = [t for t in doc_tokens if t.lower() not in STOPWORDS]
-    return _mean_vector(picked, word_store)
+    kept, means = mean_vectors([picked], word_store)
+    return means[0] if len(kept) else None
 
 
 def context_scores(
@@ -228,10 +280,19 @@ def load_descriptions(path: str, keep: Mapping[str, str] | None = None) -> dict[
 def build_description_store(
     descriptions: dict[str, str], word_store: EmbeddingStore
 ) -> EmbeddingStore:
-    """Embed each description as its mean word vector."""
+    """Embed each description as its mean word vector (``mean_vectors``).
+
+    Descriptions without a known word get no vector. The vectors keep the
+    descriptions' order and become the store's matrix without a copy.
+    """
+    kept, means = mean_vectors(map(tokenize, descriptions.values()), word_store)
+    qids = list(descriptions)
+    step = max(1, _GATHER_FLOATS // word_store.dim)
+    for lo in range(0, len(means), step):
+        finite = np.isfinite(means[lo : lo + step]).all(axis=1)
+        if not finite.all():
+            bad = qids[kept[lo + int(np.argmin(finite))]]
+            raise DataError(f"vector for {bad!r} has non-finite values")
     store = EmbeddingStore(word_store.dim)
-    for qid, text in descriptions.items():
-        vec = _mean_vector(tokenize(text), word_store)
-        if vec is not None:
-            store.add(qid, vec)
+    store._append([qids[i] for i in kept], means, own=True)
     return store

@@ -615,6 +615,56 @@ def test_catalog_lines_the_dataset_cannot_reach_are_validated(tmp_path, capsys, 
     assert capsys.readouterr().err == f"error: line {line}: {message}\n"
 
 
+@pytest.mark.parametrize("method", ["degree", "namematch"])
+@pytest.mark.parametrize("name", ["rome", "\\u0072ome"], ids=["plain", "escaped"])
+def test_catalog_degree_above_the_largest_float_exits_3(tmp_path, capsys, method, name):
+    catalog, dataset = tmp_path / "catalog.jsonl", tmp_path / "dataset.jsonl"
+    catalog.write_text(
+        f'{{"qid": "Q1", "name": "{name}", "degree": {10**309}}}\n'
+        '{"qid": "Q2", "name": "paris", "degree": 1}\n'
+    )
+    write_jsonl(dataset, [{"doc_id": "d", "mentions": [{"surface": "rome", "gold_qid": "Q1"}]}])
+    args = plain_link_args(str(catalog), str(dataset), str(tmp_path / "x"), method)
+    assert main(args) == 3
+    message = "error: line 1: 'degree' is above the largest float (about 1.8e308)\n"
+    assert capsys.readouterr().err == message
+
+
+def test_link_imports_numpy_random_only_for_a_score_gap_bootstrap(tmp_path):
+    # The import costs about 10 ms and 5 MiB, outside what link_s times if
+    # it moved to import time. A mention with one candidate has no score gap.
+    catalog = tmp_path / "catalog.jsonl"
+    write_jsonl(
+        catalog,
+        [
+            {"qid": "Q1", "name": "rome", "degree": 4},
+            {"qid": "Q2", "name": "paris", "degree": 5},
+            {"qid": "Q3", "name": "paris hilton", "degree": 3},
+        ],
+    )
+    runs = []
+    for surfaces in (["rome"], ["paris"]):
+        dataset = tmp_path / f"{surfaces[0]}.jsonl"
+        mentions = [{"surface": s, "gold_qid": "Q1" if s == "rome" else "Q2"} for s in surfaces]
+        write_jsonl(dataset, [{"doc_id": "d", "mentions": mentions}])
+        out = str(tmp_path / surfaces[0])
+        runs.append(plain_link_args(str(catalog), str(dataset), out))
+    code = (
+        "import sys\n"
+        "from eigenlink.cli import main\n"
+        "seen = ['numpy.random' in sys.modules]\n"
+        f"assert main({runs[0]!r}) == 0\n"
+        "seen.append('numpy.random' in sys.modules)\n"
+        f"assert main({runs[1]!r}) == 0\n"  # Q2 against Q3: a gap to bootstrap
+        "seen.append('numpy.random' in sys.modules)\n"
+        "print(seen)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[False, False, True]"
+
+
 def test_edges_fill_degrees_of_kept_records(tmp_path):
     rows = [
         {"qid": "Q1", "name": "york"},

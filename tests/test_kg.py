@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from unittest.mock import patch
 
 import pytest
@@ -43,6 +44,19 @@ def test_missing_degree_defaults_to_zero(tmp_path):
     path = tmp_path / "catalog.jsonl"
     write_lines(path, [{"qid": "Q1", "name": "x"}])
     assert list(catalog_lines(str(path))) == [("Q1", "x", [], 0)]
+
+
+@pytest.mark.parametrize("name", ["x", "\\u0078"], ids=["plain", "escaped"])
+def test_degree_is_at_most_the_largest_float(tmp_path, name):
+    # An escape sends the line to the per-line path; a plain line is checked inline.
+    path = tmp_path / "catalog.jsonl"
+    largest = int(sys.float_info.max)
+    path.write_text(f'{{"qid": "Q1", "name": "{name}", "degree": {largest}}}\n')
+    assert list(catalog_lines(str(path))) == [("Q1", "x", [], largest)]
+    path.write_text(f'{{"qid": "Q1", "name": "{name}", "degree": {largest + 1}}}\n')
+    message = "^line 1: 'degree' is above the largest float \\(about 1.8e308\\)$"
+    with pytest.raises(FormatError, match=message):
+        list(catalog_lines(str(path)))
 
 
 def test_duplicate_qid_rejected(tmp_path):
@@ -176,6 +190,7 @@ ODD_LINES = [
     '{"qid": "Q7", "name": "a", "degree": true}',
     '{"qid": "Q7", "name": "a", "degree": -1}',
     '{"qid": "Q7", "name": "a", "degree": 1.0}',
+    '{"qid": "Q7", "name": "a", "degree": 1' + "0" * 309 + "}",
     '{"qid": "Q7", "name": "a", "degree": null}',
     '{"qid": "Q7", "name": "a", "aliases": "x"}',
     '{"qid": "Q7", "name": "a", "aliases": [1]}',

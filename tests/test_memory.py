@@ -4,12 +4,15 @@ import json
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from eigenlink import baselines, cli, index, kg
 from eigenlink.cli import _load_context, _resolve_run_config, build_parser, main
-from eigenlink.index import CandidateList
+from eigenlink.embeddings import EmbeddingStore
+from eigenlink.index import CandidateList, tokenize
 from eigenlink.pipeline import METHODS
+from eigenlink.weighting import build_description_store
 from tests.conftest import read_catalog
 from tests.test_index import reference_list, reference_name_matches
 
@@ -199,3 +202,39 @@ def test_the_catalog_pass_holds_8_bytes_a_line(tmp_path):
         catalog_pass_peak(str(path))  # one-time allocations stay out of the peaks
         peaks.append(catalog_pass_peak(str(path)))
     assert peaks[1] - peaks[0] <= 9 * 3 * n
+
+
+def description_store_overhead(descriptions, word_store):
+    """Peak traced memory of building the description store, above the finished store."""
+    tracemalloc.start()
+    try:
+        store = build_description_store(descriptions, word_store)
+        held, peak = tracemalloc.get_traced_memory()
+        assert len(store) == len(descriptions)
+        return peak - held
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_description_store_holds_8_bytes_a_known_word_above_the_store():
+    # 8 bytes a known word for its row index, plus a few 8-byte entries a
+    # description (about 1 byte a word at 40 words) and a constant: the
+    # gather step. Gathering every description's word rows at once would
+    # take d * 8 = 2,400 bytes a known word; copying the finished vectors
+    # into the store, 2,400 bytes a description (60 a known word here).
+    d, n, length = 300, 1000, 40
+    rng = np.random.default_rng(0)
+    vocabulary = [f"w{i}" for i in range(500)]
+    word_store = EmbeddingStore(d)
+    word_store._append(vocabulary, rng.standard_normal((len(vocabulary), d)))
+    words = np.array(vocabulary + ["unknown"])
+    overheads, known = [], []
+    for count in (n, 4 * n):
+        descriptions = {
+            f"Q{i}": " ".join(words[rng.integers(0, len(words), length + i % 5)])
+            for i in range(count)
+        }
+        known.append(sum(t in word_store for text in descriptions.values() for t in tokenize(text)))
+        description_store_overhead(descriptions, word_store)  # one-time allocations stay out
+        overheads.append(description_store_overhead(descriptions, word_store))
+    assert overheads[1] - overheads[0] <= 10 * (known[1] - known[0])

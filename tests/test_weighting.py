@@ -1,9 +1,15 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eigenlink.errors import ConfigError, FormatError, IntegrityError
-from eigenlink.index import CandidateList
+from eigenlink import weighting
+from eigenlink.errors import ConfigError, DataError, FormatError, IntegrityError
+from eigenlink.index import CandidateList, tokenize
 from eigenlink.weighting import (
+    STOPWORDS,
     WeightScheme,
     build_description_store,
     context_ranking,
@@ -212,3 +218,79 @@ def test_load_descriptions_rejects_bad_rows(tmp_path, rows, error, message):
     path.write_text("\n".join(rows) + "\n")
     with pytest.raises(error, match="^" + message):
         load_descriptions(str(path))
+
+
+def naive_mean_vector(tokens, word_store):
+    """The mean of the known tokens' vectors by one np.mean call: the oracle of the batched means."""
+    vecs = [word_store.get(t) for t in tokens]
+    vecs = [v for v in vecs if v is not None]
+    if not vecs:
+        return None
+    return np.mean(vecs, axis=0)
+
+
+def same_bits(got, expected):
+    return (got is None and expected is None) or (
+        got is not None and expected is not None and got.tobytes() == expected.tobytes()
+    )
+
+
+# Known words, their case variants (known only as written: descriptions are
+# lowercased, contexts are not), a stopword and words no store holds.
+MEAN_WORDS = ["w0", "w1", "w2", "w3", "the", "Ab", "ab", "W1", "zz", "qq"]
+KNOWN_WORDS = ["w0", "w1", "w2", "w3", "the", "Ab", "ab"]
+
+
+@st.composite
+def mean_cases(draw):
+    d = draw(st.sampled_from([1, 16, 300]))
+    # A step of d floats gathers two rows; 8 * d floats, eight; or the default.
+    gather = draw(st.sampled_from([d, 8 * d, weighting._GATHER_FLOATS]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scales = 10.0 ** rng.integers(-6, 7, (len(KNOWN_WORDS), 1))
+    vectors = dict(zip(KNOWN_WORDS, rng.standard_normal((len(KNOWN_WORDS), d)) * scales))
+    token_lists = st.lists(st.lists(st.sampled_from(MEAN_WORDS), max_size=24), max_size=30)
+    return d, gather, make_store(d, vectors), draw(token_lists)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=mean_cases(), separator=st.sampled_from([" ", ", ", "-"]))
+def test_description_store_has_the_bits_of_one_mean_per_description(case, separator):
+    d, gather, word_store, token_lists = case
+    descriptions = {f"Q{i}": separator.join(tokens) for i, tokens in enumerate(token_lists)}
+    expected = {}
+    for qid, text in descriptions.items():
+        vec = naive_mean_vector(tokenize(text), word_store)
+        if vec is not None:
+            expected[qid] = vec
+    with patch.object(weighting, "_GATHER_FLOATS", gather):
+        store = build_description_store(descriptions, word_store)
+    assert list(store.identifiers()) == list(expected)
+    assert all(same_bits(store.get(qid), vec) for qid, vec in expected.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=mean_cases(), position=st.integers(0, 40), window=st.integers(0, 12))
+def test_context_vectors_have_the_bits_of_one_mean(case, position, window):
+    d, gather, word_store, token_lists = case
+    doc = [t for tokens in token_lists for t in tokens] or ["zz"]
+    position %= len(doc)
+    nouns = token_lists[0] if token_lists else None
+    lo = max(0, position - window)
+    window_tokens = doc[lo:position] + doc[position + 1 : position + 1 + window]
+    noun_ish = [t for t in doc if t.lower() not in STOPWORDS]
+    with patch.object(weighting, "_GATHER_FLOATS", gather):
+        local = local_context_vector(doc, position, word_store, window)
+        global_ = global_context_vector(doc, word_store)
+        given_nouns = global_context_vector(doc, word_store, nouns)
+    assert same_bits(local, naive_mean_vector(window_tokens, word_store))
+    assert same_bits(global_, naive_mean_vector(noun_ish, word_store))
+    assert same_bits(given_nouns, naive_mean_vector(noun_ish if nouns is None else nouns, word_store))
+
+
+def test_description_store_rejects_a_mean_that_overflows():
+    store = make_store(1, {"a": [1e308], "b": [1.0]})
+    descriptions = {"Q1": "b", "Q2": "b a a", "Q3": "a a"}
+    with pytest.raises(DataError, match="^vector for 'Q2' has non-finite values$"):
+        with np.errstate(over="ignore"):
+            build_description_store(descriptions, store)
