@@ -1,16 +1,12 @@
 """Document/mention dataset I/O.
 
-JSONL, one document per line:
-
-    {"doc_id": str,
-     "mentions": [{"surface": str, "gold_qid": str|null, "position": int}],
-     "tokens": [str],          # optional, needed by context methods
-     "nouns": [str]}           # optional, overrides the stopword heuristic
-
-``position`` is the non-negative token index the mention occupies in
-``tokens``, so below its length when ``tokens`` is given; it defaults to 0.
-Candidate lists and name matches are not stored; they are attached from
-those made for the documents' surfaces (``index.candidate_lists``).
+JSONL, one ``DOCUMENT`` per line, its mentions ``MENTION`` records. A
+document's ``tokens`` are needed by the context methods, and its
+``nouns`` override the stopword heuristic. A mention's ``position`` is
+the token index it occupies, so below the length of ``tokens`` when
+they are given. Candidate lists and name matches are not stored; they
+are attached from those made for the documents' surfaces
+(``index.candidate_lists``).
 """
 
 from __future__ import annotations
@@ -40,58 +36,44 @@ class DocumentTask:
     nouns: list[str] | None = None
 
 
+DOCUMENT = jsonl.Table("a document must be a JSON object", (
+    jsonl.Field("doc_id", str, "missing or empty 'doc_id'", checks=("v != ''",)),
+    *(jsonl.Field(key, list, f"{key!r} must be a list of strings", None, (jsonl.STRINGS,))
+      for key in ("tokens", "nouns")),
+    jsonl.Field("mentions", list, "'mentions' must be a list"),
+))
+MENTION = jsonl.Table("a mention must be a JSON object", (
+    jsonl.Field("surface", str, "mention without a surface", checks=("v != ''",)),
+    jsonl.Field("gold_qid", str, "'gold_qid' must be a non-empty string or null", None,
+                ("v != ''",)),
+    jsonl.Field("position", int, "'position' must be a non-negative integer", 0, ("v >= 0",)),
+))
+
+
 def load_dataset(path: str) -> list[DocumentTask]:
-    """Read and validate every document.
+    """Read and validate every document: a ``DOCUMENT`` record, each doc_id once, whose
+    mentions are ``MENTION`` records.
 
     Each distinct token or noun string is held once across the file:
     documents share the string objects of the words they repeat.
     """
     docs: list[DocumentTask] = []
-    seen_ids: set[str] = set()
     shared: dict[str, str] = {}
-    with open(path, "rb") as fh:
-        for lineno, obj in jsonl.rows(fh):
-            if not isinstance(obj, dict):
-                raise FormatError(f"line {lineno}: a document must be a JSON object")
-            doc_id = obj.get("doc_id")
-            if not isinstance(doc_id, str) or not doc_id:
-                raise FormatError(f"line {lineno}: missing or empty 'doc_id'")
-            if doc_id in seen_ids:
-                raise FormatError(f"line {lineno}: duplicate doc_id {doc_id!r}")
-            seen_ids.add(doc_id)
-            tokens = obj.get("tokens")
-            nouns = obj.get("nouns")
-            for key, words in (("tokens", tokens), ("nouns", nouns)):
-                if words is not None and not (
-                    isinstance(words, list) and all(isinstance(t, str) for t in words)
-                ):
-                    raise FormatError(f"line {lineno}: {key!r} must be a list of strings")
-            if tokens is not None:
-                tokens = [shared.setdefault(t, t) for t in tokens]
-            if nouns is not None:
-                nouns = [shared.setdefault(t, t) for t in nouns]
-            raw_mentions = obj.get("mentions")
-            if not isinstance(raw_mentions, list):
-                raise FormatError(f"line {lineno}: 'mentions' must be a list")
-            mentions = []
-            for m in raw_mentions:
-                if not isinstance(m, dict):
-                    raise FormatError(f"line {lineno}: a mention must be a JSON object")
-                surface = m.get("surface")
-                if not isinstance(surface, str) or not surface:
-                    raise FormatError(f"line {lineno}: mention without a surface")
-                gold = m.get("gold_qid")
-                if gold is not None and (not isinstance(gold, str) or not gold):
-                    raise FormatError(
-                        f"line {lineno}: 'gold_qid' must be a non-empty string or null"
-                    )
-                position = m.get("position", 0)
-                if not isinstance(position, int) or isinstance(position, bool) or position < 0:
-                    raise FormatError(f"line {lineno}: 'position' must be a non-negative integer")
+    rows = jsonl.records(path, DOCUMENT, "doc_id")
+    for doc_id, tokens, nouns, raw_mentions in rows:
+        mentions = []
+        try:
+            for surface, gold, position in map(MENTION.check, raw_mentions):
                 if tokens is not None and position >= len(tokens):
-                    raise FormatError(f"line {lineno}: 'position' {position} is past the tokens")
-                mentions.append(Mention(surface=surface, gold_qid=gold, position=position))
-            docs.append(DocumentTask(doc_id=doc_id, mentions=mentions, tokens=tokens, nouns=nouns))
+                    raise FormatError(f"'position' {position} is past the tokens")
+                mentions.append(Mention(surface, gold, position))
+        except FormatError as exc:  # named by its line, after any earlier repeated doc_id
+            rows.throw(exc)
+        if tokens is not None:
+            tokens = [shared.setdefault(t, t) for t in tokens]
+        if nouns is not None:
+            nouns = [shared.setdefault(t, t) for t in nouns]
+        docs.append(DocumentTask(doc_id=doc_id, mentions=mentions, tokens=tokens, nouns=nouns))
     return docs
 
 

@@ -5,14 +5,18 @@ lone ``\\r`` is not a line break; blank lines are skipped. A bad byte, bad
 JSON, a ``\\u`` escape of a lone surrogate (text that UTF-8 cannot hold),
 an object that gives a key twice, at any depth, or nesting past the
 recursion limit is a FormatError naming the line.
+
+The catalog, the descriptions and the dataset each declare their record
+once, as a ``Table`` of ``Field``s, and are read by ``records``.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, BinaryIO, Callable, Iterable, Iterator
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import FormatError
+from .rowids import RowIds
 
 # Bytes read and decoded at a time by ``blocks``.
 _BLOCK_BYTES = 1 << 16
@@ -81,20 +85,8 @@ def lines(fh: BinaryIO) -> Iterator[tuple[int, str]]:
 
 
 def _value(text: str, lineno: int) -> Any:
-    """``loads(text, lineno, unique_keys)``, by the C scanner alone for one plain value.
-
-    ``text`` has no surrounding whitespace, so a value that ends where
-    ``text`` does is what ``json.loads`` returns. Anything else, and any
-    ``\\u`` escape, goes through ``loads`` for its checks and messages.
-    """
+    """``loads(text, lineno, unique_keys)``, with a repeated key's error naming the line."""
     try:
-        if "\\u" not in text:
-            try:
-                value, end = _scan(text, 0)
-                if end == len(text):
-                    return value
-            except (StopIteration, ValueError, RecursionError):
-                pass
         return loads(text, lineno, unique_keys)
     except RepeatedKeyError as exc:
         raise FormatError(f"line {lineno}: {exc}") from None
@@ -118,12 +110,100 @@ def blocks(fh: BinaryIO) -> Iterator[tuple[int, Iterable[str]]]:
         start += len(block)
 
 
-def rows(fh: BinaryIO) -> Iterator[tuple[int, Any]]:
-    """(line number, JSON value) of each non-blank line of binary ``fh``, read in ``blocks``."""
-    for start, texts in blocks(fh):
-        for lineno, text in enumerate(texts, start):
-            if text and not text.isspace():
-                yield lineno, _value(text.strip(), lineno)
+REQUIRED: Any = object()  # the default of a field that every record gives
+STRINGS = "''.join(v) is not None"  # a check that v holds only strings: join raises TypeError
+_MISSING = object()
+
+
+class Field(NamedTuple):
+    """One field of a record. A given value is valid when its type is ``type`` exactly (a
+    JSON ``true`` is a bool, not an int) and then each of ``checks`` holds of it: a Python
+    expression in ``v``, or ``(expression, message)``. One that is false or raises TypeError
+    fails with its message, by default ``message``, which is also the error of a value of
+    another type and of a missing REQUIRED field. Any other missing field, or a ``null`` one
+    whose default is None, takes ``default``, a literal made afresh for each record."""
+
+    name: str
+    type: type
+    message: str
+    default: Any = REQUIRED
+    checks: tuple = ()
+
+
+class Table:
+    """A file's record: a JSON object with ``fields``; ``message`` is the error of another value.
+
+    ``check`` is a function of a JSON value that returns the values of the fields, or raises a
+    FormatError with the message of the first fault, taking the fields in order. It is
+    compiled once, when the table is made, a statement per test: a loop over the fields took
+    three times as long (0.07 against 0.024 s on 80,000 catalog objects)."""
+
+    def __init__(self, message: str, fields: tuple[Field, ...]):
+        self.message, self.fields = message, fields
+        lines = [f"if type(obj) is not dict: raise E({message!r})"]
+        namespace = {"E": FormatError, "M": _MISSING}
+        for i, field in enumerate(fields):
+            namespace[f"T{i}"], at, err = field.type, "", f"raise E({field.message!r})"
+            if field.default is REQUIRED:
+                lines += [f"try: v = obj[{field.name!r}]", f"except KeyError: {err}"]
+            else:
+                missing = "v is M or v is None" if field.default is None else "v is M"
+                lines += [f"v = obj.get({field.name!r}, M)", f"if {missing}: v = {field.default!r}"]
+                lines, at = lines + ["else:"], "    "
+            tests = [f"if type(v) is not T{i}: {err}"]
+            for check in field.checks:
+                test, message = (check, field.message) if isinstance(check, str) else check
+                err = f"raise E({message!r})"  # a test that raises TypeError fails too
+                tests += ["try:", f"    if not ({test}): {err}", f"except TypeError: {err}"]
+            lines += [at + test for test in tests] + [f"v{i} = v"]
+        lines.append(f"return ({''.join(f'v{i}, ' for i in range(len(fields)))})")
+        exec("def check(obj):\n    " + "\n    ".join(lines), namespace)
+        self.check: Callable[[Any], tuple] = namespace["check"]
+
+
+def records(path: str, table: Table, key: str) -> Iterator[tuple]:
+    """The values of ``table``'s fields in each record of the JSONL file at ``path``.
+
+    The file is read in ``blocks``. A line with no ``\\u`` escape that is one
+    JSON value, as nearly every line is, is decoded by the C scanner alone;
+    any other by ``_value``. Each is checked by ``table.check``, and the
+    first error in file order wins. Each value of the string field ``key``
+    is given once (``RowIds``); on one line, a field error comes first. A
+    consumer that rejects a record throws (``generator.throw``) a FormatError
+    into this generator, which names the record's line, after any earlier repeat.
+    """
+    check, scan = table.check, _scan
+    k = [field.name for field in table.fields].index(key)
+
+    def line_key(raw: bytes) -> str | None:  # of a valid line; None for a blank one
+        # stripped as the lines below are: str.strip() removes more than JSON whitespace
+        return json.loads(text)[key] if (text := raw.decode("utf-8").strip()) else None
+
+    with open(path, "rb") as fh, RowIds(path, line_key, key).checked() as ids:
+        for start, texts in blocks(fh):
+            keys: list[str] = []
+            last = 0
+            try:
+                for lineno, text in enumerate(texts, start):
+                    if not (text := text.strip()):
+                        continue
+                    end = -1
+                    if "\\u" not in text:  # only _value checks what an escape makes
+                        try:
+                            obj, end = scan(text, 0)
+                        except (StopIteration, ValueError, RecursionError, FormatError):
+                            pass
+                    if end != len(text):
+                        obj = _value(text, lineno)
+                    try:
+                        values = check(obj)
+                        yield values
+                    except FormatError as exc:
+                        raise FormatError(f"line {lineno}: {exc}") from None
+                    keys.append(values[k])
+                    last = lineno
+            finally:  # before an error, so that a repeat among these lines comes first
+                ids.extend(keys, start, last)
 
 
 def write_rows(path: str, values: Iterable[Any]) -> None:

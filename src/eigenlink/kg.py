@@ -6,8 +6,9 @@ Identifiers are opaque strings; nothing Wikidata-specific is assumed.
 Degrees may be stored in the catalog or recomputed from an edge list,
 with stored values taking precedence.
 
-The catalog is read as a stream: ``catalog_lines`` yields each validated
-line as a plain tuple and keeps none of them, so a consumer such as
+The catalog's record is declared once, as the ``CATALOG`` table, and
+read as a stream: ``catalog_lines`` yields each validated line as a
+plain tuple and keeps none of them, so a consumer such as
 ``index.candidate_lists`` holds only what it takes from each line.
 """
 
@@ -18,31 +19,17 @@ from typing import Iterable, Iterator
 
 from . import jsonl
 from .errors import FormatError, IntegrityError
-from .rowids import RowIds, line_qid
 
 # The largest degree that converts to a float, as the degree baseline scores it.
 _MAX_DEGREE = int(sys.float_info.max)
 
-
-def _parse_record(obj: dict, lineno: int) -> tuple[str, str, list[str], int | None]:
-    """Validate one raw JSON object. Returns (qid, name, aliases, degree or None if not stored)."""
-    if not isinstance(obj, dict):
-        raise FormatError(f"line {lineno}: catalog record must be a JSON object")
-    qid = obj.get("qid")
-    name = obj.get("name")
-    if not isinstance(qid, str) or not qid:
-        raise FormatError(f"line {lineno}: missing or empty 'qid'")
-    if not isinstance(name, str) or not name:
-        raise FormatError(f"line {lineno}: missing or empty 'name'")
-    aliases = obj.get("aliases", [])
-    if not isinstance(aliases, list) or any(not isinstance(a, str) for a in aliases):
-        raise FormatError(f"line {lineno}: 'aliases' must be a list of strings")
-    degree = obj.get("degree")
-    if "degree" in obj and (not isinstance(degree, int) or isinstance(degree, bool) or degree < 0):
-        raise FormatError(f"line {lineno}: 'degree' must be a non-negative integer")
-    if "degree" in obj and degree > _MAX_DEGREE:
-        raise FormatError(f"line {lineno}: 'degree' is above the largest float (about 1.8e308)")
-    return qid, name, aliases, degree
+CATALOG = jsonl.Table("catalog record must be a JSON object", (
+    jsonl.Field("qid", str, "missing or empty 'qid'", checks=("v != ''",)),
+    jsonl.Field("name", str, "missing or empty 'name'", checks=("v != ''",)),
+    jsonl.Field("aliases", list, "'aliases' must be a list of strings", [], (jsonl.STRINGS,)),
+    jsonl.Field("degree", int, "'degree' must be a non-negative integer", 0, ("v >= 0", (
+        f"v <= {_MAX_DEGREE}", "'degree' is above the largest float (about 1.8e308)"))),
+))
 
 
 def catalog_lines(
@@ -50,60 +37,19 @@ def catalog_lines(
 ) -> Iterator[tuple[str, str, list[str], int]]:
     """Each valid line of a JSONL entity catalog, as ``(qid, name, aliases, degree)``.
 
-    When ``edges_path`` is given, the edge list is read first and its
-    degrees fill in lines that do not carry an explicit ``degree``
-    field; explicit values always win, and the degree yielded is final.
-    Every line is validated, including the check for duplicate qids
-    across the whole file, which runs when the file ends or before any
-    error a later line raises, so the first error in file order wins.
-
-    The file is read a block at a time (``jsonl.blocks``). A line that is
-    one plain valid record, as nearly every line is, is checked inline
-    with exact types; any other line goes through ``jsonl._value`` and
-    ``_parse_record`` for its value or its message. A block's qids are
-    recorded at its end, or before its bad line's error is raised.
+    The lines are ``CATALOG`` records, read by ``jsonl.records``, each
+    qid once. When ``edges_path`` is given, the edge list is read first
+    and its degrees fill in lines that do not carry an explicit
+    ``degree`` field; explicit values always win, and the degree yielded
+    is final.
     """
-    degrees = compute_degrees(load_edges(edges_path)) if edges_path is not None else {}
-    scan, max_degree = jsonl._scan, _MAX_DEGREE
-    with open(path, "rb") as fh, RowIds(path, line_qid, "qid").checked() as qids:
-        for start, texts in jsonl.blocks(fh):
-            block_qids: list[str] = []
-            last = 0
-            try:
-                for lineno, text in enumerate(texts, start):
-                    if not (text := text.strip()):
-                        continue
-                    plain = False
-                    if "\\u" not in text:  # only jsonl._value checks what an escape makes
-                        try:  # of the JSON values, only an object takes a str key
-                            obj, end = scan(text, 0)
-                            qid, name = obj["qid"], obj["name"]
-                            aliases, degree = obj.get("aliases", []), obj.get("degree")
-                            "".join(aliases)  # a TypeError unless every alias is a str
-                        except (StopIteration, ValueError, RecursionError, LookupError,
-                                TypeError, FormatError):
-                            pass
-                        else:
-                            plain = (
-                                end == len(text)
-                                and type(qid) is str
-                                and type(name) is str
-                                and type(aliases) is list
-                                and qid != ""
-                                and name != ""
-                                and (
-                                    type(degree) is int and 0 <= degree <= max_degree
-                                    or degree is None and "degree" not in obj
-                                )
-                            )
-                    if not plain:
-                        obj = jsonl._value(text, lineno)
-                        qid, name, aliases, degree = _parse_record(obj, lineno)
-                    block_qids.append(qid)
-                    last = lineno
-                    yield qid, name, aliases, degrees.get(qid, 0) if degree is None else degree
-            finally:  # before an error, so that a repeat among these lines comes first
-                qids.extend(block_qids, start, last)
+    if edges_path is None:
+        return jsonl.records(path, CATALOG, "qid")
+    degrees = compute_degrees(load_edges(edges_path))
+    *fields, degree = CATALOG.fields  # a missing degree is read as -1, and filled in
+    table = jsonl.Table(CATALOG.message, (*fields, degree._replace(default=-1)))
+    lines = jsonl.records(path, table, "qid")
+    return ((q, n, a, degrees.get(q, 0) if d < 0 else d) for q, n, a, d in lines)
 
 
 def load_edges(path: str) -> list[tuple[str, str]]:

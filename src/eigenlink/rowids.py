@@ -11,7 +11,6 @@ repeat.
 
 from __future__ import annotations
 
-import json
 from array import array
 from contextlib import contextmanager
 from typing import Callable, Iterator
@@ -19,13 +18,6 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import EigenlinkError, IntegrityError
-
-
-def line_qid(raw: bytes) -> str | None:
-    """The ``qid`` of one valid line of a JSONL file keyed by qid; None for a blank line."""
-    # stripped as the loaders strip it: str.strip() removes more than JSON whitespace
-    text = raw.decode("utf-8").strip()
-    return json.loads(text)["qid"] if text else None
 
 
 class RowIds:

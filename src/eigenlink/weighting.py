@@ -19,9 +19,8 @@ import numpy as np
 from . import jsonl
 from .dataset import DocumentTask
 from .embeddings import EmbeddingStore
-from .errors import ConfigError, DataError, FormatError
+from .errors import ConfigError, DataError
 from .index import CandidateList, tokenize
-from .rowids import RowIds, line_qid
 
 WEIGHT_KINDS = ("none", "degree_rr", "local_ctxt_rr", "global_ctxt_rr")
 
@@ -254,27 +253,23 @@ def mention_weights(
     return {qid: weights[rank - 1] for qid, rank in ranking.items()}
 
 
+DESCRIPTIONS = jsonl.Table("a description must be a JSON object", (
+    jsonl.Field("qid", str, "need string 'qid' and 'description'",
+                checks=(("v != ''", "missing or empty 'qid'"),)),
+    jsonl.Field("description", str, "need string 'qid' and 'description'"),
+))
+
+
 def load_descriptions(path: str, keep: Mapping[str, str] | None = None) -> dict[str, str]:
-    """Read a JSONL file of {"qid": ..., "description": ...} records, each qid once.
+    """Read a JSONL file of ``DESCRIPTIONS`` records, each qid once.
 
     Every row is validated, but only the descriptions of the qids in
     ``keep`` are returned; without ``keep`` every one is. Each kept
     description is keyed by ``keep[qid]``, as in
     ``embeddings.load_embeddings``.
     """
-    descriptions: dict[str, str] = {}
-    with open(path, "rb") as fh, RowIds(path, line_qid, "qid").checked() as qids:
-        for lineno, obj in jsonl.rows(fh):
-            if not isinstance(obj, dict):
-                raise FormatError(f"line {lineno}: a description must be a JSON object")
-            qid = obj.get("qid")
-            desc = obj.get("description")
-            if not isinstance(qid, str) or not isinstance(desc, str):
-                raise FormatError(f"line {lineno}: need string 'qid' and 'description'")
-            qids.add(qid, lineno)
-            if keep is None or qid in keep:
-                descriptions[qid if keep is None else keep[qid]] = desc
-    return descriptions
+    rows = jsonl.records(path, DESCRIPTIONS, "qid")
+    return dict(rows) if keep is None else {keep[qid]: desc for qid, desc in rows if qid in keep}
 
 
 def build_description_store(

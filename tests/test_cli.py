@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from eigenlink import cli, weighting
 from eigenlink.cli import _load_context, _resolve_run_config, build_parser, main
@@ -1289,3 +1291,72 @@ def test_context_weighting_without_words_still_exits_4_for_eigen(corpus_dir, tmp
             "error: context-based methods and weightings need word embeddings "
             "and entity descriptions\n"
         )
+
+
+# Numbers at the edges of int64, float64 and what JSON can spell, for each
+# numeric input: a catalog degree, a mention position, a config-file value
+# or a flag. --jobs is left out, since a large value could start that many
+# workers.
+NUMERIC_EXTREMES = [
+    "0",
+    "1",
+    "-1",
+    str(2**53 + 1),
+    str(2**63),
+    str(10**309),
+    "5e-324",
+    "1e308",
+    "1.7976931348623157e308",
+    "-1.7976931348623157e308",
+    "1.3407807929942596e154",
+]
+NUMERIC_FLAGS = ["k", "T", "delta", "window", "seed"]
+
+
+def jsonl_rows(path):
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
+
+
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    method=st.sampled_from(sorted(METHODS)),
+    numbers=st.lists(
+        st.tuples(
+            st.sampled_from(["degree", "position", "config-file", "flag"]),
+            st.sampled_from(NUMERIC_FLAGS),
+            st.sampled_from(NUMERIC_EXTREMES),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_numeric_extremes_link_or_exit_3_or_4(
+    corpus_dir, tmp_path_factory, capsys, method, numbers
+):
+    work = tmp_path_factory.mktemp("extremes")
+    catalog = jsonl_rows(f"{corpus_dir}/catalog.jsonl")
+    dataset = jsonl_rows(f"{corpus_dir}/dataset.jsonl")
+    config, flags = {}, []
+    for where, name, text in numbers:
+        if where == "degree":
+            catalog[0]["degree"] = json.loads(text)
+        elif where == "position":
+            dataset[0]["mentions"][0]["position"] = json.loads(text)
+        elif where == "config-file":
+            config[name] = json.loads(text)
+        else:
+            flags += [f"--{name}", text]
+    for name, rows in (("catalog", catalog), ("dataset", dataset)):
+        (work / f"{name}.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    (work / "config.json").write_text(json.dumps(config))
+    args = link_args(corpus_dir, str(work / "out"), method, extra=text_args(corpus_dir))
+    args[args.index("--catalog") + 1] = str(work / "catalog.jsonl")
+    args[args.index("--dataset") + 1] = str(work / "dataset.jsonl")
+    code = main([*args, *flags, "--config-file", str(work / "config.json")])
+    err = capsys.readouterr().err
+    assert code in (0, 3, 4)
+    assert "Traceback" not in err
+    assert sum(line.startswith("error:") for line in err.splitlines()) == (code != 0)

@@ -6,6 +6,9 @@ import re
 from pathlib import Path
 
 import eigenlink
+from eigenlink.dataset import DOCUMENT, MENTION
+from eigenlink.kg import CATALOG
+from eigenlink.weighting import DESCRIPTIONS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = {module.name for module in pkgutil.iter_modules(eigenlink.__path__)}
@@ -37,3 +40,27 @@ def test_readme_module_references_resolve():
 
 def test_package_exports_resolve():
     assert [name for name in eigenlink.__all__ if not hasattr(eigenlink, name)] == []
+
+
+def readme_paragraph(title: str) -> str:
+    """The README's "- **title**" file-format paragraph, up to the next bullet at its level."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index(f"- **{title}**")
+    end = text.find("\n- ", start + 1)
+    return text[start:end]
+
+
+def test_readme_names_every_declared_jsonl_field():
+    tables = [
+        ("Catalog", CATALOG),
+        ("Dataset", DOCUMENT),
+        ("Dataset", MENTION),
+        ("Descriptions", DESCRIPTIONS),
+    ]
+    missing = [
+        f"{title}: {field.name}"
+        for title, table in tables
+        for field in table.fields
+        if f'"{field.name}"' not in readme_paragraph(title)
+    ]
+    assert missing == []

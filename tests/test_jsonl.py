@@ -9,28 +9,117 @@ from hypothesis import strategies as st
 
 from eigenlink import jsonl
 from eigenlink.cli import _read_config_file
-from eigenlink.dataset import load_dataset
+from eigenlink.dataset import DOCUMENT, load_dataset
 from eigenlink.errors import EigenlinkError, FormatError
 from eigenlink.evaluation import read_predictions
-from eigenlink.kg import load_edges
-from eigenlink.weighting import load_descriptions
+from eigenlink.kg import CATALOG, load_edges
+from eigenlink.weighting import DESCRIPTIONS, load_descriptions
 from tests.conftest import read_catalog
 
+# A record with a required key, an optional field, and one whose default is
+# None, so that a null counts as missing.
+ROW = jsonl.Table("a row must be a JSON object", (
+    jsonl.Field("id", str, "missing or empty 'id'", checks=("v != ''",)),
+    jsonl.Field("n", int, "'n' must be an integer", 0, (("v < 10", "'n' is 10 or more"),)),
+    jsonl.Field("words", list, "'words' must be a list of strings", None, (jsonl.STRINGS,)),
+))
 
-def read_rows(path):
-    with open(path, "rb") as fh:
-        return list(jsonl.rows(fh))
+
+def read_rows(path, table=ROW, key="id"):
+    return list(jsonl.records(str(path), table, key))
 
 
 def test_rows_skip_blank_lines_and_number_the_rest(tmp_path):
     path = tmp_path / "rows.jsonl"
-    path.write_bytes(b'{"a": 1}\n\n  \t\r\n[2]\r\n\x0c\n"x"')
-    assert read_rows(path) == [(1, {"a": 1}), (4, [2]), (6, "x")]
+    rows = b'{"id": "a"}\n\n  \t\r\n{"id": "b", "n": 2}\r\n\x0c\n{"id": "c", "words": null}'
+    path.write_bytes(rows)
+    assert read_rows(path) == [("a", 0, None), ("b", 2, None), ("c", 0, None)]
+    path.write_bytes(rows + b'\n{"id": "b"}\n')
+    with pytest.raises(EigenlinkError, match="^line 7: duplicate id 'b'$"):
+        read_rows(path)
+    path.write_bytes(rows.replace(b'"n": 2', b'"n": 12'))
+    with pytest.raises(FormatError, match="^line 4: 'n' is 10 or more$"):
+        read_rows(path)
+
+
+def test_defaults_are_copies(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"id": "a"}\n{"id": "b"}\n{"id": "c", "n": "x"}\n')
+    table = jsonl.Table(ROW.message, (*ROW.fields[:2], ROW.fields[2]._replace(default=[])))
+    rows = jsonl.records(str(path), table, "id")
+    (_, _, first), (_, _, second) = next(rows), next(rows)
+    assert first == second == [] and first is not second
+    with pytest.raises(FormatError, match="^line 3: 'n' must be an integer$"):
+        next(rows)
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ("[1]", "a row must be a JSON object"),
+        ('{"n": 1}', "missing or empty 'id'"),
+        ('{"id": 7}', "missing or empty 'id'"),
+        ('{"id": ""}', "missing or empty 'id'"),
+        ('{"id": "b", "n": true}', "'n' must be an integer"),
+        ('{"id": "b", "n": null}', "'n' must be an integer"),
+        ('{"id": "b", "words": ["x", 1]}', "'words' must be a list of strings"),
+        ('{"id": "b", "words": "x"}', "'words' must be a list of strings"),
+        # the first field in table order that is wrong names the error
+        ('{"id": "", "n": "x"}', "missing or empty 'id'"),
+        ('{"id": "b", "n": 99, "words": 1}', "'n' is 10 or more"),
+        # a field error on a line comes before a repeat of its key
+        ('{"id": "a", "n": 99}', "'n' is 10 or more"),
+        ('{"id": "a", "other": 1}', "duplicate id 'a'"),
+        ('{"id": "a", "n": 1, "n": 1}', "key 'n' is given twice"),
+    ],
+)
+@pytest.mark.parametrize("escape", [False, True], ids=["plain", "escaped"])
+def test_first_fault_of_a_line_names_it(tmp_path, row, message, escape):
+    # An escape sends a line to the per-line path; a plain line is checked by the compiled tests.
+    path = tmp_path / "rows.jsonl"
+    if escape:
+        row = row.replace('"a"', '"\\u0061"').replace('"b"', '"\\u0062"')
+    path.write_text('{"id": "a"}\n' + row + "\n", encoding="utf-8")
+    with pytest.raises(EigenlinkError) as info:
+        read_rows(path)
+    assert str(info.value) == f"line 2: {message}"
+
+
+def test_a_rejected_record_is_reported_after_an_earlier_repeat(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"id": "a"}\n{"id": "b"}\n{"id": "a"}\n{"id": "c"}\n', encoding="utf-8")
+    for at, message in ((4, "line 3: duplicate id 'a'"), (3, "line 3: rejected")):
+        rows = jsonl.records(str(path), ROW, "id")
+        with pytest.raises(EigenlinkError) as info:
+            for lineno, _ in enumerate(rows, 1):
+                if lineno == at:
+                    rows.throw(FormatError("rejected"))
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        (
+            ['{"doc_id": "d", "mentions": []}'] * 2 + ['{"doc_id": "e", "mentions": [1]}'],
+            "line 2: duplicate doc_id 'd'",
+        ),
+        (['{"doc_id": "d", "mentions": []}', '{"doc_id": "d", "mentions": [1]}'],
+         "line 2: a mention must be a JSON object"),
+    ],
+    ids=["repeat-before-bad-mention", "bad-mention-on-the-repeat"],
+)
+def test_dataset_reports_its_first_error_in_file_order(tmp_path, rows, message):
+    path = tmp_path / "dataset.jsonl"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    with pytest.raises(EigenlinkError) as info:
+        load_dataset(str(path))
+    assert str(info.value) == message
 
 
 def test_lone_cr_is_not_a_line_break(tmp_path):
     path = tmp_path / "rows.jsonl"
-    path.write_bytes(b'{"a": 1}\r{"b": 2}\n')
+    path.write_bytes(b'{"id": "a"}\r{"id": "b"}\n')
     with pytest.raises(FormatError, match=r"^line 1: invalid JSON \(Extra data\)$"):
         read_rows(path)
 
@@ -38,10 +127,10 @@ def test_lone_cr_is_not_a_line_break(tmp_path):
 @pytest.mark.parametrize(
     "raw,message",
     [
-        (b'{"a": 1}\n\xff\n', "line 2: not valid UTF-8"),
-        (b'{"a": 1}\n[1,\n\n', "line 2: invalid JSON (Expecting value)"),
-        (b'{"a": 1}\n' + b"[" * 100_000 + b"\n", "line 2: JSON nested too deeply"),
-        (b'{"a": 1}\n' + b"7" * 5000 + b"\n", "line 2: number too long"),
+        (b'{"id": "a"}\n\xff\n', "line 2: not valid UTF-8"),
+        (b'{"id": "a"}\n[1,\n\n', "line 2: invalid JSON (Expecting value)"),
+        (b'{"id": "a"}\n' + b"[" * 100_000 + b"\n", "line 2: JSON nested too deeply"),
+        (b'{"id": "a"}\n' + b"7" * 5000 + b"\n", "line 2: number too long"),
         # each line alone is bad JSON, though the two joined into one array are not
         (
             b'{"qid": "Q1", "name": "a", "aliases": ["x"\n"y"]}, {"qid": "Q2", "name": "b"}\n',
@@ -101,7 +190,7 @@ def test_unique_keys_passes_objects_and_names_the_first_repeat():
 
 
 # é, a surrogate pair and an escaped backslash: escapes UTF-8 can hold
-GOOD_ESCAPES = b'"\\u00e9"\n"\\ud83d\\ude00"\n"\\\\ud800"\n'
+GOOD_ESCAPES = b'{"id": "\\u00e9"}\n{"id": "\\ud83d\\ude00"}\n{"id": "\\\\ud800"}\n'
 
 
 @pytest.mark.parametrize(
@@ -112,7 +201,7 @@ GOOD_ESCAPES = b'"\\u00e9"\n"\\ud83d\\ude00"\n"\\\\ud800"\n'
 def test_lone_surrogate_escape_names_its_line(tmp_path, raw):
     path = tmp_path / "rows.jsonl"
     path.write_bytes(GOOD_ESCAPES)
-    assert read_rows(path) == [(1, "é"), (2, "\U0001f600"), (3, "\\ud800")]
+    assert read_rows(path) == [("é", 0, None), ("\U0001f600", 0, None), ("\\ud800", 0, None)]
     path.write_bytes(GOOD_ESCAPES + raw + b"\n")
     with pytest.raises(FormatError) as info:
         read_rows(path)
@@ -136,9 +225,10 @@ def test_parse_names_the_line_inside_a_document(raw, message):
 
 def test_write_rows_keeps_non_ascii_text(tmp_path):
     path = tmp_path / "rows.jsonl"
-    jsonl.write_rows(str(path), [{"name": "Zürich", "q": [1, None]}, "x"])
-    assert path.read_bytes() == '{"name": "Zürich", "q": [1, null]}\n"x"\n'.encode()
-    assert read_rows(path) == [(1, {"name": "Zürich", "q": [1, None]}), (2, "x")]
+    jsonl.write_rows(str(path), [{"id": "Zürich", "q": [1, None]}, {"id": "x", "words": ["é"]}])
+    expected = '{"id": "Zürich", "q": [1, null]}\n{"id": "x", "words": ["é"]}\n'
+    assert path.read_bytes() == expected.encode()
+    assert read_rows(path) == [("Zürich", 0, None), ("x", 0, ["é"])]
 
 
 def test_crlf_edge_list_parses_like_lf(tmp_path):
@@ -218,19 +308,38 @@ def test_mutated_text_inputs_raise_only_package_errors(scratch_dir, kind, mutati
         pass
 
 
-def reference_rows(path):
-    """``jsonl.rows`` one line at a time through ``jsonl.loads``: a value, or the error message."""
+TABLES = {
+    "catalog": (CATALOG, "qid"),
+    "dataset": (DOCUMENT, "doc_id"),
+    "descriptions": (DESCRIPTIONS, "qid"),
+}
+
+
+def reference_records(path, table, key):
+    """``jsonl.records`` one line at a time, by ``jsonl.loads`` and the table's check, with a set
+    of the keys seen: its tuples or its message."""
+    seen, out, k = set(), [], [field.name for field in table.fields].index(key)
     with open(path, "rb") as fh:
         try:
-            return [(lineno, jsonl.loads(text.strip(), lineno)) for lineno, text in jsonl.lines(fh)]
+            for lineno, text in jsonl.lines(fh):
+                try:
+                    obj = jsonl.loads(text.strip(), lineno, jsonl.unique_keys)
+                except jsonl.RepeatedKeyError as exc:
+                    return f"line {lineno}: {exc}"
+                try:
+                    values = table.check(obj)
+                except FormatError as exc:
+                    return f"line {lineno}: {exc}"
+                if values[k] in seen:
+                    return f"line {lineno}: duplicate {key} {values[k]!r}"
+                seen.add(values[k])
+                out.append(values)
         except FormatError as exc:
             return str(exc)
+    return out
 
 
-JSONL_KINDS = ["catalog", "dataset", "descriptions"]
-
-
-@pytest.mark.parametrize("kind", JSONL_KINDS)
+@pytest.mark.parametrize("kind", sorted(TABLES))
 @settings(max_examples=150, deadline=None)
 @given(mutations=st.lists(MUTATION, min_size=1, max_size=4), block_bytes=st.integers(1, 200))
 def test_rows_in_blocks_match_the_line_by_line_reference(scratch_dir, kind, mutations, block_bytes):
@@ -238,10 +347,10 @@ def test_rows_in_blocks_match_the_line_by_line_reference(scratch_dir, kind, muta
     path.write_bytes(mutate(VALID_FILES[kind][1], mutations))
     try:
         with patch.object(jsonl, "_BLOCK_BYTES", block_bytes):
-            got = read_rows(path)
-    except FormatError as exc:
+            got = read_rows(path, *TABLES[kind])
+    except EigenlinkError as exc:
         got = str(exc)
-    assert got == reference_rows(path)
+    assert got == reference_records(path, *TABLES[kind])
 
 
 @pytest.mark.parametrize("kind", sorted(VALID_FILES))

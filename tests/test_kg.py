@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from eigenlink import jsonl
 from eigenlink.errors import EigenlinkError, FormatError, IntegrityError
-from eigenlink.kg import _parse_record, catalog_lines, compute_degrees, load_edges
+from eigenlink.kg import catalog_lines, compute_degrees, load_edges
 from tests.test_jsonl import MUTATION, mutate
 
 
@@ -180,6 +180,32 @@ def test_bad_edge_line(tmp_path):
     path.write_text("a\n")
     with pytest.raises(FormatError):
         load_edges(str(path))
+
+
+# The catalog's per-line check as it was written out by hand, kept as the
+# oracle of the declared ``kg.CATALOG`` table.
+_MAX_DEGREE = int(sys.float_info.max)
+
+
+def _parse_record(obj: dict, lineno: int) -> tuple[str, str, list[str], int | None]:
+    """Validate one raw JSON object. Returns (qid, name, aliases, degree or None if not stored)."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"line {lineno}: catalog record must be a JSON object")
+    qid = obj.get("qid")
+    name = obj.get("name")
+    if not isinstance(qid, str) or not qid:
+        raise FormatError(f"line {lineno}: missing or empty 'qid'")
+    if not isinstance(name, str) or not name:
+        raise FormatError(f"line {lineno}: missing or empty 'name'")
+    aliases = obj.get("aliases", [])
+    if not isinstance(aliases, list) or any(not isinstance(a, str) for a in aliases):
+        raise FormatError(f"line {lineno}: 'aliases' must be a list of strings")
+    degree = obj.get("degree")
+    if "degree" in obj and (not isinstance(degree, int) or isinstance(degree, bool) or degree < 0):
+        raise FormatError(f"line {lineno}: 'degree' must be a non-negative integer")
+    if "degree" in obj and degree > _MAX_DEGREE:
+        raise FormatError(f"line {lineno}: 'degree' is above the largest float (about 1.8e308)")
+    return qid, name, aliases, degree
 
 
 # The block path against a line-by-line reference. Lines that are not one

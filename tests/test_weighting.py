@@ -210,8 +210,10 @@ def test_load_descriptions_keeps_only_requested(tmp_path):
     [
         (['{"qid": "Q1", "description": "x"}', "[1]"], FormatError, "line 2: a description must"),
         (['{"qid": "Q1", "description": "x"}'] * 2, IntegrityError, "line 2: duplicate qid 'Q1'"),
+        (['{"qid": "", "description": "w001"}'], FormatError, "line 1: missing or empty 'qid'$"),
+        (['{"qid": "Q1"}'], FormatError, "line 1: need string 'qid' and 'description'$"),
     ],
-    ids=["row-list", "repeated-qid"],
+    ids=["row-list", "repeated-qid", "empty-qid", "no-description"],
 )
 def test_load_descriptions_rejects_bad_rows(tmp_path, rows, error, message):
     path = tmp_path / "desc.jsonl"
