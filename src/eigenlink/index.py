@@ -80,25 +80,32 @@ def candidate_lists(
     matches are None. Without ``degrees``, the candidate lists keep no
     degrees.
 
-    The name and aliases of an entity are tokenized together first, and
-    only an entity with a lookup token is tokenized text by text, so the
-    loop makes no Python-level call for any other entity.
+    The name and aliases of an entity are tokenized together first. A
+    token cannot span the space that joins them, so these are the tokens
+    of each text, and a one-token set hits when it is among them: one set
+    lookup per token. Only an entity that holds the lookup token of a
+    longer set is tokenized again, text by text, and an entity that
+    shares no token with a mention costs no Python-level call.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     token_sets = {surface: frozenset(tokenize(surface)) for surface in surfaces}
-    # A token set is looked up by one of its tokens only: a text that
-    # holds every token of the set holds that one.
+    # A longer token set is looked up by one of its tokens only: a text
+    # that holds every token of the set holds that one.
+    single: dict[str, frozenset[str]] = {}
     by_token: dict[str, list[frozenset[str]]] = {}
     for tokens in set(token_sets.values()):
-        if tokens:
+        if len(tokens) == 1:
+            single[min(tokens)] = tokens
+        elif tokens:
             by_token.setdefault(min(tokens), []).append(tokens)
     all_hits: dict[frozenset[str], list[tuple[int, str]]] = {}
     surface_names = {s: normalize_name(s) for s in token_sets} if names else None
     name_hits = {name: [] for name in surface_names.values()} if names else {}
 
     findall = _TOKEN_RE.findall
-    disjoint = frozenset(by_token).isdisjoint
+    disjoint = frozenset((*single, *by_token)).isdisjoint
+    disjoint_longer = frozenset(by_token).isdisjoint
     for qid, name, aliases, degree in lines:
         if name_hits:
             hits = name_hits.get(" ".join(name.casefold().split()))  # normalize_name(name)
@@ -109,15 +116,18 @@ def candidate_lists(
         # they are the whitespace-split words, found without the regex.
         text = (" ".join((name, *aliases)) if aliases else name).lower()
         words = text.split()
-        if disjoint(words if "".join(words).isalnum() else findall(text)):
+        if not "".join(words).isalnum():
+            words = findall(text)
+        if disjoint(words):
             continue
-        matched = set()
-        for text in (name, *aliases):
-            found = set(findall(text.lower()))  # tokenize(text), inlined
-            for token in found:
-                for tokens in by_token.get(token, ()):
-                    if tokens <= found:
-                        matched.add(tokens)
+        matched = {single[t] for t in words if t in single}
+        if not disjoint_longer(words):
+            for text in (name, *aliases):
+                found = set(findall(text.lower()))  # tokenize(text), inlined
+                for token in found:
+                    for tokens in by_token.get(token, ()):
+                        if tokens <= found:
+                            matched.add(tokens)
         for tokens in matched:
             hits = all_hits.setdefault(tokens, [])
             hits.append((-degree, qid))

@@ -13,6 +13,7 @@ once, as a ``Table`` of ``Field``s, and are read by ``records``.
 from __future__ import annotations
 
 import json
+import re
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import FormatError
@@ -20,6 +21,9 @@ from .rowids import RowIds
 
 # Bytes read and decoded at a time by ``blocks``.
 _BLOCK_BYTES = 1 << 16
+# Only a ``\u`` escape of a surrogate (U+D800 to U+DFFF) can make text
+# that UTF-8 cannot hold; an escaped backslash before ``u`` is a false hit.
+_surrogate_escape = re.compile(r"\\u[dD][89a-fA-F]").search
 
 
 class RepeatedKeyError(FormatError):
@@ -57,7 +61,7 @@ def decode(raw: bytes, lineno: int) -> str:
 def loads(text: str, lineno: int, pairs_hook: Callable | None = None) -> Any:
     try:
         value = json.loads(text, object_pairs_hook=pairs_hook)
-        if "\\u" in text:  # only an escape can make text that UTF-8 cannot hold
+        if _surrogate_escape(text):
             json.dumps(value, ensure_ascii=False).encode("utf-8")
         return value
     except json.JSONDecodeError as exc:
@@ -164,15 +168,17 @@ class Table:
 def records(path: str, table: Table, key: str) -> Iterator[tuple]:
     """The values of ``table``'s fields in each record of the JSONL file at ``path``.
 
-    The file is read in ``blocks``. A line with no ``\\u`` escape that is one
-    JSON value, as nearly every line is, is decoded by the C scanner alone;
-    any other by ``_value``. Each is checked by ``table.check``, and the
+    The file is read in ``blocks``. A line with no ``\\u`` escape of a
+    surrogate that is one JSON value, as nearly every line is, is decoded by
+    the C scanner alone; any other by ``_value``. Other escapes, which
+    ``json.dumps`` writes for every non-ASCII character by default, stay on
+    the scanner. Each is checked by ``table.check``, and the
     first error in file order wins. Each value of the string field ``key``
     is given once (``RowIds``); on one line, a field error comes first. A
     consumer that rejects a record throws (``generator.throw``) a FormatError
     into this generator, which names the record's line, after any earlier repeat.
     """
-    check, scan = table.check, _scan
+    check, scan, surrogate_escape = table.check, _scan, _surrogate_escape
     k = [field.name for field in table.fields].index(key)
 
     def line_key(raw: bytes) -> str | None:  # of a valid line; None for a blank one
@@ -188,7 +194,8 @@ def records(path: str, table: Table, key: str) -> Iterator[tuple]:
                     if not (text := text.strip()):
                         continue
                     end = -1
-                    if "\\u" not in text:  # only _value checks what an escape makes
+                    # only _value checks what a surrogate escape makes
+                    if "\\u" not in text or not surrogate_escape(text):
                         try:
                             obj, end = scan(text, 0)
                         except (StopIteration, ValueError, RecursionError, FormatError):

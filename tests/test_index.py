@@ -1,10 +1,11 @@
 import json
 import random
 import tempfile
+from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eigenlink.index import CandidateList, candidate_lists, tokenize
@@ -41,6 +42,34 @@ def reference_list(records, surface, T) -> CandidateList:
     hits = sorted(reference_hits(records, surface), key=lambda r: (-r.degree, r.qid))
     kept = hits[:T]
     return CandidateList([r.qid for r in kept], [r.degree for r in kept], len(hits) > T)
+
+
+def reference_lists(records, surfaces, T) -> dict[str, CandidateList]:
+    """``reference_list`` of each surface, from one pass over the records.
+
+    Each name and alias is tokenized once, and every subset of its tokens,
+    up to the size of the largest mention token set, is looked up among the
+    mention token sets: brute force, with no lookup token.
+    """
+    token_sets = {surface: frozenset(tokenize(surface)) for surface in surfaces}
+    hits = {tokens: [] for tokens in token_sets.values() if tokens}
+    largest = max(map(len, hits), default=0)
+    for r in records:
+        matched = set()
+        for text in (r.name, *r.aliases):
+            found = sorted(set(tokenize(text)))
+            for size in range(1, min(largest, len(found)) + 1):
+                matched.update(hits.keys() & set(map(frozenset, combinations(found, size))))
+        for tokens in matched:
+            hits[tokens].append(r)
+    lists = {}
+    for surface, tokens in token_sets.items():
+        ranked = sorted(hits.get(tokens, []), key=lambda r: (-r.degree, r.qid))
+        kept = ranked[:T]
+        lists[surface] = CandidateList(
+            [r.qid for r in kept], [r.degree for r in kept], len(ranked) > T
+        )
+    return lists
 
 
 def reference_name_lookup(records) -> dict[str, list]:
@@ -262,8 +291,41 @@ def final_degree(row, edges) -> int:
     return len({frozenset(edge) for edge in edges or () if row["qid"] in edge})
 
 
+def row(qid, name, aliases=(), degree=None) -> dict:
+    """A catalog row; without ``degree`` it takes its degree from the edges."""
+    given = {} if degree is None else {"degree": degree}
+    return {"qid": qid, "name": name, "aliases": list(aliases), **given}
+
+
+# Single- and multi-token surfaces that share a token, in names and aliases.
+SHARED_TOKEN = (
+    [row("Q0", "ann bob", degree=2), row("Q1", "Ann", ["bob ann"], 1), row("Q2", "bob", ["ann"])],
+    None,
+    ["ann", "bob", "Ann-BOB", "ann bob cy"],
+    1,
+)
+# "ann bob" split across a name and an alias does not hit; in one alias it does.
+SPLIT_SET = (
+    [row("Q0", "ann cy", ["bob", "dee eve"], 3), row("Q1", "cy", ["ann bob"], 3)],
+    None,
+    ["ann bob", "cy ann", "bob"],
+    2,
+)
+# Lines that hold "bob" but not "ann", the lookup token of {"ann", "bob"}:
+# one is a hit of a one-token surface only, the other of none.
+NON_LOOKUP_TOKEN = (
+    [row("Q0", "bob dee", ["eve"]), row("Q1", "ann", ["bob"]), row("Q2", "BOB", ["eve bob"])],
+    [("Q0", "Q1"), ("Q2", "Q2")],
+    ["ann bob", "dee"],
+    1,
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=catalog_files())
+@example(case=SHARED_TOKEN)
+@example(case=SPLIT_SET)
+@example(case=NON_LOOKUP_TOKEN)
 def test_collector_lists_equal_the_brute_force_reference(case):
     rows, edges, surfaces, T = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -277,8 +339,9 @@ def test_collector_lists_equal_the_brute_force_reference(case):
         Line(row["qid"], row["name"], row["aliases"], final_degree(row, edges)) for row in rows
     ]
     assert set(lists) == set(name_matches) == set(surfaces)
+    in_one_pass = reference_lists(records, surfaces, T)
     for surface in surfaces:
-        assert lists[surface] == reference_list(records, surface, T)
+        assert lists[surface] == reference_list(records, surface, T) == in_one_pass[surface]
         assert name_matches[surface] == reference_name_matches(records, surface)
 
 

@@ -208,6 +208,19 @@ def test_lone_surrogate_escape_names_its_line(tmp_path, raw):
     assert str(info.value) == "line 4: escape of a lone surrogate"
 
 
+def test_only_a_surrogate_escape_leaves_the_scanner(tmp_path):
+    # json.dumps escapes every non-ASCII character by default; those lines
+    # are decoded by the C scanner, and only a surrogate escape reaches _value.
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b'{"id": "\\u00e9\\u4e2d\\uFFFD\\u0075d800"}\n{"id": "\\ud83d\\ude00"}\n')
+    with patch.object(jsonl, "_value", side_effect=AssertionError("per-line path")):
+        with pytest.raises(AssertionError, match="^per-line path$"):
+            read_rows(path)
+    path.write_bytes(b'{"id": "\\u00e9\\u4e2d\\uFFFD\\u0075d800"}\n')
+    with patch.object(jsonl, "_value", side_effect=AssertionError("per-line path")):
+        assert read_rows(path) == [("\u00e9\u4e2d\ufffdud800", 0, None)]
+
+
 @pytest.mark.parametrize(
     "raw,message",
     [

@@ -54,7 +54,14 @@ from eigenlink.cli import main
 from eigenlink.pipeline import RunConfig
 from eigenlink.synth import SynthConfig, generate
 from eigenlink.weighting import STOPWORDS
-from tests.test_index import reference_list, reference_name_matches
+from eigenlink.index import candidate_lists
+from eigenlink.kg import catalog_lines
+from tests.test_index import (
+    reference_list,
+    reference_lists,
+    reference_name_lookup,
+    reference_name_matches,
+)
 
 # Scores agree within this relative tolerance. Where two scores of one
 # ranking lie closer than it, but are not equal, the order of those two
@@ -439,7 +446,8 @@ def bench_workloads():
 
 
 # bulk-avg is left out: the brute-force candidates tokenize every catalog
-# record for each mention, 2,000 mentions by 80,000 records.
+# record for each mention, 2,000 mentions by 80,000 records. Its candidate
+# step alone is checked below, against the one-pass reference.
 @pytest.mark.parametrize("name", ["eigen-d64", "eigen-d300-ctx"])
 def test_link_agrees_with_the_reference_linker_on_bench_corpora(tmp_path, name):
     corpus = str(tmp_path / "corpus")
@@ -447,3 +455,24 @@ def test_link_agrees_with_the_reference_linker_on_bench_corpora(tmp_path, name):
     defaults = RunConfig()
     run = {key: getattr(defaults, key) for key in ("T", "k", "delta", "window")}
     check_all_runs(corpus, tmp_path, run)
+
+
+def test_candidates_agree_with_the_one_pass_reference_on_bulk_avg(tmp_path):
+    """bulk-avg's 80,000 entities and the 2,000 mentions of its 250-document slice."""
+    workload = bench_workloads()["bulk-avg"]
+    corpus = str(tmp_path / "corpus")
+    generate(SynthConfig(seed=1, **workload["synth"]), corpus)
+    with open(f"{corpus}/dataset.jsonl", encoding="utf-8") as fh:
+        docs = [json.loads(line) for line, _ in zip(fh, range(workload["slice_docs"]))]
+    surfaces = {m["surface"] for doc in docs for m in doc["mentions"]}
+    assert sum(len(doc["mentions"]) for doc in docs) == 2000
+    T = RunConfig().T
+    lists, name_matches = candidate_lists(catalog_lines(f"{corpus}/catalog.jsonl"), surfaces, T)
+    records = read_records(f"{corpus}/catalog.jsonl")
+    assert len(records) == 80_000
+    assert lists == reference_lists(records, surfaces, T)
+    lookup = reference_name_lookup(records)
+    for surface in surfaces:
+        matches = lookup.get(" ".join(surface.casefold().split()), [])
+        assert name_matches[surface].candidates == [r.qid for r in matches]
+        assert name_matches[surface].degrees == [r.degree for r in matches]
