@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .dataset import DocumentTask
-from .embeddings import EmbeddingStore
+from .embeddings import NORM_EPS, EmbeddingStore
 from .eigenthemes import (
     DocumentMatrix,
     LinkResult,
@@ -47,7 +47,7 @@ def avg_scores(dm: DocumentMatrix) -> np.ndarray:
     else:
         centroid = (dm.weights[:, None] * dm.matrix).sum(axis=0) / total
     cnorm = math.sqrt(float(centroid @ centroid))
-    if cnorm <= 1e-12:
+    if cnorm <= NORM_EPS:
         return np.zeros(len(dm.entity_ids))
     rows = dm.matrix[:, None, :]
     dots = np.matmul(rows, centroid[:, None])[:, 0, 0]

@@ -38,7 +38,7 @@ from .index import candidate_lists
 from .kg import catalog_lines
 from .pipeline import METHODS, LinkContext, RunConfig, run_documents
 from .synth import SynthConfig, generate
-from .weighting import WEIGHT_KINDS, build_description_store, load_descriptions
+from .weighting import WEIGHT_KINDS, build_description_store, load_descriptions, require_tokens
 
 log = logging.getLogger("eigenlink")
 
@@ -116,46 +116,40 @@ def _read_config_file(path: str) -> dict:
     return file_cfg
 
 
-def _resolve_run_config(args, method: str) -> RunConfig:
-    """Flags win over the config file, which wins over RunConfig's defaults.
+def _load_context(args, methods: list[str]) -> tuple[list[LinkContext], list[DocumentTask]]:
+    """One context per method, over one load of the inputs, and the documents with candidates.
 
-    The inputs the method and weighting need are checked here, before
-    anything is loaded.
-    """
-    values = _read_config_file(args.config_file) if args.config_file else {}
-    flags = {**vars(args), "rescale": False if args.unscaled else None}
-    values.update({name: flags[name] for name in _FILE_TYPES if flags[name] is not None})
-    cfg = RunConfig(**{**values, "method": method})
-    cfg.validate()
-    inputs = ("embeddings", "words", "descriptions")
-    cfg.check_inputs({name for name in inputs if flags[name]})
-    return cfg
-
-
-def _load_context(args, cfgs: list[RunConfig]) -> tuple[LinkContext, list[DocumentTask]]:
-    """Load the inputs of runs with ``cfgs`` and attach candidates to every document.
-
-    The context is configured by ``cfgs[0]``, whose ``T`` they share. The
-    dataset comes first, then one pass over the catalog collects its
-    mentions' candidates, with their degrees when one of the methods is
-    degree, and their name matches when one is namematch. That pass keeps
-    no catalog line. The stores load last, and only those that one of
-    the runs reads (``RunConfig.inputs``): a file given for no run is not
-    opened. They keep only the candidates' entity embeddings and
-    descriptions, keyed by the candidate lists' own qid strings.
+    Each method's RunConfig comes first: flags win over the config file,
+    which is read once, and the file over RunConfig's defaults. The
+    settings and the inputs each run needs are checked before anything
+    is loaded. The configs differ only in their method, so they share
+    ``T``. The dataset comes next, then one pass over the catalog
+    collects its mentions' candidates, with their degrees when one of
+    the methods is degree, and their name matches when one is namematch.
+    That pass keeps no catalog line. The stores load last, and only
+    those that one of the runs reads (``RunConfig.inputs``): a file
+    given for no run is not opened. They keep only the candidates'
+    entity embeddings and descriptions, keyed by the candidate lists'
+    own qid strings; the contexts share them. When a run reads contexts,
+    every document must carry ``tokens``.
 
     It ends by freezing every object made so far out of the cyclic
     garbage collector (``gc.freeze``), so that collections while linking
     do not walk the documents, lists and stores; ``main`` unfreezes them.
     """
-    cfg = cfgs[0]
+    values = _read_config_file(args.config_file) if args.config_file else {}
+    flags = {**vars(args), "rescale": False if args.unscaled else None}
+    values.update({name: flags[name] for name in _FILE_TYPES if flags[name] is not None})
+    cfgs = [RunConfig(**{**values, "method": method}) for method in methods]
+    for cfg in cfgs:
+        cfg.validate()
+        cfg.check_inputs({name for name in ("embeddings", "words", "descriptions") if flags[name]})
     docs = load_dataset(args.dataset)
     surfaces = {m.surface for doc in docs for m in doc.mentions}
-    methods = {c.method for c in cfgs}
     lists, name_matches = candidate_lists(
         catalog_lines(args.catalog, args.edges),
         surfaces,
-        cfg.T,
+        cfgs[0].T,
         names="namematch" in methods,
         degrees="degree" in methods,
     )
@@ -165,22 +159,19 @@ def _load_context(args, cfgs: list[RunConfig]) -> tuple[LinkContext, list[Docume
     union = {qid: qid for candidates in lists.values() for qid in candidates.candidates}
     reads = frozenset().union(*(c.inputs() for c in cfgs))
     store = load_embeddings(args.embeddings, union) if "embeddings" in reads else None
-    word_store = load_embeddings(args.words) if "words" in reads else None
-    desc_store = None
-    if "descriptions" in reads:
+    word_store = desc_store = None
+    if "words" in reads:  # with "descriptions": a run reads both or neither
+        word_store = load_embeddings(args.words)
         descriptions = load_descriptions(args.descriptions, union)
         desc_store = build_description_store(descriptions, word_store)
-    ctx = LinkContext(
-        config=cfg,
-        store=store,
-        word_store=word_store,
-        desc_store=desc_store,
-    )
+        for doc in docs:
+            require_tokens(doc)
+    ctxs = [LinkContext(cfg, store, word_store, desc_store) for cfg in cfgs]
     gc.freeze()
-    return ctx, docs
+    return ctxs, docs
 
 
-def _echo_config(cfg: RunConfig, args, extra: dict | None = None) -> dict:
+def _echo_config(cfg: RunConfig, args) -> dict:
     echo = dataclasses.asdict(cfg)
     # jobs only controls scheduling, never results; leaving it out keeps
     # artifacts byte-identical across parallelism settings.
@@ -189,8 +180,6 @@ def _echo_config(cfg: RunConfig, args, extra: dict | None = None) -> dict:
         value = getattr(args, key, None)
         if value:
             echo[key] = value
-    if extra:
-        echo.update(extra)
     return echo
 
 
@@ -228,8 +217,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_link(args) -> int:
-    cfg = _resolve_run_config(args, args.method)
-    ctx, docs = _load_context(args, [cfg])
+    (ctx,), docs = _load_context(args, [args.method])
+    cfg = ctx.config
     results = run_documents(docs, ctx)
     effective = [r.effective_k for r in results if r.effective_k is not None]
     n_documents = len(results)
@@ -305,21 +294,15 @@ def cmd_mutilate(args) -> int:
     if args.repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {args.repeats}")
 
-    cfgs = {method: _resolve_run_config(args, method) for method in methods}
-    base_cfg = cfgs[methods[0]]
-    ctx, docs = _load_context(args, list(cfgs.values()))
+    ctxs, docs = _load_context(args, methods)
+    base_cfg = ctxs[0].config
+    curves = {}
+    for ctx in ctxs:
+        runner = lambda subset: run_documents(subset, ctx)  # called only in this iteration
+        by_fraction = mutilation(docs, runner, fractions, seed=base_cfg.seed, repeats=args.repeats)
+        curves[ctx.config.method] = [by_fraction[f] for f in fractions]
 
-    curves: dict[str, list[float]] = {}
-    for method, cfg in cfgs.items():
-        mctx = dataclasses.replace(ctx, config=cfg)
-
-        def runner(subset, _ctx=mctx):
-            return run_documents(subset, _ctx)
-
-        by_fraction = mutilation(docs, runner, fractions, seed=cfg.seed, repeats=args.repeats)
-        curves[method] = [by_fraction[f] for f in fractions]
-
-    config = _echo_config(base_cfg, args, {"methods": methods, "repeats": args.repeats})
+    config = {**_echo_config(base_cfg, args), "methods": methods, "repeats": args.repeats}
     del config["method"]  # the run's methods are listed under "methods"
     os.makedirs(args.out, exist_ok=True)
     payload = {

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DataError, FormatError, IntegrityError
 from .rowids import RowIds
 
-_NORM_EPS = 1e-12
+NORM_EPS = 1e-12  # a norm at or below this counts as zero: the vector has no direction
 # Text read and parsed at a time; small blocks keep the parser's
 # transient memory far below that of the store.
 _BLOCK_BYTES = 1 << 16
@@ -86,7 +86,7 @@ def unit_normalize(v: np.ndarray) -> np.ndarray:
     """v / ||v||, leaving (near-)zero vectors untouched."""
     v = np.asarray(v, dtype=np.float64)
     norm = math.sqrt(float(v @ v))
-    if norm <= _NORM_EPS:
+    if norm <= NORM_EPS:
         return v.copy()
     return v / norm
 
@@ -102,7 +102,7 @@ def unit_normalize_rows(m: np.ndarray) -> np.ndarray:
     Each row's squared norm is its own dot product, as in ``unit_normalize``.
     """
     norms = np.sqrt(_squared_norms(m))
-    return np.divide(m, norms, out=m.copy(), where=norms > _NORM_EPS)
+    return np.divide(m, norms, out=m.copy(), where=norms > NORM_EPS)
 
 
 def _norms_finite(m: np.ndarray) -> bool:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -112,6 +113,11 @@ def build_outcomes(
     return outcomes
 
 
+def is_hit(o: MentionOutcome) -> bool:
+    """Whether the mention's prediction is its gold entity."""
+    return o.predicted_qid is not None and o.predicted_qid == o.gold_qid
+
+
 def metrics_report(outcomes: Iterable[MentionOutcome]) -> MetricsReport:
     """Counts, P@1 and MRR per bucket, and oracle recall, in one pass over ``outcomes``.
 
@@ -128,7 +134,7 @@ def metrics_report(outcomes: Iterable[MentionOutcome]) -> MetricsReport:
         if o.bucket is None:
             unlabeled += 1
             continue
-        hit = o.predicted_qid is not None and o.predicted_qid == o.gold_qid
+        hit = is_hit(o)
         for key in ("overall", o.bucket):
             n[key] += 1
             hits[key] += hit
@@ -225,10 +231,17 @@ def mutilation(
 
     ``runner`` links documents as ``run_documents`` does, into results
     whose ``mentions`` are outcomes. Hard and not-found mentions always
-    stay. Each (fraction, repeat) pair subsamples independently from a
-    seed derived from the root seed and ``round(f * 1000)``; fraction 1.0
-    short-circuits to the unmodified dataset. ``fractions`` must pass
+    stay. Each (fraction, repeat) pair draws its kept easy mentions from
+    a seed derived from the root seed and ``round(f * 1000)``; fraction
+    1.0 is one draw that keeps every mention. ``fractions`` must pass
     ``check_fractions``.
+
+    A draw is a list of ``(document index, kept mention indices)`` keys.
+    A document's outcomes depend only on its kept mentions, so per
+    fraction one ``runner`` call links the keys no earlier fraction
+    linked, and each key keeps only its labeled and hit counts. A draw's
+    P@1 is its summed hits over its summed labeled mentions: the integer
+    quotient ``metrics_report`` computes.
     """
     check_fractions(fractions)
     easy_slots = [
@@ -239,28 +252,27 @@ def mutilation(
         and m.candidates is not None
         and classify(m.candidates.candidates, m.gold_qid) == "easy"
     ]
-
-    def p1(subset: list[DocumentTask]) -> float:
-        outcomes = (o for result in runner(subset) for o in result.mentions)
-        return metrics_report(outcomes).precision_at_1["overall"]
-
+    counts: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
     results: dict[float, float] = {}
     for f in fractions:
-        if f >= 1.0:
-            results[f] = p1(list(docs))
-            continue
-        keep = round(f * len(easy_slots))
-        values = []
-        for rep in range(repeats):
+        draws = []
+        for rep in range(repeats if f < 1.0 else 1):
             rng = np.random.default_rng([seed, int(round(f * 1000)), rep])
-            kept_idx = rng.choice(len(easy_slots), size=keep, replace=False) if keep else []
+            kept_idx = rng.choice(len(easy_slots), size=round(f * len(easy_slots)), replace=False)
             dropped = set(easy_slots).difference(easy_slots[i] for i in kept_idx)
-            subsampled = []
-            for di, doc in enumerate(docs):
-                mentions = [m for mi, m in enumerate(doc.mentions) if (di, mi) not in dropped]
-                if mentions:
-                    subsampled.append(replace(doc, mentions=mentions))
-            values.append(p1(subsampled))
+            keys = ((di, tuple(mi for mi in range(len(d.mentions)) if (di, mi) not in dropped))
+                    for di, d in enumerate(docs))
+            draws.append([key for key in keys if key[1]])
+        new = [key for key in dict.fromkeys(chain(*draws)) if key not in counts]
+        subsets = [replace(docs[di], mentions=[docs[di].mentions[mi] for mi in kept])
+                   for di, kept in new]
+        for key, result in zip(new, runner(subsets), strict=True):
+            labeled = [o for o in result.mentions if o.bucket is not None]
+            counts[key] = (len(labeled), sum(map(is_hit, labeled)))
+        values = []
+        for draw in draws:
+            labeled = sum(counts[key][0] for key in draw)
+            values.append(sum(counts[key][1] for key in draw) / labeled if labeled else 0.0)
         results[f] = float(np.mean(values))
     return results
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import jsonl
 from .dataset import DocumentTask
-from .embeddings import EmbeddingStore
+from .embeddings import NORM_EPS, EmbeddingStore
 from .errors import ConfigError, DataError
 from .index import CandidateList, tokenize
 
@@ -173,15 +173,24 @@ def context_scores(
     usable description scores -inf.
     """
     cnorm = 0.0 if context is None else math.sqrt(float(context @ context))
-    if cnorm <= 1e-12:
+    if cnorm <= NORM_EPS:
         return [(qid, 0.0) for qid in candidates.candidates]
     scores: list[tuple[str, float]] = []
     for qid in candidates.candidates:
         desc = desc_store.get(qid)
         dnorm = 0.0 if desc is None else math.sqrt(float(desc @ desc))
-        cosine = float(desc @ context) / (dnorm * cnorm) if dnorm > 1e-12 else -math.inf
+        cosine = float(desc @ context) / (dnorm * cnorm) if dnorm > NORM_EPS else -math.inf
         scores.append((qid, cosine))
     return scores
+
+
+def require_tokens(task: DocumentTask) -> None:
+    """Raise ConfigError unless the document carries ``tokens``, which contexts are made of."""
+    if task.tokens is None:
+        raise ConfigError(
+            f"document {task.doc_id!r} has no 'tokens' field, which context methods "
+            "and weightings need"
+        )
 
 
 def document_contexts(
@@ -196,11 +205,7 @@ def document_contexts(
     "global" takes the document's noun-ish tokens, computed once and shared
     by every mention. A document without ``tokens`` is a ConfigError.
     """
-    if task.tokens is None:
-        raise ConfigError(
-            f"document {task.doc_id!r} has no 'tokens' field, which context methods "
-            "and weightings need"
-        )
+    require_tokens(task)
     if word_store is None:
         raise ConfigError("context methods and weightings need word embeddings")
     if mode == "global":

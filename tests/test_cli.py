@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from eigenlink import cli, weighting
-from eigenlink.cli import _load_context, _resolve_run_config, build_parser, main
+from eigenlink.cli import _load_context, build_parser, main
 from eigenlink.dataset import Mention, load_dataset
 from eigenlink.errors import DataError
 from eigenlink.evaluation import MentionOutcome, write_predictions
@@ -535,7 +535,7 @@ def test_link_collects_candidates_in_its_one_catalog_pass(corpus_dir, tmp_path, 
     monkeypatch.setattr(cli, "catalog_lines", recording)
     args = link_args(corpus_dir, str(tmp_path / "x"), method="avg", extra=("--T", "3"))
     args = build_parser().parse_args(args)
-    _, docs = _load_context(args, [_resolve_run_config(args, args.method)])
+    _, docs = _load_context(args, [args.method])
     assert passes == [f"{corpus_dir}/catalog.jsonl"]
     catalog = read_catalog(f"{corpus_dir}/catalog.jsonl")
     dataset = load_dataset(f"{corpus_dir}/dataset.jsonl")
@@ -678,7 +678,7 @@ def test_edges_fill_degrees_of_kept_records(tmp_path):
     edges.write_text("Q1\tQ5\nQ1\tQ6\nQ5\tQ6\n")
     args = plain_link_args(catalog, dataset, str(tmp_path / "x")) + ["--edges", str(edges)]
     args = build_parser().parse_args(args)
-    _, docs = _load_context(args, [_resolve_run_config(args, args.method)])
+    _, docs = _load_context(args, [args.method])
     lists = [m.candidates for doc in docs for m in doc.mentions]
     degrees = {q: d for cl in lists for q, d in zip(cl.candidates, cl.degrees)}
     assert degrees == {"Q1": 2, "Q5": 9}
@@ -691,7 +691,7 @@ def test_edges_degrees_order_candidates_as_stored_degrees_do(tmp_path):
     catalog, dataset = reach_files(tmp_path, rows)
     args = plain_link_args(catalog, dataset, str(tmp_path / "x")) + ["--edges", str(edges)]
     args = build_parser().parse_args(args)
-    _, docs = _load_context(args, [_resolve_run_config(args, args.method)])
+    _, docs = _load_context(args, [args.method])
     lists = {m.surface: m.candidates for doc in docs for m in doc.mentions}
     assert lists["york"].candidates == ["Q2", "Q3", "Q5", "Q1", "Q4"]
     assert lists["york"].degrees == [3, 3, 2, 1, 0]
@@ -720,7 +720,7 @@ def test_catalog_keeps_only_reachable_records(corpus_dir, tmp_path):
     args = link_args(corpus_dir, str(tmp_path / "x"), method="namematch")
     args[args.index("--catalog") + 1] = str(padded)
     args = build_parser().parse_args(args)
-    _, docs = _load_context(args, [_resolve_run_config(args, args.method)])
+    _, docs = _load_context(args, [args.method])
     surfaces = {m.surface for doc in docs for m in doc.mentions}
     names = {" ".join(surface.casefold().split()) for surface in surfaces}
     full = read_catalog(str(padded))
@@ -976,11 +976,12 @@ def test_non_finite_delta_exits_4(corpus_dir, tmp_path, capsys, method, weightin
     assert not out.exists()
 
 
-def test_jobs_defaults_to_one(tmp_path):
-    args = link_args("corpus", str(tmp_path / "x"))
+def test_jobs_defaults_to_one(corpus_dir, tmp_path):
+    args = link_args(corpus_dir, str(tmp_path / "x"))
     del args[args.index("--jobs") : args.index("--jobs") + 2]
     parsed = build_parser().parse_args(args)
-    assert _resolve_run_config(parsed, parsed.method).jobs == 1
+    (ctx,), _ = _load_context(parsed, [parsed.method])
+    assert ctx.config.jobs == 1
 
 
 def test_mutilate_degree_collapses_to_zero(corpus_dir, tmp_path):
@@ -1037,6 +1038,69 @@ def test_commands_link_through_the_cli_run_documents_name(
     else:
         assert main(mutilate_args(corpus_dir, out, "degree")) == 0
     assert calls
+
+
+def test_mutilate_links_each_distinct_subset_once_per_method(corpus_dir, tmp_path, monkeypatch):
+    linked = []
+    run = cli.run_documents
+
+    def recording(subset, ctx):
+        # The subsets share the full documents' Mention objects, so ids name them.
+        linked.extend((ctx.config.method, d.doc_id, tuple(map(id, d.mentions))) for d in subset)
+        return run(subset, ctx)
+
+    monkeypatch.setattr(cli, "run_documents", recording)
+    args = mutilate_args(corpus_dir, str(tmp_path / "x"), "eigen,degree,avg")
+    args[args.index("--fractions") + 1] = "1.0,0.6,0.3,0.0"
+    args[args.index("--repeats") + 1] = "3"
+    assert main(args) == 0
+    by_method = {}
+    for method, *key in linked:
+        by_method.setdefault(method, []).append(tuple(key))
+    assert all(len(keys) == len(set(keys)) for keys in by_method.values())
+    assert set(by_method["eigen"]) == set(by_method["degree"]) == set(by_method["avg"])
+
+
+def test_mutilate_reads_the_config_file_once(corpus_dir, tmp_path, monkeypatch):
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w", encoding="utf-8") as fh:
+        fh.write('{"T": 4, "k": 3}')
+    reads = []
+    opening = open
+
+    def counting(file, *args, **kwargs):
+        reads.append(file)
+        return opening(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting)
+    args = mutilate_args(corpus_dir, str(tmp_path / "x"), "eigen,avg,degree")
+    assert main([*args, "--config-file", cfg_path]) == 0
+    assert reads.count(cfg_path) == 1
+
+
+@pytest.mark.parametrize(
+    "command,method,kind",
+    [
+        ("link", "local", "degree_rr"),
+        ("mutilate", "local", "degree_rr"),
+        ("mutilate", "eigen", "local_ctxt_rr"),
+    ],
+)
+def test_document_without_mentions_or_tokens_exits_4_whatever_the_fractions(
+    corpus_dir, tmp_path, capsys, command, method, kind
+):
+    dataset = tmp_path / "dataset.jsonl"
+    empty = b'{"doc_id": "empty", "mentions": []}\n'
+    dataset.write_bytes(read_bytes(f"{corpus_dir}/dataset.jsonl") + empty)
+    args = link_args(corpus_dir, str(tmp_path / "x"), method=method)
+    args += [*text_args(corpus_dir), "--weighting", kind]
+    args[args.index("--dataset") + 1] = str(dataset)
+    if command == "mutilate":
+        args[:3] = ["mutilate", "--methods", method]
+        args += ["--fractions", "0.5"]
+    assert main(args) == 4
+    message = "document 'empty' has no 'tokens' field, which context methods and weightings need"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("fraction", ["1.5", "-0.1", "nan", "inf"])

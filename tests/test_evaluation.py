@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -400,6 +401,108 @@ def test_mutilation_rejects_bad_fraction(crossing_corpus):
     # fractions that agree to 1/1000 would share their draws
     with pytest.raises(ValueError, match="fraction 0.5004 is listed twice"):
         mutilation(docs, runner_for(crossing_corpus, "degree"), [0.5, 0.5004], seed=0)
+
+
+def naive_mutilation(docs, runner, fractions, seed, repeats):
+    """Overall P@1 per fraction, each (fraction, repeat) relinking its whole subset.
+
+    The loop ``mutilation`` ran before it linked each distinct document
+    subset once: fraction 1.0 links the unmodified documents once, and
+    every other draw drops its dropped easy mentions and the documents
+    left without a mention.
+    """
+    easy_slots = [
+        (di, mi)
+        for di, doc in enumerate(docs)
+        for mi, m in enumerate(doc.mentions)
+        if m.gold_qid is not None and classify(m.candidates.candidates, m.gold_qid) == "easy"
+    ]
+    results = {}
+    for f in fractions:
+        if f >= 1.0:
+            results[f] = p1(o for r in runner(list(docs)) for o in r.mentions)
+            continue
+        keep = round(f * len(easy_slots))
+        values = []
+        for rep in range(repeats):
+            rng = np.random.default_rng([seed, int(round(f * 1000)), rep])
+            kept_idx = rng.choice(len(easy_slots), size=keep, replace=False) if keep else []
+            dropped = set(easy_slots).difference(easy_slots[i] for i in kept_idx)
+            subsampled = []
+            for di, doc in enumerate(docs):
+                mentions = [m for mi, m in enumerate(doc.mentions) if (di, mi) not in dropped]
+                if mentions:
+                    subsampled.append(replace(doc, mentions=mentions))
+            values.append(p1(o for r in runner(subsampled) for o in r.mentions))
+        results[f] = float(np.mean(values))
+    return results
+
+
+def recording(runner, docs, linked):
+    """``runner``, appending each document it links to ``linked`` as (doc index, kept mentions).
+
+    Kept mentions are indices into the full document's mentions, found by
+    identity, so two equal mentions are told apart.
+    """
+    index = {doc.doc_id: di for di, doc in enumerate(docs)}
+
+    def run(subset):
+        for doc in subset:
+            full = docs[index[doc.doc_id]].mentions
+            kept = (next(i for i, m in enumerate(full) if m is mention) for mention in doc.mentions)
+            linked.append((index[doc.doc_id], tuple(kept)))
+        return runner(subset)
+
+    return run
+
+
+fraction_lists = st.lists(
+    st.integers(0, 1000), min_size=1, max_size=5, unique=True
+).map(lambda thousandths: [t / 1000 for t in thousandths])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    fractions=fraction_lists,
+    repeats=st.integers(1, 4),
+    seed=st.integers(0, 2**32),
+    method=st.sampled_from(["degree", "eigen"]),
+)
+def test_mutilation_equals_the_per_draw_loop(crossing_corpus, fractions, repeats, seed, method):
+    docs = with_candidates(crossing_corpus.catalog, crossing_corpus.docs)
+    runner = runner_for(crossing_corpus, method, weighting="none", k=4)
+    got = mutilation(docs, runner, fractions, seed=seed, repeats=repeats)
+    want = naive_mutilation(docs, runner, fractions, seed, repeats)
+    assert list(got) == fractions
+    assert [got[f].hex() for f in fractions] == [want[f].hex() for f in fractions]
+
+
+@settings(max_examples=15, deadline=None)
+@given(fractions=fraction_lists, repeats=st.integers(1, 4), seed=st.integers(0, 2**32))
+def test_mutilation_links_each_distinct_subset_once(crossing_corpus, fractions, repeats, seed):
+    docs = with_candidates(crossing_corpus.catalog, crossing_corpus.docs)
+    runner = runner_for(crossing_corpus, "degree")
+    calls, linked, relinked = [], [], []
+
+    def counting(subset):
+        calls.append(len(subset))
+        return runner(subset)
+
+    mutilation(docs, recording(counting, docs, linked), fractions, seed=seed, repeats=repeats)
+    naive_mutilation(docs, recording(runner, docs, relinked), fractions, seed, repeats)
+    assert len(calls) == len(fractions)  # one runner call per fraction
+    assert len(linked) == len(set(linked))
+    assert set(linked) == set(relinked)
+
+
+def test_mutilation_with_no_mention_left_scores_0(crossing_corpus):
+    docs = with_candidates(crossing_corpus.catalog, crossing_corpus.docs)
+    only_easy = [
+        replace(doc, mentions=[m for m in doc.mentions if m.candidates.candidates[0] == m.gold_qid])
+        for doc in docs
+    ]
+    by_fraction = mutilation(only_easy, runner_for(crossing_corpus, "degree"), [0.0, 1.0])
+    assert by_fraction == {0.0: 0.0, 1.0: 1.0}
 
 
 # ---------------------------------------------------------------------------

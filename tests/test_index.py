@@ -86,9 +86,12 @@ def reference_name_lookup(records) -> dict[str, list]:
     return lookup
 
 
-def reference_name_matches(records, surface) -> CandidateList:
-    """The records whose normalized name is the surface's, never cut."""
-    matches = reference_name_lookup(records).get(" ".join(surface.casefold().split()), [])
+def reference_name_matches(lookup, surface) -> CandidateList:
+    """The records whose normalized name is the surface's, never cut.
+
+    ``lookup`` is ``reference_name_lookup`` of the records, made once per catalog.
+    """
+    matches = lookup.get(" ".join(surface.casefold().split()), [])
     return CandidateList([r.qid for r in matches], [r.degree for r in matches])
 
 
@@ -340,9 +343,10 @@ def test_collector_lists_equal_the_brute_force_reference(case):
     ]
     assert set(lists) == set(name_matches) == set(surfaces)
     in_one_pass = reference_lists(records, surfaces, T)
+    names = reference_name_lookup(records)
     for surface in surfaces:
         assert lists[surface] == reference_list(records, surface, T) == in_one_pass[surface]
-        assert name_matches[surface] == reference_name_matches(records, surface)
+        assert name_matches[surface] == reference_name_matches(names, surface)
 
 
 # Letters whose lowercase depends on their neighbours or changes length,
@@ -360,6 +364,7 @@ TRICKY_TEXT = st.text(alphabet=TRICKY | st.characters())
 def test_collector_matches_the_reference_on_tricky_text(rows, surfaces, T):
     catalog = make_catalog((f"Q{i}", name, al, i % 2) for i, (name, al) in enumerate(rows))
     lists, name_matches = candidate_lists(catalog, surfaces, T)
+    names = reference_name_lookup(catalog)
     for surface in surfaces:
         assert lists[surface] == reference_list(catalog, surface, T)
-        assert name_matches[surface] == reference_name_matches(catalog, surface)
+        assert name_matches[surface] == reference_name_matches(names, surface)

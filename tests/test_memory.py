@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from eigenlink import baselines, cli, index, kg
-from eigenlink.cli import _load_context, _resolve_run_config, build_parser, main
+from eigenlink.cli import _load_context, build_parser, main
 from eigenlink.embeddings import EmbeddingStore
 from eigenlink.index import CandidateList, tokenize
 from eigenlink.pipeline import METHODS
 from eigenlink.weighting import build_description_store
 from tests.conftest import read_catalog
-from tests.test_index import reference_list, reference_name_matches
+from tests.test_index import reference_list, reference_name_lookup, reference_name_matches
 
 CORPUS_CFG = "docs=30,mentions_per_doc=8,candidates_per_mention=10,d=64,seed=5"
 
@@ -72,7 +72,7 @@ def test_link_releases_the_inputs_before_the_bootstrap(corpus_dir, tmp_path, mon
 def test_catalog_is_loaded_only_for_methods_that_read_it(corpus_dir, tmp_path, method):
     # No method reads the catalog: linking reads the lists attached to the mentions.
     args = build_parser().parse_args(run_args(corpus_dir, str(tmp_path / "x"), method=method))
-    ctx, _ = _load_context(args, [_resolve_run_config(args, method)])
+    (ctx,), _ = _load_context(args, [method])
     assert not hasattr(ctx, "catalog")
     assert "catalog" not in METHODS[method].inputs
 
@@ -101,7 +101,7 @@ def test_no_record_is_made_for_a_method_that_does_not_read_the_catalog(
         assert main(args) == 0
     else:
         args = build_parser().parse_args(run_args(corpus_dir, str(tmp_path / "x"), method=method))
-        _load_context(args, [_resolve_run_config(args, method)])
+        _load_context(args, [method])
     # Names are normalized only when a namematch run needs its name matches.
     assert (normalized_names["names"] > 0) == (method in ("namematch", "mutilate"))
 
@@ -159,17 +159,18 @@ def test_kept_records_are_the_candidate_hits_and_the_name_hits(tmp_path, method)
     dataset.write_text(json.dumps({"doc_id": "d", "mentions": mentions}) + "\n")
     args = ["link", "--method", method, "--dataset", str(dataset), "--catalog", str(catalog)]
     args = build_parser().parse_args(args + ["--out", str(tmp_path / "x")])
-    _, (doc,) = _load_context(args, [_resolve_run_config(args, method)])
+    _, (doc,) = _load_context(args, [method])
 
     full = read_catalog(str(catalog))
     attached = {m.surface: (m.candidates, m.name_matches) for m in doc.mentions}
     # Candidate degrees are kept only for a degree run, which reads them.
     degrees = method == "degree"
     lists = {surface: reference_list(full, surface, 20) for surface in HIT_SURFACES}
+    names = reference_name_lookup(full)
     assert attached == {
         surface: (
             cl if degrees else replace(cl, degrees=None),
-            reference_name_matches(full, surface) if method == "namematch" else None,
+            reference_name_matches(names, surface) if method == "namematch" else None,
         )
         for surface, cl in lists.items()
     }

@@ -1,7 +1,8 @@
 """`eigenlink link` against a plain linker written from PAPER.md and the README.
 
 The reference reads the raw files itself. Candidates come from the
-brute-force oracle in tests/test_index.py. Then, per document:
+one-pass brute-force oracle in tests/test_index.py, ``reference_lists``,
+made once per corpus. Then, per document:
 
 - each mention's context vector is the mean word vector of the document
   tokens within ``window`` positions of the mention's own, which is not
@@ -51,13 +52,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eigenlink.cli import main
-from eigenlink.pipeline import RunConfig
+from eigenlink.pipeline import METHODS, RunConfig
 from eigenlink.synth import SynthConfig, generate
 from eigenlink.weighting import STOPWORDS
 from eigenlink.index import candidate_lists
 from eigenlink.kg import catalog_lines
 from tests.test_index import (
-    reference_list,
     reference_lists,
     reference_name_lookup,
     reference_name_matches,
@@ -188,37 +188,50 @@ def entity_scores(method, orders, vectors, weighting, k, delta):
     return dict(zip(ids, scores))
 
 
-def reference_link(corpus, method, weighting, T, k, delta, window):
-    """{(doc_id, mention index): (predicted qid, bucket, rank of gold, ranking)}."""
+def read_corpus(corpus, T):
+    """The raw files of ``corpus``, read once for every run over it, and each surface's list."""
     records = read_records(f"{corpus}/catalog.jsonl")
-    degree = {r.qid: r.degree for r in records}
-    vectors = read_vectors(f"{corpus}/embeddings.txt")
     words = read_vectors(f"{corpus}/words.txt")
-    descriptions = read_descriptions(f"{corpus}/descriptions.jsonl", words)
     with open(f"{corpus}/dataset.jsonl", encoding="utf-8") as fh:
         docs = [json.loads(line) for line in fh if line.strip()]
+    return SimpleNamespace(
+        docs=docs,
+        degree={r.qid: r.degree for r in records},
+        candidates=reference_lists(records, {m["surface"] for d in docs for m in d["mentions"]}, T),
+        names=reference_name_lookup(records),
+        vectors=read_vectors(f"{corpus}/embeddings.txt"),
+        words=words,
+        descriptions=read_descriptions(f"{corpus}/descriptions.jsonl", words),
+    )
+
+
+def reference_link(raw, method, weighting, k, delta, window):
+    """{(doc_id, mention index): (predicted qid, bucket, rank of gold, ranking)}.
+
+    ``raw`` is the corpus as ``read_corpus`` reads it.
+    """
     mode = method if method in ("local", "global") else CONTEXT_MODE.get(weighting)
     out = {}
-    for doc in docs:
-        lists = [reference_list(records, m["surface"], T) for m in doc["mentions"]]
+    for doc in raw.docs:
+        lists = [raw.candidates[m["surface"]] for m in doc["mentions"]]
         contexts = [
-            mode and context_vector(doc, m, words, mode, window) for m in doc["mentions"]
+            mode and context_vector(doc, m, raw.words, mode, window) for m in doc["mentions"]
         ]
         if method in ("eigen", "avg"):
             orders = [
-                ranked(context_pool(cl.candidates, c, descriptions)) if mode else cl.candidates
+                ranked(context_pool(cl.candidates, c, raw.descriptions)) if mode else cl.candidates
                 for cl, c in zip(lists, contexts)
             ]
-            score_of = entity_scores(method, orders, vectors, weighting, k, delta)
+            score_of = entity_scores(method, orders, raw.vectors, weighting, k, delta)
         for i, (m, cl, context) in enumerate(zip(doc["mentions"], lists, contexts)):
             if method == "namematch":
-                pool = reference_name_matches(records, m["surface"]).candidates
+                pool = reference_name_matches(raw.names, m["surface"]).candidates
             else:
                 pool = cl.candidates
             if method in ("degree", "namematch"):
-                scored = [(qid, float(degree[qid])) for qid in pool]
+                scored = [(qid, float(raw.degree[qid])) for qid in pool]
             elif method in ("local", "global"):
-                scored = context_pool(pool, context, descriptions)
+                scored = context_pool(pool, context, raw.descriptions)
             else:
                 scored = [(qid, score_of.get(qid, -math.inf)) for qid in pool]
             if method in ("degree", "namematch") or any(
@@ -410,9 +423,10 @@ NO_CONTEXT = (
 )
 
 
-def check_all_runs(corpus, root, run):
-    """Link ``corpus`` with every entry of RUNS and compare each with the reference."""
-    for method, weighting in RUNS:
+def check_all_runs(corpus, root, run, runs=RUNS):
+    """Link ``corpus`` with every entry of ``runs`` and compare each with the reference."""
+    raw = read_corpus(corpus, run["T"])
+    for method, weighting in runs:
         out = str(root / f"{method}-{weighting}")
         args = ["link", "--method", method, "--weighting", weighting, "--out", out]
         for flag in ("dataset", "catalog", "descriptions"):
@@ -420,7 +434,8 @@ def check_all_runs(corpus, root, run):
         args += ["--embeddings", f"{corpus}/embeddings.txt", "--words", f"{corpus}/words.txt"]
         args += [arg for key, value in run.items() for arg in (f"--{key}", str(value))]
         assert main(args) == 0
-        want = reference_link(corpus, method, weighting, **run)
+        settings = {key: value for key, value in run.items() if key != "T"}
+        want = reference_link(raw, method, weighting, **settings)
         check_run(read_run(f"{out}/predictions.csv"), want, method in ("degree", "namematch"))
 
 
@@ -445,9 +460,6 @@ def bench_workloads():
     return workloads.WORKLOADS
 
 
-# bulk-avg is left out: the brute-force candidates tokenize every catalog
-# record for each mention, 2,000 mentions by 80,000 records. Its candidate
-# step alone is checked below, against the one-pass reference.
 @pytest.mark.parametrize("name", ["eigen-d64", "eigen-d300-ctx"])
 def test_link_agrees_with_the_reference_linker_on_bench_corpora(tmp_path, name):
     corpus = str(tmp_path / "corpus")
@@ -457,22 +469,37 @@ def test_link_agrees_with_the_reference_linker_on_bench_corpora(tmp_path, name):
     check_all_runs(corpus, tmp_path, run)
 
 
-def test_candidates_agree_with_the_one_pass_reference_on_bulk_avg(tmp_path):
-    """bulk-avg's 80,000 entities and the 2,000 mentions of its 250-document slice."""
+@pytest.fixture(scope="module")
+def bulk_avg(tmp_path_factory):
+    """bulk-avg's corpus, seed 1: 80,000 entities, and its 250-document slice as the dataset."""
     workload = bench_workloads()["bulk-avg"]
-    corpus = str(tmp_path / "corpus")
+    corpus = str(tmp_path_factory.mktemp("bulk_avg") / "corpus")
     generate(SynthConfig(seed=1, **workload["synth"]), corpus)
     with open(f"{corpus}/dataset.jsonl", encoding="utf-8") as fh:
-        docs = [json.loads(line) for line, _ in zip(fh, range(workload["slice_docs"]))]
+        docs = [line for line, _ in zip(fh, range(workload["slice_docs"]))]
+    with open(f"{corpus}/dataset.jsonl", "w", encoding="utf-8") as fh:
+        fh.writelines(docs)
+    return corpus
+
+
+def test_candidates_agree_with_the_one_pass_reference_on_bulk_avg(bulk_avg):
+    with open(f"{bulk_avg}/dataset.jsonl", encoding="utf-8") as fh:
+        docs = [json.loads(line) for line in fh]
     surfaces = {m["surface"] for doc in docs for m in doc["mentions"]}
     assert sum(len(doc["mentions"]) for doc in docs) == 2000
     T = RunConfig().T
-    lists, name_matches = candidate_lists(catalog_lines(f"{corpus}/catalog.jsonl"), surfaces, T)
-    records = read_records(f"{corpus}/catalog.jsonl")
+    lists, name_matches = candidate_lists(catalog_lines(f"{bulk_avg}/catalog.jsonl"), surfaces, T)
+    records = read_records(f"{bulk_avg}/catalog.jsonl")
     assert len(records) == 80_000
     assert lists == reference_lists(records, surfaces, T)
-    lookup = reference_name_lookup(records)
+    names = reference_name_lookup(records)
     for surface in surfaces:
-        matches = lookup.get(" ".join(surface.casefold().split()), [])
-        assert name_matches[surface].candidates == [r.qid for r in matches]
-        assert name_matches[surface].degrees == [r.degree for r in matches]
+        assert name_matches[surface] == reference_name_matches(names, surface)
+
+
+def test_link_agrees_with_the_reference_linker_on_bulk_avg(bulk_avg, tmp_path):
+    """Each of the six methods under the default weighting, 2,000 mentions each."""
+    defaults = RunConfig()
+    run = {key: getattr(defaults, key) for key in ("T", "k", "delta", "window")}
+    runs = [(method, defaults.weighting) for method in METHODS]
+    check_all_runs(bulk_avg, tmp_path, run, runs)
