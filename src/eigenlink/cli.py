@@ -133,9 +133,10 @@ def _load_context(args, methods: list[str]) -> tuple[list[LinkContext], list[Doc
     own qid strings; the contexts share them. When a run reads contexts,
     every document must carry ``tokens``.
 
-    It ends by freezing every object made so far out of the cyclic
-    garbage collector (``gc.freeze``), so that collections while linking
-    do not walk the documents, lists and stores; ``main`` unfreezes them.
+    Its callers freeze every object made so far out of the cyclic garbage
+    collector (``gc.freeze``) as soon as it returns, so that collections
+    while linking do not walk the documents, lists and stores; ``main``
+    unfreezes them.
     """
     values = _read_config_file(args.config_file) if args.config_file else {}
     flags = {**vars(args), "rescale": False if args.unscaled else None}
@@ -167,7 +168,6 @@ def _load_context(args, methods: list[str]) -> tuple[list[LinkContext], list[Doc
         for doc in docs:
             require_tokens(doc)
     ctxs = [LinkContext(cfg, store, word_store, desc_store) for cfg in cfgs]
-    gc.freeze()
     return ctxs, docs
 
 
@@ -218,6 +218,7 @@ def cmd_synth(args) -> int:
 
 def cmd_link(args) -> int:
     (ctx,), docs = _load_context(args, [args.method])
+    gc.freeze()
     cfg = ctx.config
     results = run_documents(docs, ctx)
     effective = [r.effective_k for r in results if r.effective_k is not None]
@@ -295,6 +296,7 @@ def cmd_mutilate(args) -> int:
         raise ConfigError(f"repeats must be >= 1, got {args.repeats}")
 
     ctxs, docs = _load_context(args, methods)
+    gc.freeze()
     base_cfg = ctxs[0].config
     curves = {}
     for ctx in ctxs:

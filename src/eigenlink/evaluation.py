@@ -28,9 +28,12 @@ BUCKETS = ("easy", "hard", "not_found")
 
 # The score-gap bootstrap draws and averages its resamples in blocks of about
 # this many indices, so its memory stays bounded however many mentions are
-# eligible. Blocks consume the generator's stream in the same order as one
-# resamples x n draw, so the CI does not depend on the block size.
+# eligible. Each draw is a function of the seed and its own position alone
+# (``_Draws``), so the CI does not depend on the block size.
 BOOTSTRAP_BLOCK_ELEMENTS = 1 << 16
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15  # SplitMix64's state increment
 
 
 @dataclass(slots=True)
@@ -167,7 +170,9 @@ def score_gap(
 
     Only mentions where gold was found, scored, and at least one other
     candidate carries a positive mean score are eligible. The CI is a
-    seeded percentile bootstrap.
+    seeded percentile bootstrap: resample ``r`` of the ``n`` eligible
+    gaps takes draws ``r*n`` to ``r*n + n - 1`` of ``_Draws(seed, n)``.
+    With an eligible mention, a negative ``seed`` raises ValueError.
     """
     gaps = [
         (o.gold_score - o.nongold_mean) / o.nongold_mean
@@ -177,12 +182,13 @@ def score_gap(
     if not gaps:
         return None
     arr = np.asarray(gaps)
-    rng = np.random.default_rng(seed)
-    block = max(1, BOOTSTRAP_BLOCK_ELEMENTS // len(arr))
+    n = len(arr)
+    block = max(1, BOOTSTRAP_BLOCK_ELEMENTS // n)
+    draws = _Draws(seed, n, min(block, resamples) * n)
     means = np.empty(resamples)
     for start in range(0, resamples, block):
         stop = min(start + block, resamples)
-        idx = rng.integers(0, len(arr), size=(stop - start, len(arr)))
+        idx = draws.take(start * n, (stop - start) * n).reshape(stop - start, n)
         means[start:stop] = arr[idx].mean(axis=1)
     means.sort()
     return ScoreGapReport(
@@ -191,6 +197,48 @@ def score_gap(
         ci_high=_percentile(means, 97.5),
         n_mentions=len(arr),
     )
+
+
+class _Draws:
+    """Indices in ``[0, n)`` from a counter-based stream: draw ``j`` depends on ``(seed, j)`` alone.
+
+    Draw ``j`` is half of SplitMix64's output number ``j // 2 + 1`` from
+    state ``seed mod 2**64``: its low 32 bits ``x`` for even ``j``, its
+    high 32 bits for odd ``j``. The index is ``(x * n) >> 32`` (Lemire's
+    multiply-shift), so each index has probability within ``2**-32`` of
+    ``1/n``, a relative error of at most ``n / 2**32``. Everything is
+    numpy ufuncs on buffers made once, for up to ``most`` draws at a time;
+    a ``link`` never imports ``numpy.random``.
+    """
+
+    def __init__(self, seed: int, n: int, most: int):
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        if not 0 < n < 1 << 32:
+            raise ValueError(f"can draw from 1 to 2**32 - 1 items, not {n}")
+        self.key = seed & _MASK64
+        self.n = np.uint64(n)
+        words = most // 2 + 1
+        self.steps = np.arange(words, dtype=np.uint64) * np.uint64(_GOLDEN)  # wraps mod 2**64
+        self.z = np.empty(words, np.uint64)
+        self.t = np.empty(words, np.uint64)
+        self.idx = np.empty(most, np.uint64)
+
+    def take(self, first: int, count: int) -> np.ndarray:
+        """Draws ``first`` to ``first + count - 1`` as an int64 view of a reused buffer."""
+        w0 = first // 2
+        words = (first + count + 1) // 2 - w0
+        z, t = self.z[:words], self.t[:words]
+        # Python ints reduced mod 2**64 first: numpy warns on scalar uint64 overflow.
+        np.add(self.steps[:words], np.uint64((self.key + (w0 + 1) * _GOLDEN) & _MASK64), out=z)
+        for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+            np.bitwise_xor(z, np.right_shift(z, shift, out=t), out=z)
+            np.multiply(z, np.uint64(mult), out=z)
+        np.bitwise_xor(z, np.right_shift(z, 31, out=t), out=z)
+        # Little-endian halves: the low word of z[i] is draw 2*(w0 + i).
+        halves = z.astype("<u8", copy=False).view("<u4")[first % 2 : first % 2 + count]
+        idx = np.multiply(halves, self.n, out=self.idx[:count])
+        return np.right_shift(idx, 32, out=idx).view(np.int64)
 
 
 def _percentile(ordered: np.ndarray, q: float) -> float:

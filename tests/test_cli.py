@@ -369,6 +369,14 @@ def test_setup_is_frozen_out_of_the_collector_only_while_a_command_runs(
     assert gc.get_freeze_count() == 0
 
 
+def test_load_context_leaves_the_collector_unfrozen(corpus_dir, tmp_path):
+    # Direct callers, such as tests, get no frozen objects to leak to what runs after them.
+    args = build_parser().parse_args(link_args(corpus_dir, str(tmp_path / "x"), "eigen"))
+    before = gc.get_freeze_count()
+    _load_context(args, [args.method])
+    assert gc.get_freeze_count() == before
+
+
 def test_numerical_failure_names_document_and_exits_1(corpus_dir, tmp_path, capsys, monkeypatch):
     def failing_svd(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
@@ -632,39 +640,27 @@ def test_catalog_degree_above_the_largest_float_exits_3(tmp_path, capsys, method
     assert capsys.readouterr().err == message
 
 
-def test_link_imports_numpy_random_only_for_a_score_gap_bootstrap(tmp_path):
-    # The import costs about 10 ms and 5 MiB, outside what link_s times if
-    # it moved to import time. A mention with one candidate has no score gap.
-    catalog = tmp_path / "catalog.jsonl"
-    write_jsonl(
-        catalog,
-        [
-            {"qid": "Q1", "name": "rome", "degree": 4},
-            {"qid": "Q2", "name": "paris", "degree": 5},
-            {"qid": "Q3", "name": "paris hilton", "degree": 3},
-        ],
-    )
+def test_link_never_imports_numpy_random(corpus_dir, tmp_path):
+    # Importing it costs about 10 ms and 4 MiB a process; the score-gap
+    # bootstrap draws from its own counter-based stream instead.
+    outs = [str(tmp_path / f"{method}-{kind}") for method, kind in JOBS_CASES]
     runs = []
-    for surfaces in (["rome"], ["paris"]):
-        dataset = tmp_path / f"{surfaces[0]}.jsonl"
-        mentions = [{"surface": s, "gold_qid": "Q1" if s == "rome" else "Q2"} for s in surfaces]
-        write_jsonl(dataset, [{"doc_id": "d", "mentions": mentions}])
-        out = str(tmp_path / surfaces[0])
-        runs.append(plain_link_args(str(catalog), str(dataset), out))
+    for out, (method, kind) in zip(outs, JOBS_CASES):
+        extra = text_args(corpus_dir) + (("--weighting", kind) if kind else ())
+        runs.append(link_args(corpus_dir, out, method, extra))
     code = (
         "import sys\n"
         "from eigenlink.cli import main\n"
-        "seen = ['numpy.random' in sys.modules]\n"
-        f"assert main({runs[0]!r}) == 0\n"
-        "seen.append('numpy.random' in sys.modules)\n"
-        f"assert main({runs[1]!r}) == 0\n"  # Q2 against Q3: a gap to bootstrap
-        "seen.append('numpy.random' in sys.modules)\n"
-        "print(seen)\n"
+        f"assert [main(args) for args in {runs!r}] == [0] * {len(runs)}\n"
+        "print('numpy.random' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "[False, False, True]"
+    assert out.stdout.splitlines()[-1] == "False"
+    # Every method but namematch, whose ranking is its name matches, has a gap to bootstrap.
+    gaps = [load_strict_json(f"{out}/metrics.json")["score_gap"] for out in outs]
+    assert [method for (method, _), gap in zip(JOBS_CASES, gaps) if gap is None] == ["namematch"]
 
 
 def test_edges_fill_degrees_of_kept_records(tmp_path):
@@ -1375,6 +1371,22 @@ NUMERIC_EXTREMES = [
     "1.3407807929942596e154",
 ]
 NUMERIC_FLAGS = ["k", "T", "delta", "window", "seed"]
+# Values for the first embedding row's first component or for all of them:
+# zero, subnormal, near where a squared norm underflows or overflows, and
+# spellings past a float.
+EMBEDDING_EXTREMES = [
+    "0",
+    "-0.0",
+    "5e-324",
+    "1e-320",
+    "1.3e154",
+    "1e155",
+    "1e308",
+    "1.7976931348623157e308",
+    "1e309",
+    "inf",
+    "nan",
+]
 
 
 def jsonl_rows(path):
@@ -1396,9 +1408,10 @@ def jsonl_rows(path):
         min_size=1,
         max_size=3,
     ),
+    embedding=st.none() | st.tuples(st.sampled_from(EMBEDDING_EXTREMES), st.booleans()),
 )
 def test_numeric_extremes_link_or_exit_3_or_4(
-    corpus_dir, tmp_path_factory, capsys, method, numbers
+    corpus_dir, tmp_path_factory, capsys, method, numbers, embedding
 ):
     work = tmp_path_factory.mktemp("extremes")
     catalog = jsonl_rows(f"{corpus_dir}/catalog.jsonl")
@@ -1419,6 +1432,15 @@ def test_numeric_extremes_link_or_exit_3_or_4(
     args = link_args(corpus_dir, str(work / "out"), method, extra=text_args(corpus_dir))
     args[args.index("--catalog") + 1] = str(work / "catalog.jsonl")
     args[args.index("--dataset") + 1] = str(work / "dataset.jsonl")
+    if embedding is not None:
+        value, whole_row = embedding
+        with open(f"{corpus_dir}/embeddings.txt", encoding="utf-8") as fh:
+            header, first, *rest = fh.readlines()
+        qid, *values = first.split()
+        values = [value] * len(values) if whole_row else [value, *values[1:]]
+        first = " ".join([qid, *values]) + "\n"
+        (work / "embeddings.txt").write_text("".join([header, first, *rest]))
+        args[args.index("--embeddings") + 1] = str(work / "embeddings.txt")
     code = main([*args, *flags, "--config-file", str(work / "config.json")])
     err = capsys.readouterr().err
     assert code in (0, 3, 4)

@@ -8,6 +8,7 @@ from pathlib import Path
 import eigenlink
 from eigenlink.dataset import DOCUMENT, MENTION
 from eigenlink.kg import CATALOG
+from eigenlink.pipeline import RunConfig
 from eigenlink.weighting import DESCRIPTIONS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -64,3 +65,14 @@ def test_readme_names_every_declared_jsonl_field():
         if f'"{field.name}"' not in readme_paragraph(title)
     ]
     assert missing == []
+
+
+def test_readme_states_the_run_defaults_of_run_config():
+    # `--method` has no default and `rescale` is the `--unscaled` flag; every
+    # other RunConfig field is listed on the README's "Defaults:" line.
+    listed = re.search(r"Defaults: `([^`]*)`", README.read_text(encoding="utf-8"))[1]
+    stated = dict(pair.strip().split("=") for pair in listed.split(","))
+    defaults = vars(RunConfig())
+    assert stated == {
+        name: str(value) for name, value in defaults.items() if name not in ("method", "rescale")
+    }

@@ -3,18 +3,21 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eigenlink import evaluation
 from eigenlink.dataset import DocumentTask, Mention
 from eigenlink.evaluation import (
     BOOTSTRAP_BLOCK_ELEMENTS,
     BUCKETS,
     MentionOutcome,
     MetricsReport,
+    _Draws,
     _percentile,
     build_outcomes,
     classify,
@@ -288,9 +291,92 @@ def test_score_gap_blocks_match_one_shot_bootstrap():
     report = score_gap(outs, resamples=resamples, seed=4)
 
     gaps = np.asarray([(o.gold_score - o.nongold_mean) / o.nongold_mean for o in outs])
-    idx = np.random.default_rng(4).integers(0, n, size=(resamples, n))
+    idx = _Draws(4, n, resamples * n).take(0, resamples * n).reshape(resamples, n)
     lo, hi = np.percentile(gaps[idx].mean(axis=1), [2.5, 97.5])
     assert (report.mean, report.ci_low, report.ci_high) == (gaps.mean(), lo, hi)
+
+
+MASK64 = (1 << 64) - 1
+
+
+def spread_outcomes(n):
+    """``n`` outcomes with unequal gaps, all eligible."""
+    return [gap_outcome(1.0 + ((i * 37) % 11) / 7, 0.5 + i / 100) for i in range(n)]
+
+
+def splitmix64_indices(seed, n, first, count):
+    """Draws ``first .. first + count - 1`` of the bootstrap stream, in Python ints."""
+    out = []
+    for j in range(first, first + count):
+        z = (seed + (j // 2 + 1) * 0x9E3779B97F4A7C15) & MASK64
+        z = ((z ^ z >> 30) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ z >> 27) * 0x94D049BB133111EB) & MASK64
+        z ^= z >> 31
+        x = z >> 32 if j % 2 else z & 0xFFFFFFFF
+        out.append(x * n >> 32)
+    return out
+
+
+def test_draws_match_python_int_splitmix64():
+    # SplitMix64's first output from state 0 is 0xE220A8397B1DCDAF.
+    assert splitmix64_indices(0, 1 << 32, 0, 2) == [0x7B1DCDAF, 0xE220A839]
+    cases = [(0, 7, 0, 11), (5, 1909, 3, 1000), (2**64 - 1, 2**32 - 1, 7, 100), (9, 1, 1, 4)]
+    for seed, n, first, count in cases:
+        drawn = _Draws(seed, n, count).take(first, count)
+        assert drawn.tolist() == splitmix64_indices(seed, n, first, count)
+
+
+@pytest.mark.parametrize("n,resamples,seed", [(1, 5, 0), (7, 301, 3), (40, 250, 2**63 + 5)])
+def test_score_gap_ci_matches_python_int_splitmix64(n, resamples, seed):
+    outs = spread_outcomes(n)
+    report = score_gap(outs, resamples=resamples, seed=seed)
+    gaps = np.asarray([(o.gold_score - o.nongold_mean) / o.nongold_mean for o in outs])
+    idx = np.asarray(splitmix64_indices(seed, n, 0, resamples * n)).reshape(resamples, n)
+    want = np.percentile(gaps[idx].mean(axis=1), [2.5, 97.5])
+    assert [report.ci_low.hex(), report.ci_high.hex()] == [float(w).hex() for w in want]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    resamples=st.integers(1, 120),
+    block_elements=st.integers(1, 5000),
+    seed=st.integers(0, 2**70),
+)
+def test_score_gap_ci_does_not_depend_on_the_block_size(n, resamples, block_elements, seed):
+    # An odd n with an odd block of resamples starts every other block on an odd draw.
+    assert n * resamples <= BOOTSTRAP_BLOCK_ELEMENTS  # the default draws them in one block
+    outs = spread_outcomes(n)
+    one_shot = score_gap(outs, resamples=resamples, seed=seed)
+    with mock.patch.object(evaluation, "BOOTSTRAP_BLOCK_ELEMENTS", block_elements):
+        blocked = score_gap(outs, resamples=resamples, seed=seed)
+    assert (blocked.ci_low.hex(), blocked.ci_high.hex()) == (
+        one_shot.ci_low.hex(),
+        one_shot.ci_high.hex(),
+    )
+
+
+# The 0.999 quantiles of chi-square with n - 1 degrees of freedom.
+CHI2_999 = {2: 10.828, 3: 13.816, 5: 18.467, 7: 22.458, 10: 27.877}
+
+
+@pytest.mark.parametrize("n", sorted(CHI2_999))
+def test_draws_are_uniform_over_small_n(n):
+    count = 100_000
+    counts = np.bincount(_Draws(11, n, count).take(0, count), minlength=n)
+    assert len(counts) == n
+    expected = count / n
+    assert ((counts - expected) ** 2 / expected).sum() < CHI2_999[n]
+
+
+def test_score_gap_seed_is_read_mod_2_to_the_64():
+    outs = [gap_outcome(1.0 + i / 10, 0.5) for i in range(9)]
+    big = score_gap(outs, resamples=200, seed=2**200 + 3)
+    assert big == score_gap(outs, resamples=200, seed=3)
+    with pytest.raises(ValueError):
+        score_gap(outs, resamples=200, seed=-1)
+    with pytest.raises(ValueError):
+        _Draws(0, 2**32, 2)
 
 
 @settings(max_examples=300, deadline=None)

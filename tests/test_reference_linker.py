@@ -498,8 +498,10 @@ def test_candidates_agree_with_the_one_pass_reference_on_bulk_avg(bulk_avg):
 
 
 def test_link_agrees_with_the_reference_linker_on_bulk_avg(bulk_avg, tmp_path):
-    """Each of the six methods under the default weighting, 2,000 mentions each."""
+    """Each of the six methods under the default weighting, and eigen and avg
+    under ``none`` and ``local_ctxt_rr``, 2,000 mentions each."""
     defaults = RunConfig()
     run = {key: getattr(defaults, key) for key in ("T", "k", "delta", "window")}
     runs = [(method, defaults.weighting) for method in METHODS]
+    runs += [(method, kind) for method in ("eigen", "avg") for kind in ("none", "local_ctxt_rr")]
     check_all_runs(bulk_avg, tmp_path, run, runs)
