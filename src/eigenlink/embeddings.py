@@ -37,7 +37,11 @@ class EmbeddingStore:
             raise FormatError(
                 f"vector for {identifier!r} has shape {vec.shape}, expected ({self.dim},)"
             )
-        if not np.all(np.isfinite(vec)):
+        if not _norms_finite(vec[None, :]):  # as when any value is NaN or inf
+            if np.isfinite(vec).all():
+                raise DataError(
+                    f"vector for {identifier!r} has values too large, their squared norm overflows"
+                )
             raise DataError(f"vector for {identifier!r} has non-finite values")
         if identifier in self._row:
             raise IntegrityError(f"duplicate identifier {identifier!r}")

@@ -19,7 +19,7 @@ import numpy as np
 from . import jsonl
 from .dataset import DocumentTask
 from .embeddings import NORM_EPS, EmbeddingStore
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .index import CandidateList, tokenize
 
 WEIGHT_KINDS = ("none", "degree_rr", "local_ctxt_rr", "global_ctxt_rr")
@@ -103,6 +103,8 @@ def mean_vectors(
     together: their rows are gathered into a (g, n, d) block, at most
     ``_GATHER_FLOATS`` floats at a time, and ``np.add.reduce`` over n
     sums each list in token order, as ``np.mean(vecs, axis=0)`` does.
+    ``build_description_store`` averages every description in one call,
+    ``document_contexts`` all of one document's contexts.
     """
     row, matrix, dim = word_store._row, word_store._matrix, word_store.dim
     ids, counts = array("q"), array("q")
@@ -111,8 +113,6 @@ def mean_vectors(
         ids.extend([r for t in tokens if (r := row.get(t)) is not None])
         counts.append(len(ids) - before)
     ids = np.frombuffer(ids, dtype=np.int64)
-    if len(counts) == 1 and counts[0]:  # one list, as for a context vector
-        return np.zeros(1, dtype=np.intp), (_sum_rows(matrix, ids) / counts[0])[None]
     counts = np.frombuffer(counts, dtype=np.int64)
     kept = np.flatnonzero(counts)
     starts = (np.cumsum(counts) - counts)[kept]
@@ -132,34 +132,6 @@ def mean_vectors(
             part = group[lo : lo + step]
             means[part] = np.add.reduce(matrix[ids[starts[part, None] + offsets]], axis=1) / n
     return kept, means
-
-
-def local_context_vector(
-    doc_tokens: list[str],
-    position: int,
-    word_store: EmbeddingStore,
-    window: int = 5,
-) -> np.ndarray | None:
-    """Mean embedding of the tokens within +-window of the mention slot."""
-    lo = max(0, position - window)
-    context = doc_tokens[lo:position] + doc_tokens[position + 1 : position + 1 + window]
-    kept, means = mean_vectors([context], word_store)
-    return means[0] if len(kept) else None
-
-
-def global_context_vector(
-    doc_tokens: list[str],
-    word_store: EmbeddingStore,
-    nouns: list[str] | None = None,
-) -> np.ndarray | None:
-    """Mean embedding of the document's noun-ish tokens: ``nouns`` when given,
-    else the tokens whose lowercase form is not in ``STOPWORDS``."""
-    if nouns is not None:
-        picked = nouns
-    else:
-        picked = [t for t in doc_tokens if t.lower() not in STOPWORDS]
-    kept, means = mean_vectors([picked], word_store)
-    return means[0] if len(kept) else None
 
 
 def context_scores(
@@ -199,23 +171,35 @@ def document_contexts(
     word_store: EmbeddingStore | None,
     window: int = 5,
 ) -> list[np.ndarray | None]:
-    """Each mention's context vector, in mention order.
+    """Each mention's context vector, in mention order, from one ``mean_vectors`` call.
 
-    "local" takes the tokens within +-window of each mention's position;
-    "global" takes the document's noun-ish tokens, computed once and shared
-    by every mention. A document without ``tokens`` is a ConfigError.
+    "local" averages one list per mention, the tokens within +-window of
+    its position; "global" averages the document's one list of noun-ish
+    tokens, ``nouns`` when given, else the tokens whose lowercase form is
+    not in ``STOPWORDS``, and every mention shares its row. A list without
+    a known token gives None. A document without ``tokens`` is a ConfigError.
     """
     require_tokens(task)
     if word_store is None:
         raise ConfigError("context methods and weightings need word embeddings")
-    if mode == "global":
-        return [global_context_vector(task.tokens, word_store, task.nouns)] * len(task.mentions)
+    tokens = task.tokens
     if mode == "local":
-        return [
-            local_context_vector(task.tokens, m.position, word_store, window)
+        token_lists = [
+            tokens[max(0, m.position - window) : m.position]
+            + tokens[m.position + 1 : m.position + 1 + window]
             for m in task.mentions
         ]
-    raise ValueError(f"mode must be 'local' or 'global', got {mode!r}")
+    elif mode == "global":
+        nouns = task.nouns
+        noun_ish = [t for t in tokens if t.lower() not in STOPWORDS] if nouns is None else nouns
+        token_lists = [noun_ish]
+    else:
+        raise ValueError(f"mode must be 'local' or 'global', got {mode!r}")
+    contexts: list[np.ndarray | None] = [None] * len(token_lists)
+    kept, means = mean_vectors(token_lists, word_store)
+    for i, mean in zip(kept.tolist(), means):
+        contexts[i] = mean
+    return contexts if mode == "local" else contexts * len(task.mentions)
 
 
 def context_ranking(
@@ -284,15 +268,11 @@ def build_description_store(
 
     Descriptions without a known word get no vector. The vectors keep the
     descriptions' order and become the store's matrix without a copy.
+    They are finite: a store takes only rows whose squared norm is finite,
+    so each component is below sqrt(max float), and so is each mean.
     """
     kept, means = mean_vectors(map(tokenize, descriptions.values()), word_store)
     qids = list(descriptions)
-    step = max(1, _GATHER_FLOATS // word_store.dim)
-    for lo in range(0, len(means), step):
-        finite = np.isfinite(means[lo : lo + step]).all(axis=1)
-        if not finite.all():
-            bad = qids[kept[lo + int(np.argmin(finite))]]
-            raise DataError(f"vector for {bad!r} has non-finite values")
     store = EmbeddingStore(word_store.dim)
     store._append([qids[i] for i in kept], means, own=True)
     return store

@@ -9,6 +9,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from eigenlink import pipeline
 from eigenlink.dataset import attach_candidates, load_dataset
 from eigenlink.embeddings import EmbeddingStore, load_embeddings
 from eigenlink.evaluation import metrics_report
@@ -120,6 +121,28 @@ def small_corpus(tmp_path_factory) -> Corpus:
         noise_amplitude=0.2,
         seed=5,
     )
+
+
+@pytest.fixture
+def recorded_pools(monkeypatch) -> list[int]:
+    """The size of every pool ``run_documents`` starts; each maps serially."""
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", InProcessPool)
+    return started
 
 
 def pytest_terminal_summary(terminalreporter):

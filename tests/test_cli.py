@@ -153,6 +153,23 @@ def test_jobs_count_does_not_change_outputs(corpus_dir, tmp_path, method, kind):
     assert read_bytes(f"{out1}/metrics.json") == read_bytes(f"{out2}/metrics.json")
 
 
+def test_link_with_more_jobs_than_a_machine_has_threads(corpus_dir, tmp_path, recorded_pools):
+    with open(f"{corpus_dir}/dataset.jsonl", encoding="utf-8") as fh:
+        two_docs = fh.readlines()[:2]
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("".join(two_docs), encoding="utf-8")
+    outs = []
+    for jobs in ("1", str(10**30)):
+        outs.append(str(tmp_path / f"j{jobs}"))
+        args = link_args(corpus_dir, outs[-1], method="eigen")
+        args[args.index("--dataset") + 1] = str(dataset)
+        args[args.index("--jobs") + 1] = jobs
+        assert main(args) == 0
+    assert recorded_pools == [2]  # one pool, one worker per document
+    for name in ("predictions.csv", "metrics.json"):
+        assert read_bytes(f"{outs[0]}/{name}") == read_bytes(f"{outs[1]}/{name}")
+
+
 SLOTTED = (Mention, CandidateList, MentionOutcome)
 
 
@@ -515,21 +532,30 @@ def test_context_on_document_without_tokens_exits_4(
     assert f"document {docs[1]['doc_id']!r} has no 'tokens' field" in err
 
 
-@pytest.mark.parametrize("method,kind", [("global", "degree_rr"), ("eigen", "global_ctxt_rr")])
-def test_global_context_computed_once_per_document(
+@pytest.mark.parametrize(
+    "method,kind",
+    [
+        ("local", "degree_rr"),
+        ("global", "degree_rr"),
+        ("eigen", "local_ctxt_rr"),
+        ("eigen", "global_ctxt_rr"),
+    ],
+)
+def test_each_documents_contexts_are_one_mean_vectors_call(
     corpus_dir, tmp_path, monkeypatch, method, kind
 ):
     calls = []
-    original = weighting.global_context_vector
+    original = weighting.mean_vectors
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(weighting, "global_context_vector", counting)
+    monkeypatch.setattr(weighting, "mean_vectors", counting)
     extra = text_args(corpus_dir) + ("--weighting", kind)
     assert main(link_args(corpus_dir, str(tmp_path / "x"), method=method, extra=extra)) == 0
-    assert len(calls) == len(load_dataset(f"{corpus_dir}/dataset.jsonl"))
+    # one more call builds the description store
+    assert len(calls) == len(load_dataset(f"{corpus_dir}/dataset.jsonl")) + 1
 
 
 def test_link_collects_candidates_in_its_one_catalog_pass(corpus_dir, tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from eigenlink import pipeline
@@ -515,28 +515,6 @@ def test_run_rejects_documents_without_candidates(small_corpus, method, monkeypa
         )
 
 
-@pytest.fixture
-def recorded_pools(monkeypatch) -> list[int]:
-    """The size of every pool ``run_documents`` starts; each maps serially."""
-    started = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", InProcessPool)
-    return started
-
-
 def first_docs(corpus, n: int) -> list[DocumentTask]:
     return with_candidates(corpus.catalog, corpus.docs[:n])
 
@@ -547,6 +525,21 @@ def test_run_starts_at_most_one_worker_per_document(small_corpus, recorded_pools
     docs = first_docs(small_corpus, 3)
     assert run_documents(docs, with_jobs(ctx, jobs)) == run_documents(docs, ctx)
     assert recorded_pools == [workers]
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(jobs=st.integers(1, 2**63 - 1), n=st.integers(0, 5))
+def test_any_jobs_starts_one_pool_of_at_most_one_worker_per_document(
+    small_corpus, recorded_pools, jobs, n
+):
+    ctx = LinkContext(config=RunConfig(method="degree"))
+    docs = first_docs(small_corpus, n)
+    recorded_pools.clear()
+    assert run_documents(docs, with_jobs(ctx, jobs)) == run_documents(docs, ctx)
+    workers = min(jobs, n)
+    assert recorded_pools == ([workers] if workers > 1 else [])
 
 
 def test_run_takes_its_worker_count_from_the_config(small_corpus, recorded_pools):

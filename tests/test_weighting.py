@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigenlink import weighting
+from eigenlink.dataset import DocumentTask, Mention
+from eigenlink.embeddings import EmbeddingStore
 from eigenlink.errors import ConfigError, DataError, FormatError, IntegrityError
 from eigenlink.index import CandidateList, tokenize
 from eigenlink.weighting import (
@@ -14,9 +16,9 @@ from eigenlink.weighting import (
     build_description_store,
     context_ranking,
     degree_ranking,
-    global_context_vector,
+    document_contexts,
     load_descriptions,
-    local_context_vector,
+    mean_vectors,
     mention_weights,
     reciprocal_rank_weight,
 )
@@ -109,64 +111,72 @@ def test_description_store_mean_of_word_vectors(desc_store):
     assert "unknown" not in desc_store
 
 
+def one_context(mode, tokens, word_store, position=1, window=5, nouns=None):
+    """The context of the one mention, at ``position``, of a document of ``tokens``."""
+    task = DocumentTask("d", [Mention("M", position=position)], tokens, nouns)
+    (context,) = document_contexts(task, mode, word_store, window)
+    return context
+
+
 def test_context_ranking_hand_cosines(word_store, desc_store):
     # context = mean(a, b) = (e1+e2)/2; cosines: c1 = c2 = 1/sqrt(2), c3 = 1.
     tokens = ["a", "MENTION", "b"]
-    context = local_context_vector(tokens, 1, word_store, window=1)
+    context = one_context("local", tokens, word_store, window=1)
     ranking = context_ranking(cl("c1", "c2", "c3"), context, desc_store)
     assert ranking == {"c3": 1, "c1": 2, "c2": 3}  # tie broken by degree order
 
 
 def test_context_equal_description_ranks_first(word_store, desc_store):
     tokens = ["b", "MENTION", "b"]  # context exactly e2 = c2's description
-    context = local_context_vector(tokens, 1, word_store, window=1)
+    context = one_context("local", tokens, word_store, window=1)
     ranking = context_ranking(cl("c1", "c2", "c3"), context, desc_store)
     assert ranking["c2"] == 1
 
 
 def test_shared_description_falls_back_to_degree_order(word_store):
     desc = build_description_store({q: "a" for q in ("x", "y", "z")}, word_store)
-    context = local_context_vector(["a", "M", "b"], 1, word_store, window=1)
+    context = one_context("local", ["a", "M", "b"], word_store, window=1)
     ranking = context_ranking(cl("x", "y", "z"), context, desc)
     assert ranking == {"x": 1, "y": 2, "z": 3}
 
 
 def test_unknown_context_words_fall_back_to_degree(word_store, desc_store):
-    context = local_context_vector(["zz", "M", "yy"], 1, word_store, window=1)
+    context = one_context("local", ["zz", "M", "yy"], word_store, window=1)
+    assert context is None
     ranking = context_ranking(cl("c1", "c2"), context, desc_store)
     assert ranking == {"c1": 1, "c2": 2}
 
 
 def test_descriptionless_candidates_rank_last(word_store, desc_store):
-    context = local_context_vector(["a", "M", "b"], 1, word_store, window=1)
+    context = one_context("local", ["a", "M", "b"], word_store, window=1)
     ranking = context_ranking(cl("nodesc1", "c3", "nodesc2"), context, desc_store)
     assert ranking == {"c3": 1, "nodesc1": 2, "nodesc2": 3}
 
 
 def test_global_context_uses_noun_approximation(word_store):
     # stopwords are dropped entirely; "a" is one, "b" and "c" are not
-    assert global_context_vector(["the", "a", "of"], word_store) is None
-    vec = global_context_vector(["c", "the", "c"], word_store)
+    assert one_context("global", ["the", "a", "of"], word_store) is None
+    vec = one_context("global", ["c", "the", "c"], word_store)
     assert np.allclose(vec, [0, 0, 1])
-    vec = global_context_vector(["a", "b", "c"], word_store)
+    vec = one_context("global", ["a", "b", "c"], word_store)
     assert np.allclose(vec, [0, 0.5, 0.5])
 
 
 def test_global_context_drops_function_words_in_any_case():
     # a token is noun-ish unless its lowercase form is a stopword
     store = make_store(2, {"The": [1, 0], "IN": [1, 0], "Paris": [0, 1]})
-    assert np.allclose(global_context_vector(["The", "Paris", "IN"], store), [0, 1])
-    assert global_context_vector(["The", "IN"], store) is None
+    assert np.allclose(one_context("global", ["The", "Paris", "IN"], store), [0, 1])
+    assert one_context("global", ["The", "IN"], store) is None
 
 
 def test_global_context_explicit_noun_list(word_store):
-    vec = global_context_vector(["c", "c"], word_store, nouns=["b"])
+    vec = one_context("global", ["c", "c"], word_store, nouns=["b"])
     assert np.allclose(vec, [0, 1, 0])
 
 
 def test_local_context_window(word_store):
     tokens = ["a", "c", "M", "b", "a"]
-    vec = local_context_vector(tokens, 2, word_store, window=1)
+    vec = one_context("local", tokens, word_store, position=2, window=1)
     assert np.allclose(vec, [0, 0.5, 0.5])  # mean of "c" and "b"
 
 
@@ -179,7 +189,7 @@ def test_context_scheme_weights(word_store, desc_store):
     weights = mention_weights(
         WeightScheme("local_ctxt_rr", 1.0),
         cl("c1", "c2", "c3"),
-        context=local_context_vector(["a", "M", "b"], 1, word_store),
+        context=one_context("local", ["a", "M", "b"], word_store),
         desc_store=desc_store,
     )
     assert weights == {"c3": 1.0, "c1": 0.5, "c2": pytest.approx(1 / 3)}
@@ -272,27 +282,66 @@ def test_description_store_has_the_bits_of_one_mean_per_description(case, separa
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=mean_cases(), position=st.integers(0, 40), window=st.integers(0, 12))
-def test_context_vectors_have_the_bits_of_one_mean(case, position, window):
+@given(
+    case=mean_cases(),
+    positions=st.lists(st.integers(0, 40), max_size=8),
+    window=st.integers(0, 12),
+)
+def test_context_vectors_have_the_bits_of_one_mean(case, positions, window):
     d, gather, word_store, token_lists = case
     doc = [t for tokens in token_lists for t in tokens] or ["zz"]
-    position %= len(doc)
+    mentions = [Mention("M", position=p % len(doc)) for p in positions]
     nouns = token_lists[0] if token_lists else None
-    lo = max(0, position - window)
-    window_tokens = doc[lo:position] + doc[position + 1 : position + 1 + window]
     noun_ish = [t for t in doc if t.lower() not in STOPWORDS]
+    task = DocumentTask("d", mentions, doc)
+    with_nouns = DocumentTask("d", mentions, doc, nouns)
     with patch.object(weighting, "_GATHER_FLOATS", gather):
-        local = local_context_vector(doc, position, word_store, window)
-        global_ = global_context_vector(doc, word_store)
-        given_nouns = global_context_vector(doc, word_store, nouns)
-    assert same_bits(local, naive_mean_vector(window_tokens, word_store))
-    assert same_bits(global_, naive_mean_vector(noun_ish, word_store))
-    assert same_bits(given_nouns, naive_mean_vector(noun_ish if nouns is None else nouns, word_store))
+        local = document_contexts(task, "local", word_store, window)
+        global_ = document_contexts(task, "global", word_store, window)
+        given_nouns = document_contexts(with_nouns, "global", word_store, window)
+    assert len(local) == len(global_) == len(given_nouns) == len(mentions)
+    for mention, context in zip(mentions, local):
+        p = mention.position
+        window_tokens = doc[max(0, p - window) : p] + doc[p + 1 : p + 1 + window]
+        assert same_bits(context, naive_mean_vector(window_tokens, word_store))
+    expected = naive_mean_vector(noun_ish, word_store)
+    assert all(same_bits(context, expected) for context in global_)
+    expected = naive_mean_vector(noun_ish if nouns is None else nouns, word_store)
+    assert all(same_bits(context, expected) for context in given_nouns)
 
 
-def test_description_store_rejects_a_mean_that_overflows():
-    store = make_store(1, {"a": [1e308], "b": [1.0]})
-    descriptions = {"Q1": "b", "Q2": "b a a", "Q3": "a a"}
-    with pytest.raises(DataError, match="^vector for 'Q2' has non-finite values$"):
-        with np.errstate(over="ignore"):
-            build_description_store(descriptions, store)
+def test_add_rejects_a_vector_whose_squared_norm_overflows():
+    store = EmbeddingStore(2)
+    message = "^vector for 'a' has values too large, their squared norm overflows$"
+    with pytest.raises(DataError, match=message):
+        store.add("a", [1e160, 0.0])
+    assert "a" not in store
+    store.add("a", [1e154, 0.0])  # 1e308 is finite
+    for vector in ([np.inf, 0.0], [np.nan, 0.0], [1e160, -np.inf]):
+        with pytest.raises(DataError, match="^vector for 'b' has non-finite values$"):
+            store.add("b", vector)
+
+
+# Components at and around sqrt(max float) ~ 1.34e154, beside any finite float.
+COMPONENTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([9.4e153, -9.4e153, 1.3e154, -1.3e154, 1.34e154, 1e308]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), d=st.sampled_from([1, 2, 16]))
+def test_every_mean_of_vectors_a_store_accepted_is_finite(data, d):
+    store = EmbeddingStore(d)
+    for i in range(6):
+        try:
+            store.add(f"w{i}", data.draw(st.lists(COMPONENTS, min_size=d, max_size=d)))
+        except DataError:
+            pass
+    words = st.sampled_from([f"w{i}" for i in range(6)])
+    token_lists = data.draw(st.lists(st.lists(words, max_size=40), max_size=8))
+    with np.errstate(over="raise", invalid="raise"):
+        kept, means = mean_vectors(token_lists, store)
+    assert np.isfinite(means).all()
+    known = set(store.identifiers())
+    assert kept.tolist() == [i for i, tokens in enumerate(token_lists) if known.intersection(tokens)]
