@@ -32,20 +32,42 @@ class EmbeddingStore:
         self._row: dict[str, int] = {}
 
     def add(self, identifier: str, vector) -> None:
-        vec = np.asarray(vector, dtype=np.float64)
-        if vec.shape != (self.dim,):
+        self.add_rows([identifier], np.asarray(vector, dtype=np.float64)[None])
+
+    def add_rows(self, identifiers: list[str], rows) -> None:
+        """Add ``rows[i]`` for ``identifiers[i]``: all of them, or none on an error.
+
+        The checks run in this order over the whole batch: every row has d
+        values, no row's squared norm overflows (as when a value is NaN or
+        inf) and no identifier repeats, in the batch or in the store. Each
+        error names the first offending identifier.
+        """
+        matrix = np.asarray(rows, dtype=np.float64)
+        if len(matrix) != len(identifiers):
+            raise ValueError(f"{len(identifiers)} identifiers for {len(matrix)} rows")
+        if not identifiers:
+            return
+        shape = matrix.shape[1:]  # one width for all rows: the first is named
+        if shape != (self.dim,):
             raise FormatError(
-                f"vector for {identifier!r} has shape {vec.shape}, expected ({self.dim},)"
+                f"vector for {identifiers[0]!r} has shape {shape}, expected ({self.dim},)"
             )
-        if not _norms_finite(vec[None, :]):  # as when any value is NaN or inf
-            if np.isfinite(vec).all():
+        if not _norms_finite(matrix):
+            with np.errstate(over="ignore"):
+                i = int(np.argmin(np.isfinite(_squared_norms(matrix))))
+            if np.isfinite(matrix[i]).all():
                 raise DataError(
-                    f"vector for {identifier!r} has values too large, their squared norm overflows"
+                    f"vector for {identifiers[i]!r} has values too large, "
+                    "their squared norm overflows"
                 )
-            raise DataError(f"vector for {identifier!r} has non-finite values")
-        if identifier in self._row:
-            raise IntegrityError(f"duplicate identifier {identifier!r}")
-        self._append([identifier], vec[None, :])
+            raise DataError(f"vector for {identifiers[i]!r} has non-finite values")
+        batch: set[str] = set()
+        for identifier in identifiers:
+            if identifier in self._row or identifier in batch:
+                raise IntegrityError(f"duplicate identifier {identifier!r}")
+            batch.add(identifier)
+        # A matrix asarray made from a list is held by no one else.
+        self._append(list(identifiers), matrix, own=matrix is not rows)
 
     def _append(
         self, identifiers: list[str], rows: np.ndarray, reserve: int = 0, own: bool = False

@@ -30,7 +30,7 @@ class DimensionError(EigenlinkError):
 
 
 class NumericalError(EigenlinkError):
-    """A LAPACK decomposition (the thin SVD) failed."""
+    """A LAPACK decomposition (the Gram matrix's eigendecomposition) failed."""
 
 
 class EmptyDocumentError(EigenlinkError):

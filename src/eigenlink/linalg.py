@@ -1,10 +1,24 @@
 """Dense numerical kernels.
 
-The truncated SVD of a (weighted) row matrix is LAPACK's thin SVD of
-W E; only its right singular vectors and singular values are kept.
+The truncated SVD of a (weighted) row matrix A = W E is read off the
+symmetric eigendecomposition (LAPACK's ``eigh``) of its smaller Gram
+matrix, so the left singular vectors of a thin SVD, which nothing reads,
+are never made. With n rows and d columns:
 
-Products and SVDs of large matrices give different bits on different
-BLAS thread counts, so linking runs BLAS on one thread
+- n > d: the eigenvectors of A^T A (d x d) are the right singular
+  vectors V, its eigenvalues the squared singular values;
+- n <= d: the eigenvectors of A A^T (n x n) are the left singular
+  vectors U, and V_k = A^T U_k / sigma_k for each kept direction.
+
+Both give the thin SVD's singular values and top-k subspace, since
+A = U S V^T makes A^T A = V S^2 V^T, A A^T = U S^2 U^T and A^T U = V S.
+A Gram matrix squares the condition number: its eigenvalues carry an
+absolute error of order eps * sigma_1^2, so a direction with sigma_i^2
+near the rank threshold (1e-10 * sigma_1^2, far above that error) keeps
+its place in the effective k but loses accuracy in its column of V.
+
+Products and decompositions of large matrices give different bits on
+different BLAS thread counts, so linking runs BLAS on one thread
 (``pin_blas_threads``).
 """
 
@@ -75,8 +89,10 @@ def pin_blas_threads() -> bool:
 def truncated_svd(E: np.ndarray, w: np.ndarray, k: int) -> Subspace:
     """Rank-k right-singular subspace of the weighted row matrix W E.
 
-    The effective rank may come out below the requested k: singular
-    values with sigma_i^2 <= RANK_TOL_FACTOR * sigma_1^2 are dropped.
+    It comes from the eigendecomposition of the smaller Gram matrix of
+    W E (see the module docstring). The effective rank may come out
+    below the requested k: singular values with
+    sigma_i^2 <= RANK_TOL_FACTOR * sigma_1^2 are dropped.
     """
     E = np.asarray(E, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
@@ -97,12 +113,17 @@ def truncated_svd(E: np.ndarray, w: np.ndarray, k: int) -> Subspace:
         raise EmptyDocumentError("cannot learn a subspace from zero rows")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    n, d = WE.shape
     try:
-        _, sigma, vt = np.linalg.svd(WE, full_matrices=False)
+        lam, vecs = np.linalg.eigh(WE.T @ WE if n > d else WE @ WE.T)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD failed: {exc}") from exc
-    if sigma.size == 0 or sigma[0] <= 0.0:
+        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+    lam, vecs = lam[::-1], vecs[:, ::-1]  # eigh's order is ascending
+    if lam.size == 0 or lam[0] <= 0.0:
         effective = 0
     else:
-        effective = min(k, int(np.sum((sigma / sigma[0]) ** 2 > RANK_TOL_FACTOR)))
-    return Subspace(basis=vt[:effective].T.copy(), strengths=sigma[:effective].copy())
+        effective = min(k, int(np.sum(lam / lam[0] > RANK_TOL_FACTOR)))
+    sigma = np.sqrt(lam[:effective])
+    top = vecs[:, :effective]
+    basis = top.copy() if n > d else (WE.T @ top) / sigma
+    return Subspace(basis=basis, strengths=sigma)

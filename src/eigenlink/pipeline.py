@@ -1,7 +1,8 @@
 """Document-parallel linking runs.
 
 Each document is linked on its own, so ``--jobs`` documents are linked at
-once on threads of this process (LAPACK releases the GIL in eigen's SVDs).
+once on threads of this process (BLAS and LAPACK release the GIL in eigen's
+Gram products and eigendecompositions).
 Linking writes no shared state: the stores and the lists attached to the
 mentions are only read. Documents are mapped in submission order, so results
 (and therefore every derived artifact) do not depend on the worker count.

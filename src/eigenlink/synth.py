@@ -122,12 +122,11 @@ def generate(cfg: SynthConfig, out_dir: str) -> dict:
 
     vocab = [f"w{i:03d}" for i in range(cfg.vocab_size)]
     word_store = EmbeddingStore(cfg.word_dim)
-    for word in vocab:
-        word_store.add(word, rng.standard_normal(cfg.word_dim))
+    word_store.add_rows(vocab, [rng.standard_normal(cfg.word_dim) for _ in vocab])
 
     catalog_rows: list[dict] = []
     row_of: dict[str, dict] = {}
-    entity_store = EmbeddingStore(cfg.d)
+    entity_vectors: list[np.ndarray] = []  # one per catalog row, in draw order
     descriptions: list[dict] = []
     dataset_rows: list[dict] = []
     manifest_docs: list[dict] = []
@@ -142,7 +141,7 @@ def generate(cfg: SynthConfig, out_dir: str) -> dict:
         row = {"qid": qid, "name": f"entity q{qid_counter}", "aliases": [], "degree": degree}
         catalog_rows.append(row)
         row_of[qid] = row
-        entity_store.add(qid, vector)
+        entity_vectors.append(vector)
         n_words = int(rng.integers(3, 9))
         words = [vocab[int(i)] for i in rng.integers(0, cfg.vocab_size, size=n_words)]
         descriptions.append({"qid": qid, "description": " ".join(words)})
@@ -246,6 +245,8 @@ def generate(cfg: SynthConfig, out_dir: str) -> dict:
         "dataset": os.path.join(out_dir, "dataset.jsonl"),
         "manifest": os.path.join(out_dir, "manifest.json"),
     }
+    entity_store = EmbeddingStore(cfg.d)
+    entity_store.add_rows([row["qid"] for row in catalog_rows], entity_vectors)
     jsonl.write_rows(paths["catalog"], catalog_rows)
     write_embeddings(entity_store, paths["embeddings"])
     write_embeddings(word_store, paths["words"])

@@ -395,15 +395,18 @@ def test_load_context_leaves_the_collector_unfrozen(corpus_dir, tmp_path):
 
 
 def test_numerical_failure_names_document_and_exits_1(corpus_dir, tmp_path, capsys, monkeypatch):
-    def failing_svd(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
+    def failing_eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
     with open(f"{corpus_dir}/dataset.jsonl") as fh:
         first_doc = json.loads(fh.readline())["doc_id"]
     assert main(link_args(corpus_dir, str(tmp_path / "x"), method="eigen")) == 1
     err = capsys.readouterr().err
-    assert err == f"error: document {first_doc!r}: SVD failed: SVD did not converge\n"
+    assert err == (
+        f"error: document {first_doc!r}: eigendecomposition failed: "
+        "Eigenvalues did not converge\n"
+    )
 
 
 def test_invalid_k_exits_4(corpus_dir, tmp_path):

@@ -146,6 +146,55 @@ OVERFLOW = "values too large, their squared norm overflows"
 
 
 @pytest.mark.parametrize(
+    "identifiers, rows, error, message",
+    [
+        (["a", "b"], np.ones((2, 3)), FormatError, "^vector for 'a' has shape [(]3,[)]"),
+        (
+            ["a", "b", "c"],
+            [[1.0, 0.0], [1e160, 0.0], [np.nan, 0.0]],
+            DataError,
+            f"^vector for 'b' has {OVERFLOW}$",
+        ),
+        (
+            ["a", "b", "c"],
+            [[1.0, 0.0], [np.inf, 0.0], [1e160, 0.0]],
+            DataError,
+            "^vector for 'b' has non-finite values$",
+        ),
+        (["a", "b", "a", "b"], np.ones((4, 2)), IntegrityError, "^duplicate identifier 'a'$"),
+        (["c", "old"], np.ones((2, 2)), IntegrityError, "^duplicate identifier 'old'$"),
+    ],
+)
+def test_add_rows_checks_the_batch_and_names_the_first_bad_identifier(
+    identifiers, rows, error, message
+):
+    store = EmbeddingStore(2)
+    store.add("old", [1.0, 1.0])
+    with pytest.raises(error, match=message):
+        store.add_rows(identifiers, rows)
+    assert list(store.identifiers()) == ["old"]  # all or nothing
+    assert np.array_equal(store.rows(["old"]), [[1.0, 1.0]])
+
+
+def test_add_rows_matches_one_add_per_row():
+    rng = np.random.default_rng(7)
+    vectors = rng.standard_normal((37, 5))
+    ids = [f"e{i}" for i in range(37)]
+    one_by_one, batched = EmbeddingStore(5), EmbeddingStore(5)
+    for identifier, vec in zip(ids, vectors):
+        one_by_one.add(identifier, vec)
+    batched.add_rows(ids[:3], vectors[:3])
+    batched.add_rows(ids[3:], list(vectors[3:]))
+    batched.add_rows([], np.empty((0, 5)))
+    assert list(batched.identifiers()) == ids
+    assert np.array_equal(batched.rows(ids), one_by_one.rows(ids))
+    vectors[0] = 0.0  # the store holds its own copy of an array it was given
+    assert np.array_equal(batched.get("e0"), one_by_one.get("e0"))
+    with pytest.raises(ValueError):
+        batched.add_rows(["x", "y"], np.ones((1, 5)))
+
+
+@pytest.mark.parametrize(
     "body, error, message",
     [
         ("3 3\n" + ROWS + "q3 1 0\n", FormatError, "line 4: expected identifier plus 3 values, got 2"),

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eigenlink import linalg
 from eigenlink.errors import (
@@ -10,7 +12,8 @@ from eigenlink.errors import (
     EmptyDocumentError,
     NumericalError,
 )
-from eigenlink.linalg import pin_blas_threads, truncated_svd
+from eigenlink.embeddings import unit_normalize_rows
+from eigenlink.linalg import RANK_TOL_FACTOR, Subspace, pin_blas_threads, truncated_svd
 
 # ---------------------------------------------------------------------------
 # Independent oracles
@@ -74,6 +77,21 @@ def naive_weighted_sscp(E, w):
                 acc += we[i][a] * we[i][b]
             out[a, b] = acc
     return out
+
+
+def oracle_truncated_svd(E, w, k):
+    """``truncated_svd`` as LAPACK's thin SVD of W E, without input checks.
+
+    Keeps sigma_i while sigma_i^2 > RANK_TOL_FACTOR * sigma_1^2, at most k
+    of them; the left singular vectors it computes go unread.
+    """
+    WE = w[:, None] * E
+    _, sigma, vt = np.linalg.svd(WE, full_matrices=False)
+    if sigma.size == 0 or sigma[0] <= 0.0:
+        effective = 0
+    else:
+        effective = min(k, int(np.sum((sigma / sigma[0]) ** 2 > RANK_TOL_FACTOR)))
+    return Subspace(basis=vt[:effective].T.copy(), strengths=sigma[:effective].copy())
 
 
 def random_orthonormal(rng, d, k):
@@ -198,7 +216,7 @@ def test_lapack_failure_is_numerical_error(monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("did not converge")
 
-    monkeypatch.setattr(np.linalg, "svd", fail)
+    monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(NumericalError):
         truncated_svd(np.eye(3), np.ones(3), k=1)
 
@@ -209,3 +227,128 @@ def test_blas_without_the_thread_setter_is_reported(tmp_path, monkeypatch, caplo
     (record,) = caplog.records
     assert record.levelname == "WARNING"
     assert "may depend on the BLAS thread count" in record.getMessage()
+
+
+# ---------------------------------------------------------------------------
+# truncated_svd (a Gram matrix's eigendecomposition) against the thin-SVD oracle
+
+EPS = np.finfo(np.float64).eps
+KINDS = ("random", "duplicated", "low_rank", "tied", "above", "below")
+
+
+def spectral_error_bound(n, d):
+    """eta: |lambda_i - sigma_i^2| <= eta * sigma_1^2 for every i, by Weyl's inequality.
+
+    Both decompositions are backward stable, so each gives the exact
+    spectrum of a perturbed Gram matrix, and Weyl's inequality moves each
+    eigenvalue by at most the 2-norm of that perturbation. With A = W E,
+    r = min(n, d) and m = max(n, d), the inner length of the Gram product:
+    - forming the Gram matrix: |dG| <= gamma_m |A|^T |A| elementwise, so
+      ||dG|| <= gamma_m ||A||_F^2 <= gamma_m r sigma_1^2;
+    - eigh of the r x r Gram matrix: ||dG|| <= p(r) eps ||G||, LAPACK's
+      bound with its "modestly growing" p(r) taken as r;
+    - the oracle's thin SVD: ||dA|| <= r eps sigma_1, which moves its
+      sigma_i^2 by at most (2 r eps + (r eps)^2) sigma_1^2 <= 3 r eps sigma_1^2.
+    """
+    r, m = min(n, d), max(n, d)
+    gamma_m = m * EPS / (1 - m * EPS)
+    return gamma_m * r + 4 * r * EPS
+
+
+def planted(rng, rows, d, sigmas):
+    """A (rows, d) matrix whose singular values are ``sigmas``, then zeros."""
+    r = len(sigmas)
+    left, right = random_orthonormal(rng, rows, r), random_orthonormal(rng, d, r)
+    return left @ (np.asarray(sigmas)[:, None] * right.T)
+
+
+@st.composite
+def subspace_cases(draw):
+    """(E, w, k, kind, planted effective k or None), from a seeded generator."""
+    d = draw(st.integers(1, 12))
+    n = draw(st.sampled_from([1, max(1, d - 1), d, d + 1]) | st.integers(1, 2 * d + 3))
+    kind = draw(st.sampled_from(KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    near = kind in ("above", "below")
+    if near and min(n, d) < 2:
+        kind, near = "random", False
+    # Zero weights, leaving a near-threshold case at least two rows to plant in.
+    zeros = draw(st.integers(0, n - 2 if near else n)) if draw(st.booleans()) else 0
+    w = rng.uniform(0.1, 2.0, n)
+    w[rng.choice(n, size=zeros, replace=False)] = 0.0
+    live = np.flatnonzero(w)
+    E = rng.standard_normal((n, d))
+    expected = None
+    if kind == "duplicated":
+        E = E[rng.integers(0, int(rng.integers(1, n + 1)), size=n)]
+    elif kind == "low_rank":
+        r = int(rng.integers(1, min(n, d) + 1))
+        E = rng.standard_normal((n, r)) @ rng.standard_normal((r, d))
+    elif kind == "tied" and len(live):
+        r = int(rng.integers(1, min(len(live), d) + 1))
+        sigmas = np.repeat(2.0 ** -np.arange(r), 2)[:r]  # pairs of equal values
+        E[live] = planted(rng, len(live), d, sigmas) / w[live, None]
+    elif near:
+        r = int(rng.integers(2, min(len(live), d) + 1))
+        factor = 1 + 1e-3 if kind == "above" else 1 - 1e-3
+        # sigma_1 = 1, the rest above the threshold, sigma_r^2 just above or below it.
+        sigmas = np.sort(rng.uniform(0.05, 1.0, r - 2))[::-1]
+        sigmas = [1.0, *sigmas, math.sqrt(factor * RANK_TOL_FACTOR)]
+        E[live] = planted(rng, len(live), d, sigmas) / w[live, None]
+        expected = r if kind == "above" else r - 1
+    k = draw(st.integers(1, min(n, d) + 2))
+    if expected is not None:
+        k = max(k, r)
+        expected = min(expected, k)
+    return E, w, k, kind, expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(subspace_cases())
+def test_gram_eigendecomposition_matches_the_thin_svd(case):
+    """Same effective k, squared strengths within Weyl's bound and, where the
+    top-k subspace is unique, every row's score within the Davis-Kahan bound.
+
+    When sigma_k = sigma_{k+1} (to within the error), the top-k subspace is
+    not unique: any basis of the tied directions is right, and the scores
+    may differ by far more than rounding. Then only the strengths and the
+    effective k are compared.
+    """
+    E, w, k, kind, expected = case
+    n, d = E.shape
+    got, want = truncated_svd(E, w, k), oracle_truncated_svd(E, w, k)
+    assert got.rank == want.rank, kind
+    if expected is not None:  # the case was planted where it was meant to be
+        assert want.rank == expected, kind
+    assert got.basis.shape == want.basis.shape == (d, want.rank)
+    sigma = np.linalg.svd(w[:, None] * E, compute_uv=False)
+    s1sq = float(sigma[0] ** 2) if sigma.size else 0.0
+    eta = spectral_error_bound(n, d)
+    assert np.all(np.abs(got.strengths**2 - want.strengths**2) <= eta * s1sq), kind
+
+    kept = want.rank
+    below = float(sigma[kept] ** 2) if kept < sigma.size else 0.0
+    # The exact gap is at least the oracle's less its error; Weyl again.
+    separation = (float(want.strengths[-1] ** 2) - below - 3 * eta * s1sq) if kept else 0.0
+    if kept == 0 or separation <= 0.0:
+        return  # no subspace, or a tied one: strengths and effective k only
+    # Davis-Kahan: the projector onto the top-k subspace moves by at most
+    # ||dG|| / separation, so the truncated Gram matrix V S^2 V^T moves by at
+    # most eta s1sq (1 + s1sq / separation), and a squared score
+    # e^T V S^2 V^T e by ||e||^2 times that, X. Then |s - s'| <= sqrt(X),
+    # and |s - s'| <= X / (s + s'), the sharper one for a well-scored row.
+    # The scoring products and, for n <= d, forming A^T U_k add at most
+    # 3 gamma_m r sigma_1 ||e||, also taken off s + s'.
+    m, r = max(n, d), min(n, d)
+    rows = unit_normalize_rows(E)
+    norms = np.linalg.norm(rows, axis=1)
+    squared = norms**2 * s1sq * eta * (1 + s1sq / separation)
+    rounding = 3 * m * EPS / (1 - m * EPS) * r * math.sqrt(s1sq) * norms
+    scores_got = np.linalg.norm((rows @ got.basis) * got.strengths, axis=1)
+    scores_want = np.linalg.norm((rows @ want.basis) * want.strengths, axis=1)
+    total = np.maximum(scores_got + scores_want - 2 * rounding, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sharper = np.where(total > 0.0, squared / total, np.inf)
+    bound = np.minimum(np.sqrt(squared), sharper) + rounding
+    diff = np.abs(scores_got - scores_want)
+    assert np.all(diff <= bound), (kind, float((diff / np.maximum(bound, 1e-300)).max()))
